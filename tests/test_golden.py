@@ -1,0 +1,84 @@
+"""Golden behaviour gate: exact output of every shipped config.
+
+Each case is the sha256 of the bytes ``io.write_spikes_csv`` writes for a
+shipped config at master seeds 0 and 1 over 40 us (every network config
+spikes in that window), plus one traced run whose membrane traces are
+hashed bit for bit.  A change that is meant to keep behaviour (a faster
+path, a refactor) must leave every hash as it is; a change that moves
+trajectories on purpose re-baselines them and says so in CHANGES.md.
+
+The ring configs are chaotic in the last bit of floating-point rounding,
+so these hashes pin the numpy build too: numpy's ``exp``/``log`` may round
+differently between SIMD code paths, and another build can legitimately
+give other hashes.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from spikeislands.configio import builtin_names, load_builtin, parse_document
+from spikeislands.engine import SimConfig, run
+from spikeislands.io import write_spikes_csv
+
+DURATION = 40e-6
+
+SPIKES_SHA256 = {
+    ("fig3_single_neuron", 0): "d7f4ac5c2eb7497649a241fa8c432902b23dfb8a45534c288fd5bf6e6b073073",
+    ("fig3_single_neuron", 1): "e497177472974fd6ea88d1140694af2931d36709d64ae6d57798d6b31f269c54",
+    ("fig4B_islands", 0): "5ae8f775a106db0bf51d6ab406358cd157f8fa75890f03091a862b2ccb66cb7e",
+    ("fig4B_islands", 1): "237ed618fa4fd236aa73f94fc036ac0cabe0e02c125b1defe1887ab7314847cf",
+    ("fig5A_nobond", 0): "5ae8f775a106db0bf51d6ab406358cd157f8fa75890f03091a862b2ccb66cb7e",
+    ("fig5A_nobond", 1): "237ed618fa4fd236aa73f94fc036ac0cabe0e02c125b1defe1887ab7314847cf",
+    ("fig5B_ring8", 0): "b4d328553e1d2e5d93e441a1cb0831f8db2f7b2ebdd2c7859142ddec92dafa42",
+    ("fig5B_ring8", 1): "ac7c6279f5a9788550de82792c401935234d653ce0e0d0b92cced56a8fe49ec2",
+    ("fig6E", 0): "5ae8f775a106db0bf51d6ab406358cd157f8fa75890f03091a862b2ccb66cb7e",
+    ("fig6E", 1): "237ed618fa4fd236aa73f94fc036ac0cabe0e02c125b1defe1887ab7314847cf",
+    ("fig6F", 0): "384b89da667ab3e26dda3600361c62cd0566a5c97ef7a2aa8649b4756f27815d",
+    ("fig6F", 1): "1d4d5a3494c1b971c16419d21627750876b06aeee60121a78ebe5c1fcbfffd3a",
+    ("fig6G", 0): "b3f55ba2b365182e477072497ca21916ffa0a2d3864fe72633fad92948672fd7",
+    ("fig6G", 1): "5a04bac18b253266b542856db953a2bc756b39d99b4616bdc145bf90c0af4039",
+    ("fig6H", 0): "53d2a26403491d50428250093accf3d17dffc03547a94e1431e09541aca26e6d",
+    ("fig6H", 1): "455652cc0ddaa905a002d4bb5d6795024378940140038089bfa866a9400d2677",
+}
+
+TRACED_SHA256 = {
+    "spikes": "1d4d5a3494c1b971c16419d21627750876b06aeee60121a78ebe5c1fcbfffd3a",
+    "traces": "0e460fa131cac4ab68b29ea79e54500d6fcda5d3949e39d8c832a19bf7619cb0",
+}
+
+
+def spikes_sha256(record, tmp_path) -> str:
+    path = tmp_path / "spikes.csv"
+    write_spikes_csv(record, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def traces_sha256(traces) -> str:
+    t, by_id = traces
+    h = hashlib.sha256(np.ascontiguousarray(t, dtype=np.float64).tobytes())
+    for nid in sorted(by_id):
+        h.update(np.ascontiguousarray(by_id[nid], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def run_builtin(name: str, seed: int, **sim_kw):
+    network, _ = parse_document(load_builtin(name))
+    return run(network, SimConfig(duration=DURATION, dt=1e-8, master_seed=seed, **sim_kw))
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted({name for name, _ in SPIKES_SHA256}) == sorted(builtin_names())
+
+
+@pytest.mark.parametrize("name,seed", sorted(SPIKES_SHA256))
+def test_spikes_csv_matches_golden_hash(name, seed, tmp_path):
+    assert spikes_sha256(run_builtin(name, seed), tmp_path) == SPIKES_SHA256[name, seed]
+
+
+def test_traced_run_matches_golden_hashes(tmp_path):
+    rec = run_builtin("fig6F", 1, record_traces="all", trace_decimation=1)
+    assert len(rec.traces[0]) == int(round(DURATION / 1e-8)) + 1
+    assert spikes_sha256(rec, tmp_path) == TRACED_SHA256["spikes"]
+    assert traces_sha256(rec.traces) == TRACED_SHA256["traces"]
