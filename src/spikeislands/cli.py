@@ -224,7 +224,7 @@ def cmd_analyze(args) -> int:
 
 
 def _sweep_network(config_text: str, axis: str, value: float, args):
-    network, hints = parse_document(config_text)
+    network, _ = parse_document(config_text)
     if axis == "noise-density":
         noises = tuple(replace(ns, density=float(value)) for ns in network.noise)
         network = replace(network, noise=noises)
@@ -235,7 +235,7 @@ def _sweep_network(config_text: str, axis: str, value: float, args):
             "fanout": args.ring_fanout,
             "multiplicity": args.ring_multiplicity,
         }
-        ring[{"links": "links", "fanout": "fanout", "multiplicity": "multiplicity"}[axis]] = int(value)
+        ring[axis] = int(value)
         if ring["links"] > 0:
             network = build_ring(
                 network,
@@ -244,18 +244,14 @@ def _sweep_network(config_text: str, axis: str, value: float, args):
                 multiplicity=ring["multiplicity"],
                 seed=args.ring_seed,
             )
-    return network, hints
+    return network
 
 
 def _sweep_one(job) -> dict:
     """One sweep run; module-level so it pickles for multiprocessing."""
-    config_text, axis, value, run_index, args_ns, out_dir = job
-    network, hints = parse_document(config_text)  # for hints only
-    network, _ = _sweep_network(config_text, axis, value, args_ns)
-    duration = args_ns.duration if args_ns.duration is not None else hints.get("duration")
-    dt = args_ns.dt if args_ns.dt is not None else hints.get("dt", 1e-8)
-    base_seed = args_ns.seed if args_ns.seed is not None else hints.get("seed", 0)
-    sim = SimConfig(duration=duration, dt=dt, master_seed=derive_seed(base_seed, run_index))
+    config_text, axis, value, run_index, args_ns, base_sim, out_dir = job
+    network = _sweep_network(config_text, axis, value, args_ns)
+    sim = replace(base_sim, master_seed=derive_seed(base_sim.master_seed, run_index))
     record = run(network, sim)
     _write_run(Path(out_dir), record, write_traces=False)
 
@@ -284,12 +280,14 @@ def cmd_sweep(args) -> int:
     if not values:
         raise CliError("empty sweep value list")
     config_text, source = _load_config(args.config)
-    parse_document(config_text)  # validate before launching workers
+    _, hints = parse_document(config_text)  # validate before launching workers
+    # Run i uses master seed derive_seed(sim.master_seed, i).
+    sim = _sim_from_args(args, hints)
 
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [
-        (config_text, args.axis, v, i, args, str(out_dir / f"{args.axis}={v:g}"))
+        (config_text, args.axis, v, i, args, sim, str(out_dir / f"{args.axis}={v:g}"))
         for i, v in enumerate(values)
     ]
     if args.jobs > 1:
@@ -305,15 +303,12 @@ def cmd_sweep(args) -> int:
         lines.append(f"{r['value']:g},{r['total_spikes']},{mi},{rho}")
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
-    base_seed = args.seed if args.seed is not None else 0
-    sim_stub = SimConfig(duration=1.0, dt=0.1, master_seed=base_seed)
-    _write_manifest(
-        out_dir,
-        config_text,
-        source,
-        sim_stub,
-        extra={"sweep_axis": args.axis, "sweep_values": values, "analyze": True},
-    )
+    extra = {"sweep_axis": args.axis, "sweep_values": values, "analyze": True}
+    if args.axis != "noise-density":
+        # the ring built around the swept parameter
+        extra["ring"] = {key: getattr(args, f"ring_{key}")
+                         for key in ("links", "fanout", "multiplicity", "seed") if key != args.axis}
+    _write_manifest(out_dir, config_text, source, sim, extra=extra)
     print(f"wrote {out_dir / 'summary.csv'} ({len(values)} runs)")
     return 0
 

@@ -18,6 +18,20 @@ contract since it affects exact trajectories:
    synapse state at the end of the step, and the membrane sees the pulse
    from the next step on.
 
+Quiet stretches.  A step is quiet when, at its start, no neuron has a
+switch on (v_m <= v_th and v_n <= v_gate_th everywhere), no pulse is in
+flight over it and every synapse output sits at its floor.  Then the
+synapses deliver their floor charge, each neuron only integrates its input
+and lets its gate voltage decay, and no spike can start.  The engine takes
+a run of such steps in a short loop of its own (``_QuietStretch``): the
+membrane increments of a bounded chunk of steps are computed in one array
+expression, and each step costs an add, the lower clamp, the gate decay
+and a crossing check.  The expressions and their order are those of the
+general step, so the result is bit-identical to taking every step in
+full.  The first step in which a membrane would reach v_th (or the
+detection level) is handed back to the general step from its saved state,
+as is a step whose input is not finite.
+
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
 seed with the island's declared (seed, stream_id), so no thread count or
@@ -41,7 +55,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +76,11 @@ __all__ = [
     "DETECT_THRESHOLD_V",
     "derive_seed",
 ]
+
+# Steps whose membrane increments a quiet stretch computes in one batch;
+# bounds the batch at QUIET_CHUNK x n_neurons doubles.
+QUIET_CHUNK = 256
+
 
 class SimulationError(RuntimeError):
     """Numerical blow-up during a run; names the offending neuron and time."""
@@ -134,6 +153,11 @@ class SpikeRecord:
     ``times[i]`` is a strictly increasing float array of spike times
     (seconds) of global neuron i; ``island_of[i]`` is its island index.
     ``traces`` is None or ``(t, {neuron_id: v})`` with decimated samples.
+    ``stats`` holds deterministic counters of the run: ``steps`` taken,
+    ``quiet_steps`` of them taken as a quiet stretch (see the module
+    docstring; the single-neuron scalar path takes none), ``pulse_steps``
+    with a synaptic pulse in flight, and ``spikes_per_island``.  They are
+    kept out of ``meta``, so they never reach ``meta.json`` or a manifest.
     """
 
     times: list
@@ -142,6 +166,7 @@ class SpikeRecord:
     duration: float
     meta: dict
     traces: tuple | None = None
+    stats: dict = field(default_factory=dict)
 
     @property
     def n_neurons(self) -> int:
@@ -175,6 +200,30 @@ def _trace_selector(sel, n: int) -> list[int]:
         if not 0 <= i < n:
             raise ValueError(f"trace selector id {i} out of range")
     return ids
+
+
+class _Traces:
+    """Membrane samples of the selected neurons at t = 0 and after every
+    ``decim``-th step."""
+
+    def __init__(self, ids: list, n_steps: int, decim: int, dt: float, v_m):
+        self.ids, self.decim, self.dt = ids, decim, dt
+        n_samp = n_steps // decim + 1
+        self.v = np.empty((n_samp, len(ids)))
+        self.t = np.empty(n_samp)
+        self.v[0] = v_m[ids]
+        self.t[0] = 0.0
+        self.w = 1
+
+    def after(self, k: int, v_m) -> None:
+        """Sample after step k if its end is on the decimated grid."""
+        if (k + 1) % self.decim == 0:
+            self.v[self.w] = v_m[self.ids]
+            self.t[self.w] = (k + 1) * self.dt
+            self.w += 1
+
+    def result(self) -> tuple:
+        return self.t[:self.w], {nid: self.v[:self.w, col].copy() for col, nid in enumerate(self.ids)}
 
 
 class _NeuronBlock:
@@ -237,11 +286,19 @@ class _NeuronBlock:
 
 class _SynapseStates:
     """Synapse outputs, one per (presynaptic neuron, preset) pair: every
-    synapse of such a pair has the same drive and so the same trajectory."""
+    synapse of such a pair has the same drive and so the same trajectory.
 
-    def __init__(self, keys: list, n_neurons: int, dt: float):
+    ``busy_until`` is the latest end of any pulse started so far and
+    ``at_floor`` says that every output sits exactly at its floor; a step
+    that starts at or after ``busy_until`` has no pulse in flight, and at
+    the floor it delivers the floor charge without further work.
+    """
+
+    def __init__(self, keys: list, n_neurons: int, dt: float, post, signw, state_of):
         sps = [synapse_preset(name) for _, name in keys]
         self.dt = dt
+        self.n_neurons = n_neurons
+        self.post, self.signw, self.state_of = post, signw, state_of
         self.pre = np.array([pre for pre, _ in keys], dtype=np.int64)
         self.of_pre = [np.nonzero(self.pre == i)[0] for i in range(n_neurons)]
         self.tau = np.array([time_constant(sp) for sp in sps])
@@ -251,20 +308,42 @@ class _SynapseStates:
         self.floor = self.i_tau * FLOOR_RATIO
         self.i = self.floor.copy()
         self.onset = np.full(n_neurons, -np.inf)  # latest exact spike onset per neuron
+        self.busy_until = -np.inf
+        self.at_floor = True
+        self.idle_on = np.zeros(len(keys))  # pulse time left within an idle step
+        self.floor_input = self.input_current(dpi_decay(self.floor, dt, self.tau, self.floor)[1])
+        self.pulse_steps = 0
+
+    def input_current(self, q):
+        """Per-neuron synaptic input current from each output's charge ``q``
+        over a step (its mean current, signed and weighted)."""
+        return np.bincount(self.post, weights=self.signw * (q / self.dt)[self.state_of],
+                           minlength=self.n_neurons)
+
+    def idle_at_floor(self, t: float) -> bool:
+        """True when the step from t has no pulse in flight and every output
+        sits at its floor."""
+        return self.at_floor and not t < self.busy_until
 
     def step(self, t: float):
         """Advance over [t, t + dt] under the pulses of earlier spikes;
-        returns each output's charge over the step."""
+        returns the per-neuron synaptic input current over the step."""
         dt = self.dt
         self.i_start = self.i
-        # Pulse time left within this step.
-        self.on = on = np.clip(self.onset[self.pre] + self.width - t, 0.0, dt)
-        if on.any():
+        if t < self.busy_until:
+            self.pulse_steps += 1
+            self.at_floor = False
+            # Pulse time left within this step.
+            self.on = on = np.clip(self.onset[self.pre] + self.width - t, 0.0, dt)
             i, q_on = dpi_flow(self.i, self.i_pulse, on, self.i_tau, self.tau, self.floor)
             self.i, q = dpi_decay(i, dt - on, self.tau, self.floor)
-            return q + q_on
+            return self.input_current(q + q_on)
+        self.on = self.idle_on
+        if self.at_floor:
+            return self.floor_input
         self.i, q = dpi_decay(self.i, dt, self.tau, self.floor)
-        return q
+        self.at_floor = bool((self.i == self.floor).all())
+        return self.input_current(q)
 
     def start_pulses(self, t: float, spiking, onsets) -> None:
         """Record spike onsets at offsets ``onsets`` into the step from t, and
@@ -276,6 +355,8 @@ class _SynapseStates:
         hit = np.concatenate(groups)
         if not hit.size:
             return
+        self.busy_until = max(self.busy_until, float((self.onset[self.pre[hit]] + self.width[hit]).max()))
+        self.at_floor = False
         dt = self.dt
         theta = np.repeat(onsets, [len(g) for g in groups])
         old_on = self.on[hit]
@@ -290,6 +371,67 @@ class _SynapseStates:
         if (last_on < dt).any():
             i, _ = dpi_decay(i, dt - last_on, tau, floor)
         self.i[hit] = i
+
+
+class _QuietStretch:
+    """Takes quiet steps (see the module docstring) with the general step's
+    own expressions, the membrane increments of up to QUIET_CHUNK steps at
+    a time computed in one batch."""
+
+    def __init__(self, noise_arr, island_of, hold: int, n_steps: int, neurons: _NeuronBlock, floor_input):
+        self.noise, self.island_of, self.hold, self.n_steps = noise_arr, island_of, hold, n_steps
+        self.k_dt, self.lo, self.decay = neurons.k, neurons.lo, neurons.decay
+        self.v_th, self.v_gate = neurons.v_th, neurons.v_gate
+        # A step that takes a membrane to v_th or to the detection level
+        # may flip a switch or start a spike: it goes to the general step.
+        self.stop = np.minimum(neurons.v_th, DETECT_THRESHOLD_V)
+        self.floor_input = floor_input
+        self.start = self.end = 0  # steps whose increments are in self.inc
+        self.inc = None
+        self.bad = None  # steps of the batch with a non-finite increment
+        self.steps = 0
+
+    def holds(self, v_m, v_n) -> bool:
+        """True when no neuron has a switch on."""
+        return not ((v_m > self.v_th).any() or (v_n > self.v_gate).any())
+
+    def _batch(self, k: int) -> None:
+        end = min(k + QUIET_CHUNK, self.n_steps)
+        cols = self.noise[:, k:end] if self.hold == 1 else self.noise[:, np.arange(k, end) // self.hold]
+        i_total = cols.T[:, self.island_of]
+        if self.floor_input is not None:
+            i_total = i_total + self.floor_input
+        self.inc = ((i_total + 0.0) - 0.0) * self.k_dt
+        self.start, self.end = k, end
+        self.bad = k + np.flatnonzero(~np.isfinite(self.inc).all(axis=1))
+
+    def take(self, k: int, v_m, v_n, traces):
+        """Take quiet steps from step k while they stay quiet; returns the
+        first step not taken and the state at its start; ``traces`` (or
+        None) samples the membranes after every step."""
+        k0 = k
+        while k < self.n_steps:
+            if not self.start <= k < self.end:
+                self._batch(k)
+            ahead = self.bad[np.searchsorted(self.bad, k):]
+            limit = int(ahead[0]) if ahead.size else self.end
+            inc, lo, stop, decay, base = self.inc, self.lo, self.stop, self.decay, self.start
+            while k < limit:
+                v = v_m + inc[k - base]
+                if (v >= stop).any():
+                    self.steps += k - k0
+                    return k, v_m, v_n
+                np.maximum(v, lo, out=v)  # the clip of the general step: v < v_th < hi
+                v_m = v
+                # The gate relaxes toward 0 (v_n >= 0 stays so).
+                v_n = v_n * decay
+                if traces is not None:
+                    traces.after(k, v_m)
+                k += 1
+            if k < self.end:  # a non-finite increment: the general step reports it
+                break
+        self.steps += k - k0
+        return k, v_m, v_n
 
 
 def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
@@ -364,37 +506,33 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
             nps[0], noise_arr[0], sim, island_of, meta, force_trace=False
         )
 
+    synapses = floor_input = None
     if n_syn:
-        post_ix = np.array(post_l, dtype=np.int64)
-        signw = np.array(signw_l)
-        state_of = np.array(state_l, dtype=np.int64)
-        synapses = _SynapseStates(list(state_index), n, dt)
+        synapses = _SynapseStates(list(state_index), n, dt, np.array(post_l, dtype=np.int64),
+                                  np.array(signw_l), np.array(state_l, dtype=np.int64))
+        floor_input = synapses.floor_input
 
     neurons = _NeuronBlock([nps[i] for i in island_of], dt)
-    trace_ids = _trace_selector(sim.record_traces, n)
-    decim = sim.trace_decimation
-    if trace_ids:
-        n_samp = n_steps // decim + 1
-        trace_buf = np.empty((n_samp, len(trace_ids)))
-        trace_t = np.empty(n_samp)
-
+    quiet = _QuietStretch(noise_arr, island_of, hold, n_steps, neurons, floor_input)
     v_m = np.array([p.v_rest for p in neurons.params])
     v_n = np.zeros(n)
+    trace_ids = _trace_selector(sim.record_traces, n)
+    traces = _Traces(trace_ids, n_steps, sim.trace_decimation, dt, v_m) if trace_ids else None
     acc_steps: list[tuple[int, np.ndarray]] = []
 
-    w = 0
-    if trace_ids:
-        trace_buf[w] = v_m[trace_ids]
-        trace_t[w] = 0.0
-        w += 1
-
-    for k in range(n_steps):
+    k = general_steps = 0
+    while k < n_steps:
         t = k * dt
+        if (synapses is None or synapses.idle_at_floor(t)) and quiet.holds(v_m, v_n):
+            k, v_m, v_n = quiet.take(k, v_m, v_n, traces)
+            if k == n_steps:
+                break
+            t = k * dt
+        general_steps += 1
         i_total = noise_arr[:, k // hold][island_of]
 
-        if n_syn:
-            q = synapses.step(t)
-            i_total = i_total + np.bincount(post_ix, weights=signw * (q / dt)[state_of], minlength=n)
+        if synapses is not None:
+            i_total = i_total + synapses.step(t)
 
         v_m, v_n, spiking, onsets = neurons.step(v_m, v_n, i_total)
 
@@ -404,13 +542,12 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
 
         if spiking.size:
             acc_steps.append((k + 1, spiking))
-            if n_syn:
+            if synapses is not None:
                 synapses.start_pulses(t, spiking, onsets)
 
-        if trace_ids and (k + 1) % decim == 0:
-            trace_buf[w] = v_m[trace_ids]
-            trace_t[w] = (k + 1) * dt
-            w += 1
+        if traces is not None:
+            traces.after(k, v_m)
+        k += 1
 
     per_neuron: list[list[int]] = [[] for _ in range(n)]
     for step, idxs in acc_steps:
@@ -418,12 +555,21 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
             per_neuron[int(i)].append(step)
     times = [np.array(s, dtype=np.int64) * dt for s in per_neuron]
 
-    traces = None
-    if trace_ids:
-        traces = (trace_t[:w], {nid: trace_buf[:w, col].copy() for col, nid in enumerate(trace_ids)})
+    stats = {
+        "steps": general_steps + quiet.steps,
+        "quiet_steps": quiet.steps,
+        "pulse_steps": synapses.pulse_steps if synapses is not None else 0,
+        "spikes_per_island": _spikes_per_island(times, island_of, len(sizes)),
+    }
     return SpikeRecord(
-        times=times, island_of=island_of, dt=dt, duration=sim.duration, meta=meta, traces=traces
+        times=times, island_of=island_of, dt=dt, duration=sim.duration, meta=meta,
+        traces=traces.result() if traces is not None else None, stats=stats,
     )
+
+
+def _spikes_per_island(times: list, island_of, n_islands: int) -> list[int]:
+    counts = np.bincount(island_of, weights=[len(t) for t in times], minlength=n_islands)
+    return [int(c) for c in counts]
 
 
 def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force_trace: bool) -> SpikeRecord:
@@ -510,8 +656,10 @@ def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force
 
     times = [np.array(steps, dtype=np.int64) * dt]
     traces = (trace_t[:w], {0: trace_v[:w]}) if record_trace else None
+    stats = {"steps": k, "quiet_steps": 0, "pulse_steps": 0, "spikes_per_island": [len(steps)]}
     return SpikeRecord(
-        times=times, island_of=island_of, dt=dt, duration=sim.duration, meta=meta, traces=traces
+        times=times, island_of=island_of, dt=dt, duration=sim.duration, meta=meta, traces=traces,
+        stats=stats,
     )
 
 

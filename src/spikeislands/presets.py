@@ -6,9 +6,16 @@ with ~2.6 V peaks and a ~0.1 us pulse above the 1 V detection level.  The
 firing threshold sits below 1 V so that every crossing of the detection
 level is a committed spike (the count-vs-threshold curve is flat from 1 V
 to 2 V).  The refractory window (gate voltage above its threshold plus the
-recharge from the clamp floor) is roughly half a microsecond, long enough
-that a volley echoed around a four-island ring returns while its source
-island is still refractory.
+recharge from the clamp floor) is roughly half a microsecond; the gate
+stays open for 426 ns after a spike under the 1.5 uA tonic drive.  That is
+shorter than the round trip of a volley around a four-island ring of
+tripled synapses, so the echo can fire its source island again.  Measured
+on fig6G at master seed 1: island 0's first volley (all 16 neurons at
+7.74 us) reaches islands 1, 3 and 2 within 90-650 ns and returns to island
+0 550-650 ns after it left, where it fires island 0 again.  The ring then
+reverberates: every island fires 30-130 spikes per 5 us over 5-25, 30-60
+and 70-120 us, and fires at most 5 spikes per island over 25-30 and
+60-70 us.
 
 The ``fast-dpi`` synapse is calibrated so that a single presynaptic spike
 produces a clear postsynaptic response: one pulse deposits enough charge to

@@ -212,6 +212,38 @@ class TestSweep:
             assert a == b
         assert (outs["1"] / "summary.csv").read_bytes() == (outs["2"] / "summary.csv").read_bytes()
 
+    def test_manifest_hash_covers_every_data_flag(self, tmp_path):
+        # the sweep manifest's content_hash changes with every flag that can
+        # change the data, and not with --jobs; without --seed the config's
+        # seed hint is the base seed
+        from spikeislands.cli import main
+        from spikeislands.configio import load_builtin
+
+        config = tmp_path / "ring.cfg"
+        config.write_text("sim seed=3\n" + load_builtin("fig5A_nobond"))
+
+        def sweep(tag, axis, *flags):
+            out = tmp_path / tag
+            assert main(["sweep", "--config", str(config), "--axis", axis, "--values", "1,2",
+                         "--duration", "2e-6", "--out", str(out), *flags]) == 0
+            return json.loads((out / "manifest.json").read_text())
+
+        base = sweep("base", "fanout")
+        assert (base["master_seed"], base["duration"], base["dt"]) == (3, 2e-6, 1e-8)
+        assert sweep("jobs", "fanout", "--jobs", "2")["content_hash"] == base["content_hash"]
+        variants = {
+            "duration": sweep("duration", "fanout", "--duration", "3e-6"),
+            "dt": sweep("dt", "fanout", "--dt", "5e-9"),
+            "seed": sweep("seed", "fanout", "--seed", "4"),
+            "ring_links": sweep("ring_links", "fanout", "--ring-links", "3"),
+            "ring_multiplicity": sweep("ring_multiplicity", "fanout", "--ring-multiplicity", "2"),
+            "ring_seed": sweep("ring_seed", "fanout", "--ring-seed", "7"),
+            "axis": sweep("axis", "links"),
+        }
+        variants["ring_fanout"] = sweep("ring_fanout", "links", "--ring-fanout", "2")
+        hashes = [base["content_hash"]] + [m["content_hash"] for m in variants.values()]
+        assert len(set(hashes)) == len(hashes)
+
 
 class TestNoiseCheck:
     def test_psd_csv_written(self, tmp_path):

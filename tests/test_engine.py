@@ -124,6 +124,46 @@ class TestZeroDriveAndBlowup:
         assert err.value.t == pytest.approx(6 * DT)
         assert "neuron" in str(err.value)
 
+    def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, monkeypatch):
+        # a NaN noise sample in the middle of a quiet stretch of a network
+        # with synapses is handed to the general step, which reports the
+        # neuron and time the general path alone reports
+        import spikeislands.engine as engine_mod
+
+        real_generate = engine_mod.generate
+
+        def poisoned(spec, n, dt):
+            out = real_generate(spec, n, dt)
+            out[500] = float("nan")
+            return out
+
+        handoffs = []
+        real_take = engine_mod._QuietStretch.take
+
+        def spy(self, k, *args):
+            out = real_take(self, k, *args)
+            handoffs.append((k, out[0]))
+            return out
+
+        monkeypatch.setattr(engine_mod, "generate", poisoned)
+        monkeypatch.setattr(engine_mod._QuietStretch, "take", spy)
+        crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
+        net = NetworkSpec(
+            islands=(IslandSpec(4, tuple(crossbar)), IslandSpec(4, tuple(crossbar))),
+            noise=(NoiseSpec("white", 2e-10, (10.0, 5e6), seed=0, stream_id=0),
+                   NoiseSpec("white", 2e-10, (10.0, 5e6), seed=0, stream_id=1)),
+        )
+        sim = SimConfig(duration=1e-5, dt=DT, master_seed=0)
+        with pytest.raises(SimulationError) as quiet_err:
+            run(net, sim)
+        assert any(k < 500 == end for k, end in handoffs)  # left the stretch at the NaN
+
+        monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)
+        with pytest.raises(SimulationError) as general_err:
+            run(net, sim)
+        assert (quiet_err.value.neuron, quiet_err.value.t) == (general_err.value.neuron, general_err.value.t)
+        assert quiet_err.value.neuron == 0 and quiet_err.value.t == pytest.approx(501 * DT)
+
 
 class TestSharedNoiseSemantics:
     def test_empty_crossbar_identical_traces(self):
@@ -285,6 +325,56 @@ class TestEngineMatchesLibrary:
         src, dst = rec3.times[0], rec3.times[2]
         assert len(src) >= 1 and len(dst) >= 1
         assert dst[0] - src[0] < 5e-7  # relays within half a microsecond
+
+
+class TestQuietStretches:
+    @pytest.mark.parametrize("name,sim_kw", [
+        ("fig6F", dict(master_seed=2, record_traces="all", trace_decimation=7)),
+        ("fig6H", dict(master_seed=0, record_traces=[0, 17, 40])),
+        ("fig5A_nobond", dict(master_seed=1, dt=DT / 2, noise_dt=DT)),
+    ])
+    def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, monkeypatch):
+        import spikeislands.engine as engine_mod
+
+        net, _ = parse_document(load_builtin(name))
+        sim = SimConfig(**{"duration": 3e-5, "dt": DT, **sim_kw})
+        fast = run(net, sim)
+        monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)
+        slow = run(net, sim)
+        assert fast.stats["quiet_steps"] > 0 and slow.stats["quiet_steps"] == 0
+        assert spikes_to_csv(fast) == spikes_to_csv(slow)
+        assert fast.stats["pulse_steps"] == slow.stats["pulse_steps"]
+        if sim.record_traces is not None:
+            assert np.array_equal(fast.traces[0], slow.traces[0])
+            for nid, v in slow.traces[1].items():
+                assert v.tobytes() == fast.traces[1][nid].tobytes()
+
+    def test_stats_pin_quiet_steps(self):
+        # steps at which no switch is on, no pulse is in flight and every
+        # synapse sits at its floor, taken as quiet stretches; seed 1, 120 us
+        expected = {"fig6E": 10945, "fig6F": 10012, "fig6G": 2577, "fig6H": 10035}
+        for name, quiet in expected.items():
+            net, _ = parse_document(load_builtin(name))
+            sim = SimConfig(duration=1.2e-4, dt=DT, master_seed=1)
+            rec = run(net, sim)
+            stats = rec.stats
+            assert stats["steps"] == sim.n_steps
+            assert stats["quiet_steps"] == quiet, name
+            assert 0 < stats["pulse_steps"] <= sim.n_steps - quiet
+            assert sum(stats["spikes_per_island"]) == rec.total_spikes()
+            assert stats["spikes_per_island"] == [
+                sum(len(t) for t, isl in zip(rec.times, rec.island_of) if isl == i) for i in range(4)
+            ]
+            assert not set(stats) & set(rec.meta)
+
+    def test_stats_without_synapses(self):
+        rec = run(single_island(3, []), SimConfig(duration=2e-5, dt=DT, master_seed=4))
+        assert rec.stats["steps"] == 2000 and rec.stats["pulse_steps"] == 0
+        assert rec.stats["quiet_steps"] > 0
+        single = run_single_neuron(NoiseSpec("white", 2e-10, (10.0, 5e6)), P,
+                                   SimConfig(duration=2e-5, dt=DT, master_seed=4))
+        assert single.stats == {"steps": 2000, "quiet_steps": 0, "pulse_steps": 0,
+                                "spikes_per_island": [len(single.times[0])]}
 
 
 class TestSingleNeuron:
