@@ -506,14 +506,14 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
             nps[0], noise_arr[0], sim, island_of, meta, force_trace=False
         )
 
-    synapses = floor_input = None
+    synapses = None
     if n_syn:
         synapses = _SynapseStates(list(state_index), n, dt, np.array(post_l, dtype=np.int64),
                                   np.array(signw_l), np.array(state_l, dtype=np.int64))
-        floor_input = synapses.floor_input
 
     neurons = _NeuronBlock([nps[i] for i in island_of], dt)
-    quiet = _QuietStretch(noise_arr, island_of, hold, n_steps, neurons, floor_input)
+    quiet = _QuietStretch(noise_arr, island_of, hold, n_steps, neurons,
+                          synapses.floor_input if synapses is not None else None)
     v_m = np.array([p.v_rest for p in neurons.params])
     v_n = np.zeros(n)
     trace_ids = _trace_selector(sim.record_traces, n)
@@ -559,17 +559,14 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
         "steps": general_steps + quiet.steps,
         "quiet_steps": quiet.steps,
         "pulse_steps": synapses.pulse_steps if synapses is not None else 0,
-        "spikes_per_island": _spikes_per_island(times, island_of, len(sizes)),
+        "spikes_per_island": [
+            int(c) for c in np.bincount(island_of, weights=[len(t) for t in times], minlength=len(sizes))
+        ],
     }
     return SpikeRecord(
         times=times, island_of=island_of, dt=dt, duration=sim.duration, meta=meta,
         traces=traces.result() if traces is not None else None, stats=stats,
     )
-
-
-def _spikes_per_island(times: list, island_of, n_islands: int) -> list[int]:
-    counts = np.bincount(island_of, weights=[len(t) for t in times], minlength=n_islands)
-    return [int(c) for c in counts]
 
 
 def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force_trace: bool) -> SpikeRecord:
