@@ -423,7 +423,7 @@ class _QuietStretch:
                     return k, v_m, v_n
                 np.maximum(v, lo, out=v)  # the clip of the general step: v < v_th < hi
                 v_m = v
-                # The gate relaxes toward 0 (v_n >= 0 stays so).
+                # The general step's 0.0 + (v_n - 0.0) * decay, as v_n >= +0.
                 v_n = v_n * decay
                 if traces is not None:
                     traces.after(k, v_m)
