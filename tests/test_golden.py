@@ -3,7 +3,10 @@
 Each case is the sha256 of the bytes ``io.write_spikes_csv`` writes for a
 shipped config at master seeds 0 and 1 over 40 us (every network config
 spikes in that window), plus one traced run whose membrane traces are
-hashed bit for bit.  A change that is meant to keep behaviour (a faster
+hashed bit for bit.  The single neuron is pinned further over 2 ms
+(200 000 steps) under its white drive, under that drive held on a grid of
+three steps, and under the benchmark's pink drive, together with the raw
+bytes of one pink series.  A change that is meant to keep behaviour (a faster
 path, a refactor) must leave every hash as it is; a change that moves
 trajectories on purpose re-baselines them and says so in CHANGES.md.
 
@@ -21,6 +24,7 @@ import pytest
 from spikeislands.configio import builtin_names, load_builtin, parse_document
 from spikeislands.engine import SimConfig, run
 from spikeislands.io import write_spikes_csv
+from spikeislands.noise import NoiseSpec, generate
 
 DURATION = 40e-6
 
@@ -47,6 +51,27 @@ TRACED_SHA256 = {
     "spikes": "1d4d5a3494c1b971c16419d21627750876b06aeee60121a78ebe5c1fcbfffd3a",
     "traces": "0e460fa131cac4ab68b29ea79e54500d6fcda5d3949e39d8c832a19bf7619cb0",
 }
+
+
+# fig3_single_neuron over 2 ms: "white" as shipped; "held" with its band cut
+# to 10 MHz (below the Nyquist frequency of the held grid) and noise_dt =
+# 3 dt; "pink" under the pink drive of the benchmark's sweep.
+SINGLE_DURATION = 2e-3
+SINGLE_NOISE = {
+    "white": None,
+    "held": "noise white rms=1.5e-06 band=10.0:1e7 seed=0 stream=0",
+    "pink": "noise pink rms=1.5e-06 band=10000.0:5000000.0 seed=0 stream=0",
+}
+SINGLE_SHA256 = {
+    ("white", 0): "889e1d60e7a73d813d13acb1c578c2fde362894b358ddff31fedbd16de0eeea8",
+    ("white", 1): "5a384d992ab8c652720d1b2440136b77183abc815b55dfe002bf3a9c59a4bd29",
+    ("held", 0): "2ba36fde985195314e9da50f1a14f6f01ceefb76bdd99ae52321f0988636d2db",
+    ("held", 1): "1240937d55c0d47a85377b7a6385dd298133ee8158c03b75669777f68fc13957",
+    ("pink", 0): "83a8e34fd35c923ca51c0505bb2fd3b9b51e7df55e486c356b6022de9dd12beb",
+    ("pink", 1): "e13a0bb802b5a881e07faa578dd206d48f010e7e1f21fb912ca223df02f3996b",
+}
+
+PINK_SERIES_SHA256 = "c742dd9a4084600280a6690fd7074996d583b745a359ce2ea9fe55a7b20350df"
 
 
 def spikes_sha256(record, tmp_path) -> str:
@@ -82,3 +107,24 @@ def test_traced_run_matches_golden_hashes(tmp_path):
     assert len(rec.traces[0]) == int(round(DURATION / 1e-8)) + 1
     assert spikes_sha256(rec, tmp_path) == TRACED_SHA256["spikes"]
     assert traces_sha256(rec.traces) == TRACED_SHA256["traces"]
+
+
+def single_neuron_text(variant: str) -> str:
+    text = load_builtin("fig3_single_neuron")
+    line = SINGLE_NOISE[variant]
+    if line is None:
+        return text
+    return "\n".join(line if ln.strip().startswith("noise ") else ln for ln in text.splitlines()) + "\n"
+
+
+@pytest.mark.parametrize("variant,seed", sorted(SINGLE_SHA256))
+def test_single_neuron_matches_golden_hash(variant, seed, tmp_path):
+    network, _ = parse_document(single_neuron_text(variant))
+    noise_dt = 3e-8 if variant == "held" else None
+    sim = SimConfig(duration=SINGLE_DURATION, dt=1e-8, master_seed=seed, noise_dt=noise_dt)
+    assert spikes_sha256(run(network, sim), tmp_path) == SINGLE_SHA256[variant, seed]
+
+
+def test_pink_series_matches_golden_hash():
+    series = generate(NoiseSpec("pink", 200e-12, band=(10.0, 5e6), seed=7, stream_id=3), 200_000, 1e-8)
+    assert hashlib.sha256(series.tobytes()).hexdigest() == PINK_SERIES_SHA256
