@@ -44,13 +44,14 @@ from .engine import SimConfig, SimulationError, derive_seed, run
 from .io import (
     read_events_csv,
     read_traces_csv,
+    record_events,
     write_histogram_csv,
     write_matrix_csv,
     write_psd_csv,
     write_spikes_csv,
     write_traces_csv,
 )
-from .noise import NoiseSpec, density_for_rms, generate, psd_estimate
+from .noise import NoiseSpec, density_for_rms, generate, prepare, psd_estimate
 from .topology import TopologyError, build_ring
 
 SWEEP_AXES = ("noise-density", "links", "fanout", "multiplicity")
@@ -256,7 +257,7 @@ def _sweep_one(job) -> dict:
     _write_run(Path(out_dir), record, write_traces=False)
 
     isis = np.concatenate([np.diff(t) for t in record.times if len(t) >= 2] or [np.empty(0)])
-    binned = [bin_events(_ev(i, t), DEFAULT_BIN_S, record.duration) for i, t in enumerate(record.times)]
+    binned = [bin_events(e, DEFAULT_BIN_S, record.duration) for e in record_events(record)]
     matrix = pearson_matrix(binned)
     _, cross = block_means(matrix, record.island_of)
     return {
@@ -267,12 +268,6 @@ def _sweep_one(job) -> dict:
     }
 
 
-def _ev(i, t):
-    from .analysis import EventSeries
-
-    return EventSeries(source_id=i, times=t)
-
-
 def cmd_sweep(args) -> int:
     if args.axis not in SWEEP_AXES:
         raise CliError(f"unknown sweep axis {args.axis!r}; choose from {SWEEP_AXES}")
@@ -280,7 +275,7 @@ def cmd_sweep(args) -> int:
     if not values:
         raise CliError("empty sweep value list")
     config_text, source = _load_config(args.config)
-    _, hints = parse_document(config_text)  # validate before launching workers
+    network, hints = parse_document(config_text)  # validate before launching workers
     # Run i uses master seed derive_seed(sim.master_seed, i).
     sim = _sim_from_args(args, hints)
 
@@ -291,6 +286,9 @@ def cmd_sweep(args) -> int:
         for i, v in enumerate(values)
     ]
     if args.jobs > 1:
+        # Forked workers inherit scipy and the filter design of pink sources.
+        for spec in network.noise:
+            prepare(spec, sim.dt * sim.hold)
         with multiprocessing.Pool(args.jobs) as pool:
             rows = pool.map(_sweep_one, jobs)
     else:

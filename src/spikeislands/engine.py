@@ -56,6 +56,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import chain
 
 import numpy as np
 
@@ -80,6 +81,9 @@ __all__ = [
 # Steps whose membrane increments a quiet stretch computes in one batch;
 # bounds the batch at QUIET_CHUNK x n_neurons doubles.
 QUIET_CHUNK = 256
+
+# Steps of drive the single-neuron loop reads as Python floats at a time.
+DRIVE_CHUNK = 1 << 14
 
 
 class SimulationError(RuntimeError):
@@ -182,6 +186,26 @@ def _effective_noise(spec: NoiseSpec, master_seed: int, island_index: int) -> No
         seed=derive_seed(master_seed, spec.seed),
         stream_id=derive_seed(island_index, spec.stream_id),
     )
+
+
+def _island_noise(specs, sim: SimConfig) -> np.ndarray:
+    """Per-island shared noise on the noise grid, one row per island; one
+    island's series is used as generated, more are copied into one array
+    as they are generated."""
+    n_noise = -(-sim.n_steps // sim.hold)  # ceil
+    rows = (generate(_effective_noise(spec, sim.master_seed, i), n_noise, sim.dt * sim.hold)
+            for i, spec in enumerate(specs))
+    if len(specs) == 1:
+        return next(rows)[None]
+    arr = np.empty((len(specs), n_noise))
+    for i, row in enumerate(rows):
+        arr[i] = row
+    return arr
+
+
+def _on_steps(noise, start: int, end: int, hold: int) -> np.ndarray:
+    """The noise samples (last axis) that steps start..end-1 read."""
+    return noise[..., start:end] if hold == 1 else noise[..., np.arange(start, end) // hold]
 
 
 def _network_hash(network: NetworkSpec) -> str:
@@ -397,8 +421,7 @@ class _QuietStretch:
 
     def _batch(self, k: int) -> None:
         end = min(k + QUIET_CHUNK, self.n_steps)
-        cols = self.noise[:, k:end] if self.hold == 1 else self.noise[:, np.arange(k, end) // self.hold]
-        i_total = cols.T[:, self.island_of]
+        i_total = _on_steps(self.noise, k, end, self.hold).T[:, self.island_of]
         if self.floor_input is not None:
             i_total = i_total + self.floor_input
         self.inc = ((i_total + 0.0) - 0.0) * self.k_dt
@@ -492,15 +515,7 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
         "n_synapses": n_syn,
     }
 
-    # Pre-generate the per-island shared noise on the noise grid.
-    n_noise = -(-n_steps // hold)  # ceil
-    noise_dt = dt * hold
-    noise_rows = [
-        generate(_effective_noise(ns, sim.master_seed, i), n_noise, noise_dt)
-        for i, ns in enumerate(network.noise)
-    ]
-    noise_arr = np.vstack(noise_rows)
-
+    noise_arr = _island_noise(network.noise, sim)
     if n == 1 and n_syn == 0:
         return _run_scalar_single(
             nps[0], noise_arr[0], sim, island_of, meta, force_trace=False
@@ -579,9 +594,10 @@ def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force
     """
     dt = sim.dt
     n_steps = sim.n_steps
-    hold = sim.hold
-    drive = np.repeat(noise_row, hold)[:n_steps] if hold > 1 else noise_row[:n_steps]
-    drive_list = drive.tolist()
+    drive = chain.from_iterable(
+        _on_steps(noise_row, k, min(k + DRIVE_CHUNK, n_steps), sim.hold).tolist()
+        for k in range(0, n_steps, DRIVE_CHUNK)
+    )
 
     record_trace = force_trace or sim.record_traces is not None
     decim = sim.trace_decimation
@@ -610,7 +626,7 @@ def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force
         trace_t[0] = 0.0
         w = 1
     k = 0
-    for i_in in drive_list:
+    for i_in in drive:
         k += 1
         if v_m <= v_th and v_n <= v_gate:
             # Both switches off: the gate voltage only decays, so the sodium
@@ -669,10 +685,7 @@ def run_single_neuron(noise: NoiseSpec, params, sim: SimConfig) -> SpikeRecord:
     """
     if sim.dt > params.tau_n / 10.0:
         raise ValueError("dt exceeds neuron stability bound tau_n/10")
-    n_noise = -(-sim.n_steps // sim.hold)
-    noise_row = generate(
-        _effective_noise(noise, sim.master_seed, 0), n_noise, sim.dt * sim.hold
-    )
+    noise_arr = _island_noise([noise], sim)
     meta = {
         "tool": "spikeislands",
         "version": __version__,
@@ -690,5 +703,5 @@ def run_single_neuron(noise: NoiseSpec, params, sim: SimConfig) -> SpikeRecord:
         "n_synapses": 0,
     }
     return _run_scalar_single(
-        params, noise_row, sim, np.zeros(1, dtype=np.int32), meta, force_trace=True
+        params, noise_arr[0], sim, np.zeros(1, dtype=np.int32), meta, force_trace=True
     )

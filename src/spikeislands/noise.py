@@ -17,6 +17,11 @@ Reproducibility: each source is a counter-based Philox stream keyed by
 ``(seed, stream_id)``.  For a pink source the generator first draws the
 initial filter state, then the input samples; this order is part of the
 stream contract and is stable within a major release.
+
+scipy designs and runs the pink filter and is imported on first use, so a
+process that only needs white sources never loads it.  A pink series is
+filtered in blocks of PINK_CHUNK samples, carrying the filter state from
+block to block, straight into the output array.
 """
 
 from __future__ import annotations
@@ -26,11 +31,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import linalg, signal
 
 __all__ = [
     "NoiseSpec",
     "generate",
+    "prepare",
     "psd_estimate",
     "density_for_rms",
     "make_rng",
@@ -42,6 +47,10 @@ _MASK64 = (1 << 64) - 1
 PINK_SECTIONS = 6
 
 DEFAULT_BAND = (10.0, 5e6)
+
+# Samples per block of pink filtering; bounds its scratch memory at a few
+# times PINK_CHUNK doubles.
+PINK_CHUNK = 1 << 14
 
 
 def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -120,6 +129,8 @@ def _pink_filter(f_lo: float, f_hi: float, dt: float) -> tuple[tuple, float]:
     to unit-variance white input into a series whose in-band rms equals
     sqrt(f_hi - f_lo), i.e. that of a unit-density white source over the band.
     """
+    from scipy import signal
+
     f_poles = np.logspace(np.log10(f_lo), np.log10(f_hi), PINK_SECTIONS)
     f_zeros = np.sqrt(f_poles[1:] * f_poles[:-1])
     z, p, k = signal.bilinear_zpk(-2 * np.pi * f_zeros, -2 * np.pi * f_poles, 1.0, fs=1.0 / dt)
@@ -141,6 +152,8 @@ def _stationary_chol(f_lo: float, f_hi: float, dt: float) -> np.ndarray:
     sections is linear in the white input, so its stationary covariance
     solves the discrete Lyapunov equation Sigma = A Sigma A' + B B'.
     """
+    from scipy import linalg
+
     sos_t, _ = _pink_filter(f_lo, f_hi, dt)
     sos = np.asarray(sos_t)
     n_sec = sos.shape[0]
@@ -182,6 +195,23 @@ def _stationary_chol(f_lo: float, f_hi: float, dt: float) -> np.ndarray:
     return np.linalg.cholesky(sigma + jitter * np.eye(m))
 
 
+def _check_grid(band: tuple[float, float], dt: float) -> None:
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    nyquist = 0.5 / dt
+    if band[1] > nyquist * (1.0 + 1e-12):
+        raise ValueError(f"band upper edge {band[1]:g} Hz exceeds Nyquist {nyquist:g} Hz at dt={dt:g}")
+
+
+def prepare(spec: NoiseSpec, dt: float) -> None:
+    """Design a pink source's filter for sample interval ``dt`` ahead of
+    ``generate`` (importing scipy), so that processes forked afterwards
+    inherit both; a white source needs neither."""
+    if spec.kind == "pink":
+        _check_grid(spec.band, dt)
+        _stationary_chol(*spec.band, dt)
+
+
 def generate(spec: NoiseSpec, n: int, dt: float) -> np.ndarray:
     """Length-``n`` current series sampled at ``dt`` for the given source.
 
@@ -191,24 +221,26 @@ def generate(spec: NoiseSpec, n: int, dt: float) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    f_lo, f_hi = spec.band
-    nyquist = 0.5 / dt
-    if f_hi > nyquist * (1.0 + 1e-12):
-        raise ValueError(f"band upper edge {f_hi:g} Hz exceeds Nyquist {nyquist:g} Hz at dt={dt:g}")
+    _check_grid(spec.band, dt)
 
     rng = make_rng(spec.seed, spec.stream_id)
     if spec.kind == "white":
-        sigma = spec.density * np.sqrt(0.5 / dt)
-        out = rng.standard_normal(n) * sigma
+        out = rng.standard_normal(n)
+        out *= spec.density * np.sqrt(0.5 / dt)
     else:
+        from scipy import signal
+
+        f_lo, f_hi = spec.band
         chol = _stationary_chol(f_lo, f_hi, dt)
         state = chol @ rng.standard_normal(chol.shape[0])
         zi = state.reshape(-1, 2)
         sos_t, scale = _pink_filter(f_lo, f_hi, dt)
-        y, _ = signal.sosfilt(np.asarray(sos_t), rng.standard_normal(n), zi=zi)
-        out = y * (spec.density * scale)
+        sos = np.asarray(sos_t)
+        gain = spec.density * scale
+        out = np.empty(n)
+        for k in range(0, n, PINK_CHUNK):
+            y, zi = signal.sosfilt(sos, rng.standard_normal(min(PINK_CHUNK, n - k)), zi=zi)
+            np.multiply(y, gain, out=out[k:k + PINK_CHUNK])
 
     out -= out.mean()
     out -= out.mean()
