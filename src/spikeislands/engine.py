@@ -193,13 +193,13 @@ def _island_noise(specs, sim: SimConfig) -> np.ndarray:
     island's series is used as generated, more are copied into one array
     as they are generated."""
     n_noise = -(-sim.n_steps // sim.hold)  # ceil
-    rows = (generate(_effective_noise(spec, sim.master_seed, i), n_noise, sim.dt * sim.hold)
-            for i, spec in enumerate(specs))
+    noise_dt = sim.dt * sim.hold
+    specs = [_effective_noise(spec, sim.master_seed, i) for i, spec in enumerate(specs)]
     if len(specs) == 1:
-        return next(rows)[None]
+        return generate(specs[0], n_noise, noise_dt)[None]
     arr = np.empty((len(specs), n_noise))
-    for i, row in enumerate(rows):
-        arr[i] = row
+    for i, spec in enumerate(specs):
+        arr[i] = generate(spec, n_noise, noise_dt)
     return arr
 
 
