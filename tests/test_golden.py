@@ -6,7 +6,9 @@ spikes in that window), plus one traced run whose membrane traces are
 hashed bit for bit.  The single neuron is pinned further over 2 ms
 (200 000 steps) under its white drive, under that drive held on a grid of
 three steps, and under the benchmark's pink drive, together with the raw
-bytes of one pink series.  A change that is meant to keep behaviour (a faster
+bytes of one pink series.  The busy ring configs fig6G and fig5B_ring8, in
+which a pulse is in flight on most steps, are pinned over 120 us at master
+seeds 2 and 3 together with their ``SpikeRecord.stats``.  A change that is meant to keep behaviour (a faster
 path, a refactor) must leave every hash as it is; a change that moves
 trajectories on purpose re-baselines them and says so in CHANGES.md.
 
@@ -71,6 +73,25 @@ SINGLE_SHA256 = {
     ("pink", 1): "e13a0bb802b5a881e07faa578dd206d48f010e7e1f21fb912ca223df02f3996b",
 }
 
+# fig6G and fig5B_ring8 over 120 us: the spikes CSV and the run's stats.
+BUSY_DURATION = 120e-6
+BUSY_SHA256 = {
+    ("fig6G", 2): "e6b31b2c27586e8e8908f50e7c95ff599b2e750895fc600cfd939282f5ab2f9a",
+    ("fig6G", 3): "9297ca7906208ec6fd3ed53b501b3e1ebd39f327e56d78180e917f1ef9efb6d2",
+    ("fig5B_ring8", 2): "a186bd918332bd17455870c050a64ed621a33b766e9cd4ea9e3575b679efabbb",
+    ("fig5B_ring8", 3): "4c5f947f3ef7a8a9569af0377c18a7a87ee30f06edb7872c4506fd4b3049dfd5",
+}
+BUSY_STATS = {
+    ("fig6G", 2): {"steps": 12000, "quiet_steps": 5859, "pulse_steps": 5260,
+                   "spikes_per_island": [1028, 1121, 1013, 982]},
+    ("fig6G", 3): {"steps": 12000, "quiet_steps": 6547, "pulse_steps": 4760,
+                   "spikes_per_island": [963, 991, 954, 933]},
+    ("fig5B_ring8", 2): {"steps": 12000, "quiet_steps": 7202, "pulse_steps": 4128,
+                         "spikes_per_island": [522, 490, 474, 369]},
+    ("fig5B_ring8", 3): {"steps": 12000, "quiet_steps": 1984, "pulse_steps": 9487,
+                         "spikes_per_island": [1295, 1341, 1186, 1103]},
+}
+
 PINK_SERIES_SHA256 = "c742dd9a4084600280a6690fd7074996d583b745a359ce2ea9fe55a7b20350df"
 
 
@@ -88,9 +109,9 @@ def traces_sha256(traces) -> str:
     return h.hexdigest()
 
 
-def run_builtin(name: str, seed: int, **sim_kw):
+def run_builtin(name: str, seed: int, duration: float = DURATION, **sim_kw):
     network, _ = parse_document(load_builtin(name))
-    return run(network, SimConfig(duration=DURATION, dt=1e-8, master_seed=seed, **sim_kw))
+    return run(network, SimConfig(duration=duration, dt=1e-8, master_seed=seed, **sim_kw))
 
 
 def test_every_shipped_config_is_pinned():
@@ -107,6 +128,13 @@ def test_traced_run_matches_golden_hashes(tmp_path):
     assert len(rec.traces[0]) == int(round(DURATION / 1e-8)) + 1
     assert spikes_sha256(rec, tmp_path) == TRACED_SHA256["spikes"]
     assert traces_sha256(rec.traces) == TRACED_SHA256["traces"]
+
+
+@pytest.mark.parametrize("name,seed", sorted(BUSY_SHA256))
+def test_busy_ring_matches_golden_hash_and_stats(name, seed, tmp_path):
+    rec = run_builtin(name, seed, BUSY_DURATION)
+    assert spikes_sha256(rec, tmp_path) == BUSY_SHA256[name, seed]
+    assert rec.stats == BUSY_STATS[name, seed]
 
 
 def single_neuron_text(variant: str) -> str:
