@@ -56,7 +56,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import chain
 
 import numpy as np
 
@@ -65,7 +64,7 @@ from .configio import serialize_config
 from .neuron import DETECT_THRESHOLD_V, advance
 from .noise import NoiseSpec, generate
 from .presets import neuron_preset, synapse_preset
-from .synapse import FLOOR_RATIO, dpi_decay, dpi_flow, time_constant
+from .synapse import FLOOR_RATIO, dpi_decay, dpi_flow, dpi_rise, time_constant
 from .topology import NetworkSpec
 
 __all__ = [
@@ -250,6 +249,9 @@ class _Traces:
         return self.t[:self.w], {nid: self.v[:self.w, col].copy() for col, nid in enumerate(self.ids)}
 
 
+_NO_ONSETS = np.empty(0)
+
+
 class _NeuronBlock:
     """All neurons of a network, advanced together by ``neuron.advance``.
 
@@ -282,21 +284,27 @@ class _NeuronBlock:
         offsets of those crossings into the step."""
         na = v_m > self.v_th
         sk = v_n > self.v_gate
-        i_net = i_in + np.where(na, self.i_na_max, 0.0) - np.where(sk, self.i_sink, 0.0)
-        target = np.where(na, self.v_n_inf, 0.0)
+        # x * mask is x where the mask is set and +0.0 elsewhere, as a
+        # np.where(mask, x, 0.0) would give, for the finite x here.
+        i_net = i_in + self.i_na_max * na - self.i_sink * sk
+        target = self.v_n_inf * na
         v_new = v_m + i_net * self.k
         v_n_new = target + (v_n - target) * self.decay
         switching = ((v_new > self.v_th) != na) | ((v_n_new > self.v_gate) != sk)
-        rising = (v_m < DETECT_THRESHOLD_V) & (v_new >= DETECT_THRESHOLD_V) & ~switching
-        np.clip(v_new, self.lo, self.hi, out=v_new)
+        # crossing > switching is crossing & ~switching.
+        rising = ((v_m < DETECT_THRESHOLD_V) & (v_new >= DETECT_THRESHOLD_V)) > switching
+        np.maximum(v_new, self.lo, out=v_new)
+        np.minimum(v_new, self.hi, out=v_new)
         spiking = np.nonzero(rising)[0]
-        onsets = (DETECT_THRESHOLD_V - v_m[spiking]) / (i_net[spiking] / self.c_m[spiking])
+        if spiking.size:
+            onsets = (DETECT_THRESHOLD_V - v_m[spiking]) / (i_net[spiking] / self.c_m[spiking])
+        else:
+            onsets = _NO_ONSETS
         if switching.any():
             extra, extra_on = [], []
-            for i in np.nonzero(switching)[0]:
-                v_new[i], v_n_new[i], onset = advance(
-                    float(v_m[i]), float(v_n[i]), float(i_in[i]), self.dt, self.params[i]
-                )
+            for i in np.nonzero(switching)[0].tolist():
+                v_new[i], v_n_new[i], onset = advance(v_m[i].item(), v_n[i].item(), i_in[i].item(),
+                                                      self.dt, self.params[i])
                 if onset is not None:
                     extra.append(i)
                     extra_on.append(onset)
@@ -308,14 +316,25 @@ class _NeuronBlock:
         return v_new, v_n_new, spiking, onsets
 
 
+def _pulse_flow(i, d, h, a, c, i_tau, tau, floor):
+    """``dpi_flow(i, d, h, i_tau, tau, floor)`` under a pulse drive ``d > 0``
+    with ``a = d - i_tau`` and ``c = i_tau / a`` given: its rising branch
+    directly when every output lies below its fixed point."""
+    if (i < a).all():
+        return dpi_rise(i, d, h, a, c, tau)
+    return dpi_flow(i, d, h, i_tau, tau, floor)
+
+
 class _SynapseStates:
     """Synapse outputs, one per (presynaptic neuron, preset) pair: every
     synapse of such a pair has the same drive and so the same trajectory.
 
-    ``busy_until`` is the latest end of any pulse started so far and
-    ``at_floor`` says that every output sits exactly at its floor; a step
-    that starts at or after ``busy_until`` has no pulse in flight, and at
-    the floor it delivers the floor charge without further work.
+    ``end`` is each output's latest pulse end, ``busy_until`` the latest of
+    them, and ``at_floor`` says that every output sits exactly at its floor;
+    a step that starts at or after ``busy_until`` has no pulse in flight,
+    and at the floor it delivers the floor charge without further work.
+    The pulse drive of every output is constant, so its fixed point
+    ``a = i_pulse - i_tau`` and ``c = i_tau / a`` are computed once.
     """
 
     def __init__(self, keys: list, n_neurons: int, dt: float, post, signw, state_of):
@@ -328,10 +347,12 @@ class _SynapseStates:
         self.tau = np.array([time_constant(sp) for sp in sps])
         self.i_tau = np.array([sp.i_tau for sp in sps])
         self.i_pulse = np.array([sp.i_pulse for sp in sps])
+        self.a = self.i_pulse - self.i_tau
+        self.c = self.i_tau / self.a
         self.width = np.array([sp.pulse_width for sp in sps])
         self.floor = self.i_tau * FLOOR_RATIO
         self.i = self.floor.copy()
-        self.onset = np.full(n_neurons, -np.inf)  # latest exact spike onset per neuron
+        self.end = np.full(len(keys), -np.inf)
         self.busy_until = -np.inf
         self.at_floor = True
         self.idle_on = np.zeros(len(keys))  # pulse time left within an idle step
@@ -358,8 +379,10 @@ class _SynapseStates:
             self.pulse_steps += 1
             self.at_floor = False
             # Pulse time left within this step.
-            self.on = on = np.clip(self.onset[self.pre] + self.width - t, 0.0, dt)
-            i, q_on = dpi_flow(self.i, self.i_pulse, on, self.i_tau, self.tau, self.floor)
+            on = self.end - t
+            np.maximum(on, 0.0, out=on)
+            self.on = on = np.minimum(on, dt, out=on)
+            i, q_on = _pulse_flow(self.i, self.i_pulse, on, self.a, self.c, self.i_tau, self.tau, self.floor)
             self.i, q = dpi_decay(i, dt - on, self.tau, self.floor)
             return self.input_current(q + q_on)
         self.on = self.idle_on
@@ -374,24 +397,27 @@ class _SynapseStates:
         re-advance the outputs they drive from the start of the step with
         the new pulse switched on at its onset.  The membrane already took
         this step's current; the new pulse reaches it from the next step."""
-        self.onset[spiking] = t + onsets
         groups = [self.of_pre[i] for i in spiking]
         hit = np.concatenate(groups)
         if not hit.size:
             return
-        self.busy_until = max(self.busy_until, float((self.onset[self.pre[hit]] + self.width[hit]).max()))
+        theta = np.repeat(onsets, [len(g) for g in groups])
+        width = self.width[hit]
+        end = (t + theta) + width
+        self.end[hit] = end
+        self.busy_until = max(self.busy_until, float(end.max()))
         self.at_floor = False
         dt = self.dt
-        theta = np.repeat(onsets, [len(g) for g in groups])
         old_on = self.on[hit]
         first_off = np.minimum(old_on, theta)
-        last_on = np.maximum(old_on, np.minimum(theta + self.width[hit], dt))
+        last_on = np.maximum(old_on, np.minimum(theta + width, dt))
         tau, floor, drive, i_tau = self.tau[hit], self.floor[hit], self.i_pulse[hit], self.i_tau[hit]
+        a, c = self.a[hit], self.c[hit]
         i = self.i_start[hit]
         if first_off.any():
-            i, _ = dpi_flow(i, drive, first_off, i_tau, tau, floor)
+            i, _ = _pulse_flow(i, drive, first_off, a, c, i_tau, tau, floor)
         i, _ = dpi_decay(i, theta - first_off, tau, floor)
-        i, _ = dpi_flow(i, drive, last_on - theta, i_tau, tau, floor)
+        i, _ = _pulse_flow(i, drive, last_on - theta, a, c, i_tau, tau, floor)
         if (last_on < dt).any():
             i, _ = dpi_decay(i, dt - last_on, tau, floor)
         self.i[hit] = i
@@ -409,6 +435,10 @@ class _QuietStretch:
         # A step that takes a membrane to v_th or to the detection level
         # may flip a switch or start a spike: it goes to the general step.
         self.stop = np.minimum(neurons.v_th, DETECT_THRESHOLD_V)
+        # With one level for all neurons a step tests them with one
+        # max-reduce; the increments taken are finite, so it agrees.
+        if (self.stop == self.stop[0]).all():
+            self.stop = float(self.stop[0])
         self.floor_input = floor_input
         self.start = self.end = 0  # steps whose increments are in self.inc
         self.inc = None
@@ -439,9 +469,11 @@ class _QuietStretch:
             ahead = self.bad[np.searchsorted(self.bad, k):]
             limit = int(ahead[0]) if ahead.size else self.end
             inc, lo, stop, decay, base = self.inc, self.lo, self.stop, self.decay, self.start
+            one_level = isinstance(stop, float)
             while k < limit:
                 v = v_m + inc[k - base]
-                if (v >= stop).any():
+                crossed = v.max() >= stop if one_level else (v >= stop).any()
+                if crossed:
                     self.steps += k - k0
                     return k, v_m, v_n
                 np.maximum(v, lo, out=v)  # the clip of the general step: v < v_th < hi
@@ -544,16 +576,18 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
                 break
             t = k * dt
         general_steps += 1
-        i_total = noise_arr[:, k // hold][island_of]
+        i_total = noise_arr[island_of, k // hold]
 
         if synapses is not None:
             i_total = i_total + synapses.step(t)
 
         v_m, v_n, spiking, onsets = neurons.step(v_m, v_n, i_total)
 
-        if not np.isfinite(v_m).all() or not np.isfinite(v_n).all():
-            bad = int(np.nonzero(~(np.isfinite(v_m) & np.isfinite(v_n)))[0][0])
-            raise SimulationError(bad, (k + 1) * dt)
+        # A finite sum has finite terms; the exact test runs only otherwise.
+        if not (math.isfinite(v_m.sum()) and math.isfinite(v_n.sum())):
+            bad = np.nonzero(~(np.isfinite(v_m) & np.isfinite(v_n)))[0]
+            if bad.size:
+                raise SimulationError(int(bad[0]), (k + 1) * dt)
 
         if spiking.size:
             acc_steps.append((k + 1, spiking))
@@ -584,92 +618,136 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
     )
 
 
-def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force_trace: bool) -> SpikeRecord:
-    """Tight scalar loop for one neuron with no synapses.
+class _ScalarNeuron:
+    """One neuron with no synapses, stepped in plain floats: a step in which
+    no switch flips is taken inline with the expressions of the vectorized
+    path, any other step goes through ``neuron.advance``.  ``spikes`` holds
+    the (1-based) steps at whose end a spike is reported; with ``decim``
+    set, the membrane is sampled at t = 0 and after every ``decim``-th
+    step."""
 
-    Takes the same steps as the vectorized path, in plain floats: a step in
-    which no switch flips is taken inline with the same expressions, any
-    other step goes through ``neuron.advance``; ~50x faster for long
-    single-neuron transients.
+    def __init__(self, params, dt: float, n_steps: int, decim: int | None):
+        self.params, self.dt, self.decim = params, dt, decim
+        self.k_dt = dt / params.c_m
+        self.decay = math.exp(-dt / params.tau_n)
+        self.spikes: list[int] = []
+        self.w = 0  # trace samples written
+        if decim is not None:
+            n_samp = n_steps // decim + 1
+            self.trace_v = np.empty(n_samp)
+            self.trace_t = np.empty(n_samp)
+            self.trace_v[0] = params.v_rest
+            self.trace_t[0] = 0.0
+            self.w = 1
+
+    def take(self, drive: list, k: int, v_m: float, v_n: float) -> tuple[float, float]:
+        """Steps k+1 .. k+len(drive) under the input currents ``drive``;
+        returns the state after them."""
+        params, dt, decim = self.params, self.dt, self.decim
+        v_th = params.v_th
+        v_gate = params.v_gate_th
+        i_na_max = params.i_na_max
+        i_sink = params.i_sink
+        v_n_inf = params.v_n_inf
+        lo = params.v_clamp_lo
+        hi = params.v_clamp_hi
+        k_dt = self.k_dt
+        decay = self.decay
+        th = DETECT_THRESHOLD_V
+        steps = self.spikes
+        # With no trace to sample, quiet steps run on in a loop of their own:
+        # v <= v_th keeps v_m <= v_th, and v_n * decay <= v_gate for v_gate >= 0.
+        stay = decim is None and v_gate >= 0.0
+        if decim is not None:
+            trace_v, trace_t, w = self.trace_v, self.trace_t, self.w
+        drive = iter(drive)
+        for i_in in drive:
+            k += 1
+            if v_m <= v_th and v_n <= v_gate:
+                # Both switches off: the gate voltage only decays, so the sodium
+                # switch is the one that can flip, and no spike can start.
+                v = v_m + i_in * k_dt
+                if stay and v <= v_th:
+                    v_m = lo if v < lo else v
+                    v_n = v_n * decay
+                    for i_in in drive:
+                        k += 1
+                        v = v_m + i_in * k_dt
+                        if v > v_th:
+                            break
+                        v_m = lo if v < lo else v
+                        v_n = v_n * decay
+                    else:
+                        break
+                if v > v_th:
+                    v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
+                    if onset is not None:
+                        steps.append(k)
+                else:
+                    v_m = lo if v < lo else v
+                    v_n = v_n * decay
+            else:
+                na = v_m > v_th
+                sk = v_n > v_gate
+                i_net = i_in
+                if na:
+                    i_net += i_na_max
+                    vn = v_n_inf + (v_n - v_n_inf) * decay
+                else:
+                    vn = v_n * decay
+                if sk:
+                    i_net -= i_sink
+                v = v_m + i_net * k_dt
+                if (v > v_th) != na or (vn > v_gate) != sk:
+                    v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
+                    if onset is not None:
+                        steps.append(k)
+                else:
+                    if v_m < th <= v:
+                        steps.append(k)
+                    v_m = lo if v < lo else hi if v > hi else v
+                    v_n = vn
+            if decim is not None and k % decim == 0:
+                trace_v[w] = v_m
+                trace_t[w] = k * dt
+                w += 1
+        if decim is not None:
+            self.w = w
+        return v_m, v_n
+
+
+def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force_trace: bool) -> SpikeRecord:
+    """Tight scalar loop for one neuron with no synapses (``_ScalarNeuron``).
+
+    Takes the same steps as the vectorized path, in plain floats, reading
+    the drive DRIVE_CHUNK steps at a time; ~50x faster for long
+    single-neuron transients.  The state is tested after each chunk: a
+    non-finite state stays non-finite, so a chunk that ends in one is taken
+    again step by step from its start to report the first non-finite step,
+    as the vectorized path does.
     """
     dt = sim.dt
     n_steps = sim.n_steps
-    drive = chain.from_iterable(
-        _on_steps(noise_row, k, min(k + DRIVE_CHUNK, n_steps), sim.hold).tolist()
-        for k in range(0, n_steps, DRIVE_CHUNK)
-    )
-
     record_trace = force_trace or sim.record_traces is not None
-    decim = sim.trace_decimation
-    if record_trace:
-        n_samp = n_steps // decim + 1
-        trace_v = np.empty(n_samp)
-        trace_t = np.empty(n_samp)
-
-    v_th = params.v_th
-    v_gate = params.v_gate_th
-    i_na_max = params.i_na_max
-    i_sink = params.i_sink
-    v_n_inf = params.v_n_inf
-    lo = params.v_clamp_lo
-    hi = params.v_clamp_hi
-    k_dt = dt / params.c_m
-    decay = math.exp(-dt / params.tau_n)
-    th = DETECT_THRESHOLD_V
-
+    neuron = _ScalarNeuron(params, dt, n_steps, sim.trace_decimation if record_trace else None)
     v_m = params.v_rest
     v_n = 0.0
-    steps: list[int] = []
-    w = 0
-    if record_trace:
-        trace_v[0] = v_m
-        trace_t[0] = 0.0
-        w = 1
-    k = 0
-    for i_in in drive:
-        k += 1
-        if v_m <= v_th and v_n <= v_gate:
-            # Both switches off: the gate voltage only decays, so the sodium
-            # switch is the one that can flip, and no spike can start.
-            v = v_m + i_in * k_dt
-            if v > v_th:
-                v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
-                if onset is not None:
-                    steps.append(k)
-            else:
-                v_m = lo if v < lo else v
-                v_n = v_n * decay
-        else:
-            na = v_m > v_th
-            sk = v_n > v_gate
-            i_net = i_in
-            if na:
-                i_net += i_na_max
-                vn = v_n_inf + (v_n - v_n_inf) * decay
-            else:
-                vn = v_n * decay
-            if sk:
-                i_net -= i_sink
-            v = v_m + i_net * k_dt
-            if (v > v_th) != na or (vn > v_gate) != sk:
-                v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
-                if onset is not None:
-                    steps.append(k)
-            else:
-                if v_m < th <= v:
-                    steps.append(k)
-                v_m = lo if v < lo else hi if v > hi else v
-                v_n = vn
-        if record_trace and k % decim == 0:
-            trace_v[w] = v_m
-            trace_t[w] = k * dt
-            w += 1
-    if not (np.isfinite(v_m) and np.isfinite(v_n)):
-        raise SimulationError(0, n_steps * dt)
+    for k in range(0, n_steps, DRIVE_CHUNK):
+        drive = _on_steps(noise_row, k, min(k + DRIVE_CHUNK, n_steps), sim.hold).tolist()
+        before = (v_m, v_n, len(neuron.spikes), neuron.w)
+        v_m, v_n = neuron.take(drive, k, v_m, v_n)
+        if not (math.isfinite(v_m) and math.isfinite(v_n)):
+            v_m, v_n, n_spikes, neuron.w = before
+            del neuron.spikes[n_spikes:]
+            for j, i_in in enumerate(drive, k):
+                v_m, v_n = neuron.take([i_in], j, v_m, v_n)
+                if not (math.isfinite(v_m) and math.isfinite(v_n)):
+                    raise SimulationError(0, (j + 1) * dt)
+        del drive  # hold one chunk of Python floats at a time
 
-    times = [np.array(steps, dtype=np.int64) * dt]
-    traces = (trace_t[:w], {0: trace_v[:w]}) if record_trace else None
-    stats = {"steps": k, "quiet_steps": 0, "pulse_steps": 0, "spikes_per_island": [len(steps)]}
+    times = [np.array(neuron.spikes, dtype=np.int64) * dt]
+    traces = (neuron.trace_t[:neuron.w], {0: neuron.trace_v[:neuron.w]}) if record_trace else None
+    stats = {"steps": n_steps, "quiet_steps": 0, "pulse_steps": 0, "spikes_per_island": [len(neuron.spikes)]}
     return SpikeRecord(
         times=times, island_of=island_of, dt=dt, duration=sim.duration, meta=meta, traces=traces,
         stats=stats,

@@ -165,6 +165,8 @@ def advance(
     i_na_max = p.i_na_max
     i_sink = p.i_sink
     v_n_inf = p.v_n_inf
+    lo = p.v_clamp_lo
+    hi = p.v_clamp_hi
     na = v_m > v_th
     sk = v_n > v_gate
     onset = None
@@ -184,7 +186,7 @@ def advance(
         v_new = v_m + i_net * (seg / c_m)
         if onset is None and v_m < v_detect <= v_new:
             onset = t + (v_detect - v_m) / (i_net / c_m)
-        v_m = min(max(v_new, p.v_clamp_lo), p.v_clamp_hi)
+        v_m = min(max(v_new, lo), hi)
         v_n = target + (v_n - target) * math.exp(-seg / tau_n)
         if not seg < rem:
             return v_m, v_n, onset

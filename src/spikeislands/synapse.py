@@ -45,6 +45,7 @@ __all__ = [
     "time_constant",
     "dpi_step",
     "dpi_flow",
+    "dpi_rise",
     "dpi_decay",
     "linear_step",
     "presynaptic_pulse",
@@ -134,7 +135,7 @@ def dpi_decay(i0, h, tau, i_floor):
     if low.any():
         t_floor = tau * np.log(i0 / i_floor)
         charge = np.where(low, tau * (i0 - i_floor) + i_floor * (h - t_floor), charge)
-        i1 = np.where(low, i_floor, i1)
+        i1 = np.maximum(i1, i_floor)  # i_floor exactly where low
     return i1, charge
 
 
@@ -154,25 +155,41 @@ def _newton(g, y, target):
     """Root of g(y) = target for g convex and increasing with slope bounded
     away from 0, by Newton's method from a point near the root (from a point
     left of it, the first step lands right of it, and from there the
-    iterates decrease monotonically to it)."""
+    iterates decrease monotonically to it).
+
+    Stops once ``max|step| <= 1e-14 * (1 + max|y|)``.  ``max|y|`` is read
+    only when bounds carried from the last reading cannot decide that test:
+    an iterate moves each element by at most ``max|step|``, so ``lo`` and
+    ``hi`` (widened by 1e-15, well over the rounding of ``y - step``) bound
+    it, and the test is monotone in ``max|y|``.  The decision, and so every
+    bit of the result, is that of reading ``max|y|`` on every iteration.
+    """
+    lo, hi = 0.0, math.inf  # bounds on max|y|
     for _ in range(100):
         val, slope = g(y)
         step = (val - target) / slope
         y = y - step
-        if np.abs(step).max() <= 1e-14 * (1.0 + np.abs(y).max()):
+        s = float(np.abs(step).max())
+        hi = (hi + s) * (1.0 + 1e-15)
+        lo = max(lo - s, 0.0) * (1.0 - 1e-15)
+        if s <= 1e-14 * (1.0 + lo):
+            break
+        if s > 1e-14 * (1.0 + hi):
+            continue
+        lo = hi = float(np.abs(y).max())
+        if s <= 1e-14 * (1.0 + hi):
             break
     return y
 
 
-def _rising(i0, d, h, i_tau, tau):
-    """Driven flow from below the fixed point a = d - i_tau > i0.
+def _rising(i0, d, h, a, c, tau):
+    """Driven flow from below the fixed point a = d - i_tau > i0, with
+    c = i_tau / a.
 
     In psi = ln(I / (a - I)) the time relation is
     t/tau = (i_tau/a) psi + softplus(psi) + const, convex with slope in
     [i_tau/a, d/a]; I = a * sigmoid(psi).
     """
-    a = d - i_tau
-    c = i_tau / a
     psi0 = np.log(i0) - np.log(a - i0)
     sp0, sig0 = _softplus_sigmoid(psi0)
 
@@ -187,6 +204,19 @@ def _rising(i0, d, h, i_tau, tau):
     sp1, sig1 = _softplus_sigmoid(psi1)
     i1 = a * sig1
     return i1, tau * (d * (sp1 - sp0) - (i1 - i0))
+
+
+def dpi_rise(i0, d, h, a, c, tau):
+    """``dpi_flow`` for arrays whose outputs all lie below their fixed point,
+    ``i0 < a`` with ``a = d - i_tau`` and ``c = i_tau / a`` given (``d > 0``).
+
+    A caller that drives the same synapses step after step computes ``a``
+    and ``c`` once; the result is that of ``dpi_flow`` bit for bit,
+    ``h = 0`` elements included.
+    """
+    i1, charge = _rising(i0, d, h, a, c, tau)
+    moving = h > 0.0
+    return np.where(moving, i1, i0), np.where(moving, charge, 0.0)
 
 
 def _falling(i0, d, h, i_tau, tau, i_floor):
@@ -233,16 +263,15 @@ def dpi_flow(i0, i_in, h, i_tau, tau, i_floor):
         args = np.broadcast_arrays(*args)
     i0, d, h, i_tau, tau, i_floor = args
     a = d - i_tau
-    moving = h > 0.0
     rising = (d > 0.0) & (i0 < a)
     if rising.all():  # every output is driven up toward its fixed point
-        i1, charge = _rising(i0, d, h, i_tau, tau)
-        return np.where(moving, i1, i0), np.where(moving, charge, 0.0)
+        return dpi_rise(i0, d, h, a, i_tau / a, tau)
+    moving = h > 0.0
     i1 = i0.copy()
     charge = np.zeros(i0.shape)
     regimes = (
         (moving & (d == 0.0), lambda m: dpi_decay(i0[m], h[m], tau[m], i_floor[m])),
-        (moving & rising, lambda m: _rising(i0[m], d[m], h[m], i_tau[m], tau[m])),
+        (moving & rising, lambda m: _rising(i0[m], d[m], h[m], a[m], i_tau[m] / a[m], tau[m])),
         (moving & (d > 0.0) & (i0 > np.maximum(a, 0.0)),
          lambda m: _falling(i0[m], d[m], h[m], i_tau[m], tau[m], i_floor[m])),
         (moving & (d > 0.0) & (i0 == a), lambda m: (i0[m], i0[m] * h[m])),

@@ -5,8 +5,10 @@ from spikeislands.analysis import EventSeries, bin_events
 from spikeislands.configio import load_builtin, parse_document
 from spikeislands.engine import (
     DETECT_THRESHOLD_V,
+    DRIVE_CHUNK,
     SimConfig,
     _NeuronBlock,
+    _SynapseStates,
     SimulationError,
     derive_seed,
     run,
@@ -16,7 +18,7 @@ from spikeislands.io import spikes_to_csv
 from spikeislands.neuron import NeuronState, advance, neuron_step
 from spikeislands.noise import NoiseSpec, density_for_rms, generate
 from spikeislands.presets import neuron_preset, synapse_preset
-from spikeislands.synapse import dpi_flow, presynaptic_pulse, time_constant
+from spikeislands.synapse import dpi_decay, dpi_flow, presynaptic_pulse, time_constant
 from spikeislands.topology import InterIslandLink, IslandSpec, NetworkSpec
 
 P = neuron_preset("fast-mode")
@@ -124,6 +126,30 @@ class TestZeroDriveAndBlowup:
         assert err.value.t == pytest.approx(6 * DT)
         assert "neuron" in str(err.value)
 
+    @pytest.mark.parametrize("at", [500, DRIVE_CHUNK + 500])
+    def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, monkeypatch):
+        # the scalar single-neuron loop tests its state once per drive chunk
+        # and reports the first non-finite step, as the network path does
+        import spikeislands.engine as engine_mod
+
+        real_generate = engine_mod.generate
+
+        def poisoned(spec, n, dt):
+            out = real_generate(spec, n, dt)
+            out[at] = float("nan")
+            return out
+
+        monkeypatch.setattr(engine_mod, "generate", poisoned)
+        net, _ = parse_document(load_builtin("fig3_single_neuron"))
+        sim = SimConfig(duration=(at + 1500) * DT, dt=DT, master_seed=0)
+        with pytest.raises(SimulationError) as err:
+            run(net, sim)
+        assert err.value.neuron == 0 and err.value.t == pytest.approx((at + 1) * DT)
+        noise = NoiseSpec("white", 2e-10, (10.0, 5e6))
+        with pytest.raises(SimulationError) as single_err:
+            run_single_neuron(noise, P, sim)
+        assert single_err.value.t == pytest.approx((at + 1) * DT)
+
     def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, monkeypatch):
         # a NaN noise sample in the middle of a quiet stretch of a network
         # with synapses is handed to the general step, which reports the
@@ -220,6 +246,52 @@ class TestEngineMatchesLibrary:
         assert np.array_equal(scalar_rec.times[0], vector_rec.times[0])
         assert np.array_equal(scalar_rec.times[0], vector_rec.times[1])
         assert scalar_rec.meta["n_synapses"] == 0
+
+    def test_scalar_loop_spikes_do_not_depend_on_the_trace(self):
+        # untraced, the single-neuron loop runs its quiet steps in a loop of
+        # their own; traced, it tests the switches on every step
+        net, _ = parse_document(load_builtin("fig3_single_neuron"))
+        sim = SimConfig(duration=5e-4, dt=DT, master_seed=2)
+        plain = run(net, sim)
+        traced = run(net, SimConfig(duration=5e-4, dt=DT, master_seed=2, record_traces="all"))
+        assert len(plain.times[0]) > 5
+        assert plain.times[0].tobytes() == traced.times[0].tobytes()
+        assert plain.stats == traced.stats
+
+    @pytest.mark.parametrize("level", [1.0, 1.7])
+    def test_busy_step_at_or_above_the_fixed_point_falls_back_to_dpi_flow(self, level, monkeypatch):
+        # the rising branch alone serves outputs below their fixed point
+        # a = i_pulse - i_tau; an output at (level 1) or above it takes
+        # dpi_flow, and the step gives dpi_flow's bits
+        import spikeislands.engine as engine_mod
+
+        flows = []
+        real_flow = engine_mod.dpi_flow
+
+        def spy(*args):
+            flows.append(args)
+            return real_flow(*args)
+
+        monkeypatch.setattr(engine_mod, "dpi_flow", spy)
+        syn = _SynapseStates([(0, "fast-dpi"), (1, "fast-dpi")], 2, DT, np.array([1, 0]), np.array([1.0, 1.0]),
+                             np.array([0, 1]))
+        a = SP.i_pulse - SP.i_tau
+        t = 1e-6
+        syn.i = np.array([level * a, 2.0 * SP.i_floor])
+        syn.end[:] = [t + 0.4 * DT, t + 3 * DT]
+        syn.busy_until = t + 3 * DT
+        i0 = syn.i.copy()
+        on = np.clip(syn.end - t, 0.0, DT)  # pulse time left within the step
+        current = syn.step(t)
+        assert len(flows) == 1
+        tau = time_constant(SP)
+        i, q_on = real_flow(i0, SP.i_pulse, on, SP.i_tau, tau, SP.i_floor)
+        i, q = dpi_decay(i, DT - on, tau, SP.i_floor)
+        assert syn.i.tobytes() == i.tobytes()
+        assert current.tobytes() == ((q + q_on) / DT)[::-1].tobytes()
+        syn.i = np.array([0.5 * a, 2.0 * SP.i_floor])
+        syn.step(t)
+        assert len(flows) == 1  # below the fixed point: the rising branch
 
     def test_synapse_block_equals_dpi_step_substepped(self):
         # single link, quiet destination: the engine's destination membrane
