@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikeislands.synapse import (
@@ -197,6 +197,8 @@ class TestRisingBranch:
     @given(st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-30.0, 2.0), st.booleans()),
                     min_size=1, max_size=64),
            st.floats(1e-3, 1.0), st.floats(0.0, 1e4))
+    @example([(-12.9, -13.3, False)], 0.002, 0.0)  # stops after reading max|y|
+    @example([(31.4, -10.4, False)], 0.031, 6925.0)
     def test_newton_stops_at_the_iteration_that_reading_max_y_gives(self, roots, c, shift):
         # roots and log10 start offsets (left or right of the root) of
         # c y + softplus(y - shift) = target: the loop that reads max|y| only
