@@ -145,14 +145,62 @@ def single_neuron_text(variant: str) -> str:
     return "\n".join(line if ln.strip().startswith("noise ") else ln for ln in text.splitlines()) + "\n"
 
 
-@pytest.mark.parametrize("variant,seed", sorted(SINGLE_SHA256))
-def test_single_neuron_matches_golden_hash(variant, seed, tmp_path):
+def run_single_neuron_variant(variant: str, seed: int):
     network, _ = parse_document(single_neuron_text(variant))
     noise_dt = 3e-8 if variant == "held" else None
-    sim = SimConfig(duration=SINGLE_DURATION, dt=1e-8, master_seed=seed, noise_dt=noise_dt)
-    assert spikes_sha256(run(network, sim), tmp_path) == SINGLE_SHA256[variant, seed]
+    return run(network, SimConfig(duration=SINGLE_DURATION, dt=1e-8, master_seed=seed, noise_dt=noise_dt))
+
+
+@pytest.mark.parametrize("variant,seed", sorted(SINGLE_SHA256))
+def test_single_neuron_matches_golden_hash(variant, seed, tmp_path):
+    assert spikes_sha256(run_single_neuron_variant(variant, seed), tmp_path) == SINGLE_SHA256[variant, seed]
+
+
+def pink_series_sha256() -> str:
+    series = generate(NoiseSpec("pink", 200e-12, band=(10.0, 5e6), seed=7, stream_id=3), 200_000, 1e-8)
+    return hashlib.sha256(series.tobytes()).hexdigest()
 
 
 def test_pink_series_matches_golden_hash():
-    series = generate(NoiseSpec("pink", 200e-12, band=(10.0, 5e6), seed=7, stream_id=3), 200_000, 1e-8)
-    assert hashlib.sha256(series.tobytes()).hexdigest() == PINK_SERIES_SHA256
+    assert pink_series_sha256() == PINK_SERIES_SHA256
+
+
+def _print_dict(name: str, entries: dict) -> None:
+    print(f"{name} = {{")
+    for key, value in entries.items():
+        print(f"    {key!r}: {value},".replace("'", '"'))
+    print("}")
+
+
+def _stats_literal(key, stats) -> str:
+    """``stats`` as the file writes it: the counters, then the per-island
+    spikes on a line of their own, aligned under the opening brace."""
+    counters = ", ".join(f'"{k}": {v}' for k, v in stats.items() if k != "spikes_per_island")
+    indent = " " * (len(f"    {key!r}: {{"))
+    return f'{{{counters},\n{indent}"spikes_per_island": {stats["spikes_per_island"]}}}'
+
+
+def main() -> None:
+    """Print the current hashes and stats in this file's layout, for a
+    change that re-takes them: ``PYTHONPATH=src python tests/test_golden.py``."""
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        _print_dict("SPIKES_SHA256", {
+            (name, seed): f'"{spikes_sha256(run_builtin(name, seed), tmp_path)}"'
+            for name, seed in SPIKES_SHA256})
+        rec = run_builtin("fig6F", 1, record_traces="all", trace_decimation=1)
+        _print_dict("TRACED_SHA256", {"spikes": f'"{spikes_sha256(rec, tmp_path)}"',
+                                      "traces": f'"{traces_sha256(rec.traces)}"'})
+        _print_dict("SINGLE_SHA256", {
+            key: f'"{spikes_sha256(run_single_neuron_variant(*key), tmp_path)}"' for key in SINGLE_SHA256})
+        busy = {key: run_builtin(*key, BUSY_DURATION) for key in BUSY_SHA256}
+        _print_dict("BUSY_SHA256", {key: f'"{spikes_sha256(rec, tmp_path)}"' for key, rec in busy.items()})
+        _print_dict("BUSY_STATS", {key: _stats_literal(key, rec.stats) for key, rec in busy.items()})
+    print(f'PINK_SERIES_SHA256 = "{pink_series_sha256()}"')
+
+
+if __name__ == "__main__":
+    main()
