@@ -157,27 +157,19 @@ def _newton(g, y, target):
     left of it, the first step lands right of it, and from there the
     iterates decrease monotonically to it).
 
-    Stops once ``max|step| <= 1e-14 * (1 + max|y|)``.  ``max|y|`` is read
-    only when bounds carried from the last reading cannot decide that test:
-    an iterate moves each element by at most ``max|step|``, so ``lo`` and
-    ``hi`` (widened by 1e-15, well over the rounding of ``y - step``) bound
-    it, and the test is monotone in ``max|y|``.  The decision, and so every
-    bit of the result, is that of reading ``max|y|`` on every iteration.
+    Each element stops on its own test, ``|step| <= 1e-14 * (1 + |y|)``,
+    and keeps that iterate while the others go on; no reduction over the
+    array decides how many iterations an element gets, so every element has
+    the bits it has when solved alone, whatever it is solved with.
     """
-    lo, hi = 0.0, math.inf  # bounds on max|y|
+    active = np.ones(np.shape(y), dtype=bool)
     for _ in range(100):
         val, slope = g(y)
         step = (val - target) / slope
-        y = y - step
-        s = float(np.abs(step).max())
-        hi = (hi + s) * (1.0 + 1e-15)
-        lo = max(lo - s, 0.0) * (1.0 - 1e-15)
-        if s <= 1e-14 * (1.0 + lo):
-            break
-        if s > 1e-14 * (1.0 + hi):
-            continue
-        lo = hi = float(np.abs(y).max())
-        if s <= 1e-14 * (1.0 + hi):
+        moved = y - step
+        y = np.where(active, moved, y)
+        active &= np.abs(step) > 1e-14 * (1.0 + np.abs(moved))
+        if not active.any():
             break
     return y
 

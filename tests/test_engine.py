@@ -424,7 +424,7 @@ class TestQuietStretches:
     def test_stats_pin_quiet_steps(self):
         # steps at which no switch is on, no pulse is in flight and every
         # synapse sits at its floor, taken as quiet stretches; seed 1, 120 us
-        expected = {"fig6E": 10945, "fig6F": 10012, "fig6G": 2577, "fig6H": 10035}
+        expected = {"fig6E": 10945, "fig6F": 10012, "fig6G": 3549, "fig6H": 10035}
         for name, quiet in expected.items():
             net, _ = parse_document(load_builtin(name))
             sim = SimConfig(duration=1.2e-4, dt=DT, master_seed=1)

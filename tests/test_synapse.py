@@ -126,37 +126,42 @@ class TestDpi:
             assert math.isfinite(s.i_out)
 
 
-def _newton_reading_max_y(g, y, target):
-    """The Newton loop as first written: both maxima read on every
-    iteration.  Reference for the loop that reads max|y| only when needed."""
+def _newton_alone(g, y, target):
+    """Newton's method on one element, stopping on its own test: the rule
+    ``_newton`` applies to each element of an array."""
     for _ in range(100):
         val, slope = g(y)
         step = (val - target) / slope
         y = y - step
-        if np.abs(step).max() <= 1e-14 * (1.0 + np.abs(y).max()):
+        if abs(step) <= 1e-14 * (1.0 + abs(y)):
             break
     return y
 
 
 def _reference_rising(i0, d, h, i_tau, tau):
-    """``dpi_flow`` of outputs all below their fixed point as first written:
-    ``a`` and ``c`` computed inside, stopping by ``_newton_reading_max_y``."""
-    a = d - i_tau
-    c = i_tau / a
-    psi0 = np.log(i0) - np.log(a - i0)
-    sp0, sig0 = _softplus_sigmoid(psi0)
+    """``dpi_flow`` of outputs all below their fixed point as first written
+    (``a`` and ``c`` computed inside), each output solved alone by
+    ``_newton_alone``."""
+    out_i, out_q = np.empty(i0.shape), np.empty(i0.shape)
+    for k in range(i0.size):
+        a = d[k] - i_tau[k]
+        c = i_tau[k] / a
+        psi0 = np.log(i0[k]) - np.log(a - i0[k])
+        sp0, sig0 = _softplus_sigmoid(psi0)
 
-    def g(psi):
-        sp, sig = _softplus_sigmoid(psi)
-        return c * psi + sp, c + sig
+        def g(psi):
+            sp, sig = _softplus_sigmoid(psi)
+            return c * psi + sp, c + sig
 
-    slope, dt_tau = c + sig0, h / tau
-    start = psi0 + 2.0 * dt_tau / (slope + np.sqrt(slope * slope + 2.0 * sig0 * (1.0 - sig0) * dt_tau))
-    psi1 = _newton_reading_max_y(g, start, c * psi0 + sp0 + dt_tau)
-    sp1, sig1 = _softplus_sigmoid(psi1)
-    i1 = a * sig1
-    moving = h > 0.0
-    return np.where(moving, i1, i0), np.where(moving, tau * (d * (sp1 - sp0) - (i1 - i0)), 0.0)
+        slope, dt_tau = c + sig0, h[k] / tau[k]
+        start = psi0 + 2.0 * dt_tau / (slope + np.sqrt(slope * slope + 2.0 * sig0 * (1.0 - sig0) * dt_tau))
+        psi1 = _newton_alone(g, start, c * psi0 + sp0 + dt_tau)
+        sp1, sig1 = _softplus_sigmoid(psi1)
+        i1 = a * sig1
+        moving = h[k] > 0.0
+        out_i[k] = i1 if moving else i0[k]
+        out_q[k] = tau[k] * (d[k] * (sp1 - sp0) - (i1 - i0[k])) if moving else 0.0
+    return out_i, out_q
 
 
 FAST = SynapseParams(c_s=0.469e-12, i_tau=577e-9, i_pulse=5.2e-6, pulse_width=150e-9)
@@ -184,8 +189,9 @@ class TestRisingBranch:
     @given(rising_batches)
     def test_dpi_rise_equals_the_flow_as_first_written(self, batch):
         # the shared rising branch, with a and c given, gives the bits of the
-        # all-rising dpi_flow as first written, h = 0 outputs included; so
-        # does dpi_flow, which now delegates to it
+        # all-rising dpi_flow as first written with each output solved
+        # alone, h = 0 outputs included; so does dpi_flow, which delegates
+        # to it
         i0, d, h, i_tau, tau, floor = _rising_problem(batch)
         a = d - i_tau
         ref_i, ref_q = _reference_rising(i0, d, h, i_tau, tau)
@@ -197,45 +203,38 @@ class TestRisingBranch:
     @given(st.lists(st.tuples(st.floats(-40.0, 40.0), st.floats(-30.0, 2.0), st.booleans()),
                     min_size=1, max_size=64),
            st.floats(1e-3, 1.0), st.floats(0.0, 1e4))
-    @example([(-12.9, -13.3, False)], 0.002, 0.0)  # stops after reading max|y|
+    @example([(-12.9, -13.3, False), (31.4, -10.4, True)], 0.002, 0.0)
     @example([(31.4, -10.4, False)], 0.031, 6925.0)
-    def test_newton_stops_at_the_iteration_that_reading_max_y_gives(self, roots, c, shift):
+    def test_newton_stops_each_element_at_its_own_test(self, roots, c, shift):
         # roots and log10 start offsets (left or right of the root) of
-        # c y + softplus(y - shift) = target: the loop that reads max|y| only
-        # when its bounds cannot decide stops at the same iteration as the
-        # loop that reads it every time, with the same bits
+        # c y + softplus(y - shift) = target: every element of the array
+        # solve has the bits of that element solved alone
         root = np.array([r for r, _, _ in roots]) + shift
         offset = np.array([(10.0 ** e) * (1.0 if right else -1.0) for _, e, right in roots])
 
-        def counted(calls):
-            def g(y):
-                calls.append(1)
-                sp, sig = _softplus_sigmoid(y - shift)
-                return c * y + sp, c + sig
-            return g
+        def g(y):
+            sp, sig = _softplus_sigmoid(y - shift)
+            return c * y + sp, c + sig
 
-        target = counted([])(root)[0]
-        new_calls, old_calls = [], []
-        y_new = _newton(counted(new_calls), root + offset, target)
-        y_old = _newton_reading_max_y(counted(old_calls), root + offset, target)
-        assert len(new_calls) == len(old_calls)
-        assert y_new.tobytes() == y_old.tobytes()
+        target = g(root)[0]
+        y = _newton(g, root + offset, target)
+        alone = [_newton_alone(g, y0, t) for y0, t in zip(root + offset, target)]
+        assert y.tobytes() == np.array(alone).tobytes()
 
-    @pytest.mark.xfail(strict=True, reason="dpi_flow's Newton loop stops on a test over the whole "
-                                           "array, so an output's bits depend on the other outputs")
     def test_an_output_does_not_depend_on_its_batch(self):
         # pairs each of 2000 rising outputs with an idle output at the floor
-        # (no pulse in flight); per-element convergence would make the pair
-        # give the output's bits alone.  About 1% of them differ today.
+        # (no pulse in flight): the pair gives the output's bits alone, and
+        # so does one batch of all 2000
         rng = np.random.default_rng(0)
         p = FAST
         i0, d, h, i_tau, tau, floor = _rising_problem(
             list(zip(rng.uniform(0.0, 0.999999, 2000), rng.uniform(0.0, 1.0, 2000))))
+        batch = dpi_flow(i0, d, h, i_tau, tau, floor)[0]
         differ = 0
         for k in range(i0.size):
             alone = dpi_flow(i0[k], p.i_pulse, h[k], p.i_tau, tau[k], p.i_floor)[0]
             paired = dpi_flow([i0[k], p.i_floor], p.i_pulse, [h[k], 0.0], p.i_tau, tau[k], p.i_floor)[0][0]
-            differ += alone != paired
+            differ += (alone != paired) + (alone != batch[k])
         assert differ == 0
 
 
