@@ -654,9 +654,12 @@ class _ScalarNeuron:
         k_dt = self.k_dt
         decay = self.decay
         th = DETECT_THRESHOLD_V
+        # A step that ends above this level may flip the sodium switch or
+        # start a spike (v < 1 V is v <= the float just below it).
+        stop = min(v_th, math.nextafter(th, 0.0))
         steps = self.spikes
         # With no trace to sample, quiet steps run on in a loop of their own:
-        # v <= v_th keeps v_m <= v_th, and v_n * decay <= v_gate for v_gate >= 0.
+        # v <= stop keeps v_m <= v_th, and v_n * decay <= v_gate for v_gate >= 0.
         stay = decim is None and v_gate >= 0.0
         if decim is not None:
             trace_v, trace_t, w = self.trace_v, self.trace_t, self.w
@@ -665,15 +668,16 @@ class _ScalarNeuron:
             k += 1
             if v_m <= v_th and v_n <= v_gate:
                 # Both switches off: the gate voltage only decays, so the sodium
-                # switch is the one that can flip, and no spike can start.
+                # switch is the one that can flip, and a spike can start without
+                # a flip only when v_th is at or above the detection level.
                 v = v_m + i_in * k_dt
-                if stay and v <= v_th:
+                if stay and v <= stop:
                     v_m = lo if v < lo else v
                     v_n = v_n * decay
                     for i_in in drive:
                         k += 1
                         v = v_m + i_in * k_dt
-                        if v > v_th:
+                        if v > stop:
                             break
                         v_m = lo if v < lo else v
                         v_n = v_n * decay
@@ -684,6 +688,8 @@ class _ScalarNeuron:
                     if onset is not None:
                         steps.append(k)
                 else:
+                    if v_m < th <= v:
+                        steps.append(k)
                     v_m = lo if v < lo else v
                     v_n = v_n * decay
             else:

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikeislands.analysis import EventSeries, bin_events
 from spikeislands.configio import load_builtin, parse_document
@@ -8,6 +12,7 @@ from spikeislands.engine import (
     DRIVE_CHUNK,
     SimConfig,
     _NeuronBlock,
+    _ScalarNeuron,
     _SynapseStates,
     SimulationError,
     derive_seed,
@@ -48,8 +53,6 @@ def observer_kick(multiplicity, baseline=False):
     """Membrane lift of a raised-threshold observer neuron from the first
     presynaptic spike alone, sampled just before the second spike or 2 us
     later; with ``baseline`` the level before the spike is subtracted."""
-    from dataclasses import replace
-
     import spikeislands.presets as presets_mod
 
     presets_mod.NEURON_PRESETS["_observer"] = replace(P, v_th=2.2, v_gate_th=2.1)
@@ -257,6 +260,31 @@ class TestEngineMatchesLibrary:
         assert len(plain.times[0]) > 5
         assert plain.times[0].tobytes() == traced.times[0].tobytes()
         assert plain.stats == traced.stats
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.3, 1.999), st.floats(0.2, 0.95), st.floats(0.5, 2.0), st.floats(1e-7, 1e-6),
+           st.floats(0.5e-6, 3e-6), st.floats(0.0, 4e-6), st.integers(0, 2**32 - 1))
+    @example(1.2, 0.625, 1.0, 500e-9, 1.5e-6, 3e-6, 0)  # v_th above the detection level
+    @example(1.0, 0.5, 1.0, 500e-9, 1.5e-6, 3e-6, 1)  # v_th at the detection level
+    def test_scalar_neuron_reports_the_spikes_of_the_neuron_block(self, v_th, gate, c_scale, tau_n,
+                                                                  mean, rms, seed):
+        # the single-neuron loop, traced or not, reports the spike steps and
+        # ends in the state of the vectorized neuron update, for any
+        # threshold, v_th at or above the 1 V detection level included
+        params = replace(P, v_th=v_th, v_gate_th=gate * v_th, c_m=c_scale * P.c_m, tau_n=tau_n)
+        drive = (mean + rms * np.random.default_rng(seed).standard_normal(3000)).tolist()
+        block = _NeuronBlock([params], DT)
+        v_m, v_n = np.array([params.v_rest]), np.zeros(1)
+        expected = []
+        for k, i_in in enumerate(drive, 1):
+            v_m, v_n, spiking, _ = block.step(v_m, v_n, np.array([i_in]))
+            if spiking.size:
+                expected.append(k)
+        for decim in (None, 1):
+            scalar = _ScalarNeuron(params, DT, len(drive), decim)
+            end = scalar.take(drive, 0, params.v_rest, 0.0)
+            assert scalar.spikes == expected
+            assert end == (v_m[0], v_n[0])
 
     @pytest.mark.parametrize("level", [1.0, 1.7])
     def test_busy_step_at_or_above_the_fixed_point_falls_back_to_dpi_flow(self, level, monkeypatch):
