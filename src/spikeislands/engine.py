@@ -86,12 +86,16 @@ DRIVE_CHUNK = 1 << 14
 
 
 class SimulationError(RuntimeError):
-    """Numerical blow-up during a run; names the offending neuron and time."""
+    """Numerical blow-up during a run: the first neuron (global id) whose
+    state is not finite, its island, and the step that made it so (0-based;
+    the state is that at its end, ``t = (step + 1) * dt``)."""
 
-    def __init__(self, neuron: int, t: float):
+    def __init__(self, neuron: int, island: int, step: int, t: float):
         self.neuron = neuron
+        self.island = island
+        self.step = step
         self.t = t
-        super().__init__(f"non-finite state at neuron {neuron}, t={t:.9g} s")
+        super().__init__(f"non-finite state at neuron {neuron} (island {island}) after step {step}, t={t:.9g} s")
 
 
 def _splitmix64(x: int) -> int:
@@ -587,7 +591,7 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
         if not (math.isfinite(v_m.sum()) and math.isfinite(v_n.sum())):
             bad = np.nonzero(~(np.isfinite(v_m) & np.isfinite(v_n)))[0]
             if bad.size:
-                raise SimulationError(int(bad[0]), (k + 1) * dt)
+                raise SimulationError(int(bad[0]), int(island_of[bad[0]]), k, (k + 1) * dt)
 
         if spiking.size:
             acc_steps.append((k + 1, spiking))
@@ -748,7 +752,7 @@ def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force
             for j, i_in in enumerate(drive, k):
                 v_m, v_n = neuron.take([i_in], j, v_m, v_n)
                 if not (math.isfinite(v_m) and math.isfinite(v_n)):
-                    raise SimulationError(0, (j + 1) * dt)
+                    raise SimulationError(0, 0, j, (j + 1) * dt)
         del drive  # hold one chunk of Python floats at a time
 
     times = [np.array(neuron.spikes, dtype=np.int64) * dt]

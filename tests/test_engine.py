@@ -126,8 +126,36 @@ class TestZeroDriveAndBlowup:
         with pytest.raises(SimulationError) as err:
             run(net, SimConfig(duration=1e-5, dt=DT, master_seed=0))
         assert err.value.neuron in (0, 1, 2)
+        assert err.value.island == 0 and err.value.step == 5
         assert err.value.t == pytest.approx(6 * DT)
         assert "neuron" in str(err.value)
+        assert "island 0" in str(err.value) and "step 5" in str(err.value)
+
+    def test_blowup_names_the_island_of_the_neuron(self, monkeypatch):
+        # a NaN in the second island's noise alone names a neuron of that
+        # island, and the island
+        import spikeislands.engine as engine_mod
+
+        real_generate = engine_mod.generate
+        calls = []
+
+        def poisoned(spec, n, dt):
+            out = real_generate(spec, n, dt)
+            calls.append(spec)
+            if len(calls) == 2:
+                out[7] = float("nan")
+            return out
+
+        monkeypatch.setattr(engine_mod, "generate", poisoned)
+        net = NetworkSpec(
+            islands=(IslandSpec(2, ()), IslandSpec(3, ())),
+            noise=(NoiseSpec("white", 2e-10, (10.0, 5e6), seed=0, stream_id=0),
+                   NoiseSpec("white", 2e-10, (10.0, 5e6), seed=0, stream_id=1)),
+        )
+        with pytest.raises(SimulationError) as err:
+            run(net, SimConfig(duration=1e-5, dt=DT, master_seed=0))
+        assert (err.value.neuron, err.value.island, err.value.step) == (2, 1, 7)
+        assert "neuron 2 (island 1) after step 7" in str(err.value)
 
     @pytest.mark.parametrize("at", [500, DRIVE_CHUNK + 500])
     def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, monkeypatch):
@@ -148,10 +176,13 @@ class TestZeroDriveAndBlowup:
         with pytest.raises(SimulationError) as err:
             run(net, sim)
         assert err.value.neuron == 0 and err.value.t == pytest.approx((at + 1) * DT)
+        assert (err.value.island, err.value.step) == (0, at)
         noise = NoiseSpec("white", 2e-10, (10.0, 5e6))
         with pytest.raises(SimulationError) as single_err:
             run_single_neuron(noise, P, sim)
         assert single_err.value.t == pytest.approx((at + 1) * DT)
+        assert (single_err.value.neuron, single_err.value.island, single_err.value.step) == (0, 0, at)
+        assert f"step {at}," in str(single_err.value)
 
     def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, monkeypatch):
         # a NaN noise sample in the middle of a quiet stretch of a network
@@ -190,8 +221,10 @@ class TestZeroDriveAndBlowup:
         monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)
         with pytest.raises(SimulationError) as general_err:
             run(net, sim)
-        assert (quiet_err.value.neuron, quiet_err.value.t) == (general_err.value.neuron, general_err.value.t)
+        fields = ("neuron", "island", "step", "t")
+        assert [getattr(quiet_err.value, f) for f in fields] == [getattr(general_err.value, f) for f in fields]
         assert quiet_err.value.neuron == 0 and quiet_err.value.t == pytest.approx(501 * DT)
+        assert (quiet_err.value.island, quiet_err.value.step) == (0, 500)
 
 
 class TestSharedNoiseSemantics:
