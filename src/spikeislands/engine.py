@@ -163,7 +163,9 @@ class SpikeRecord:
     ``stats`` holds deterministic counters of the run: ``steps`` taken,
     ``quiet_steps`` of them taken as a quiet stretch (see the module
     docstring; the single-neuron scalar path takes none), ``pulse_steps``
-    with a synaptic pulse in flight, and ``spikes_per_island``.  They are
+    with a synaptic pulse in flight, ``rising_solves``, the number of times
+    the pulse-driven DPI flow was solved (one call over an array of
+    outputs counts once), and ``spikes_per_island``.  They are
     kept out of ``meta``, so they never reach ``meta.json`` or a manifest.
     """
 
@@ -362,6 +364,7 @@ class _SynapseStates:
         self.idle_on = np.zeros(len(keys))  # pulse time left within an idle step
         self.floor_input = self.input_current(dpi_decay(self.floor, dt, self.tau, self.floor)[1])
         self.pulse_steps = 0
+        self.rising_solves = 0  # calls of the pulse-driven (rising) flow
 
     def input_current(self, q):
         """Per-neuron synaptic input current from each output's charge ``q``
@@ -386,6 +389,7 @@ class _SynapseStates:
             on = self.end - t
             np.maximum(on, 0.0, out=on)
             self.on = on = np.minimum(on, dt, out=on)
+            self.rising_solves += 1
             i, q_on = _pulse_flow(self.i, self.i_pulse, on, self.a, self.c, self.i_tau, self.tau, self.floor)
             self.i, q = dpi_decay(i, dt - on, self.tau, self.floor)
             return self.input_current(q + q_on)
@@ -419,8 +423,10 @@ class _SynapseStates:
         a, c = self.a[hit], self.c[hit]
         i = self.i_start[hit]
         if first_off.any():
+            self.rising_solves += 1
             i, _ = _pulse_flow(i, drive, first_off, a, c, i_tau, tau, floor)
         i, _ = dpi_decay(i, theta - first_off, tau, floor)
+        self.rising_solves += 1
         i, _ = _pulse_flow(i, drive, last_on - theta, a, c, i_tau, tau, floor)
         if (last_on < dt).any():
             i, _ = dpi_decay(i, dt - last_on, tau, floor)
@@ -612,6 +618,7 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
         "steps": general_steps + quiet.steps,
         "quiet_steps": quiet.steps,
         "pulse_steps": synapses.pulse_steps if synapses is not None else 0,
+        "rising_solves": synapses.rising_solves if synapses is not None else 0,
         "spikes_per_island": [
             int(c) for c in np.bincount(island_of, weights=[len(t) for t in times], minlength=len(sizes))
         ],
@@ -757,7 +764,8 @@ def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force
 
     times = [np.array(neuron.spikes, dtype=np.int64) * dt]
     traces = (neuron.trace_t[:neuron.w], {0: neuron.trace_v[:neuron.w]}) if record_trace else None
-    stats = {"steps": n_steps, "quiet_steps": 0, "pulse_steps": 0, "spikes_per_island": [len(neuron.spikes)]}
+    stats = {"steps": n_steps, "quiet_steps": 0, "pulse_steps": 0, "rising_solves": 0,
+             "spikes_per_island": [len(neuron.spikes)]}
     return SpikeRecord(
         times=times, island_of=island_of, dt=dt, duration=sim.duration, meta=meta, traces=traces,
         stats=stats,

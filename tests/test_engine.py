@@ -506,7 +506,7 @@ class TestQuietStretches:
         assert rec.stats["quiet_steps"] > 0
         single = run_single_neuron(NoiseSpec("white", 2e-10, (10.0, 5e6)), P,
                                    SimConfig(duration=2e-5, dt=DT, master_seed=4))
-        assert single.stats == {"steps": 2000, "quiet_steps": 0, "pulse_steps": 0,
+        assert single.stats == {"steps": 2000, "quiet_steps": 0, "pulse_steps": 0, "rising_solves": 0,
                                 "spikes_per_island": [len(single.times[0])]}
 
 
