@@ -7,16 +7,23 @@ contract since it affects exact trajectories:
    sample per island, added to every neuron of that island);
 2. all synapses advance over the step by the exact DPI flow map, driven by
    the rectangular pulses of earlier spikes, each starting at its spike's
-   exact onset; the charge each synapse delivers over the step is kept;
+   exact onset.  Each pulse was solved once, at its onset, for every step
+   it covers (see step 5): a synapse whose pulse is in flight reads its
+   state at the end of the pulse's part of the step and the charge over
+   that part from its pulse's table, and the exact decay covers the rest of
+   the step; the charge each synapse delivers over the step is kept;
 3. per-neuron input currents are summed: noise + excitatory - inhibitory,
    each synapse contributing its mean current over the step (charge / dt);
 4. all neurons advance one step by the exact update of ``neuron.advance``:
    each switch flips at the instant its threshold is crossed;
 5. spike onsets (rising crossings of 1 V) are located within the step and
    reported at the grid stamp (k+1)*dt.  The presynaptic pulse starts at
-   the exact onset: the part of it inside this step is applied to the
-   synapse state at the end of the step, and the membrane sees the pulse
-   from the next step on.
+   the exact onset: the synapses it drives are taken from the start of
+   the step to the onset, and the driven flow is solved from there to
+   every step end the pulse covers and to its end, in one call for all
+   the pulses that start in the step.  The part inside this step is
+   applied to the synapse state at the end of the step, and the membrane
+   sees the pulse from the next step on.
 
 Quiet stretches.  A step is quiet when, at its start, no neuron has a
 switch on (v_m <= v_th and v_n <= v_gate_th everywhere), no pulse is in
@@ -322,25 +329,28 @@ class _NeuronBlock:
         return v_new, v_n_new, spiking, onsets
 
 
-def _pulse_flow(i, d, h, a, c, i_tau, tau, floor):
-    """``dpi_flow(i, d, h, i_tau, tau, floor)`` under a pulse drive ``d > 0``
-    with ``a = d - i_tau`` and ``c = i_tau / a`` given: its rising branch
-    directly when every output lies below its fixed point."""
-    if (i < a).all():
-        return dpi_rise(i, d, h, a, c, tau)
-    return dpi_flow(i, d, h, i_tau, tau, floor)
-
-
 class _SynapseStates:
     """Synapse outputs, one per (presynaptic neuron, preset) pair: every
     synapse of such a pair has the same drive and so the same trajectory.
 
-    ``end`` is each output's latest pulse end, ``busy_until`` the latest of
-    them, and ``at_floor`` says that every output sits exactly at its floor;
-    a step that starts at or after ``busy_until`` has no pulse in flight,
-    and at the floor it delivers the floor charge without further work.
-    The pulse drive of every output is constant, so its fixed point
-    ``a = i_pulse - i_tau`` and ``c = i_tau / a`` are computed once.
+    Each pulse is solved once, at its onset.  ``start_pulses`` takes the
+    output from the start of the step to the onset and then solves the
+    pulse-driven DPI flow from the onset, in one ``dpi_rise`` call for all
+    the pulses that start in the step, to every step end the pulse covers
+    and to the pulse's end.  For each later step the pulse is in flight
+    over, the state at the end of its driven part, the charge delivered
+    over that part and the part's length go into a table: a ring of rows,
+    one per step, with a column per output.  A step reads the rows of the
+    outputs whose pulse is in flight, and ``dpi_decay`` covers the rest of
+    the step (all of it for the other outputs), so it solves nothing.
+
+    ``until`` is each output's last step with its pulse in flight and
+    ``busy_until`` the first step after all of them; a step from
+    ``busy_until`` on has no pulse in flight.  ``at_floor`` says that every
+    output sits exactly at its floor; such a step then delivers the floor
+    charge without further work.  The pulse drive of every output is
+    constant, so its fixed point ``a = i_pulse - i_tau`` and
+    ``c = i_tau / a`` are computed once.
     """
 
     def __init__(self, keys: list, n_neurons: int, dt: float, post, signw, state_of):
@@ -350,16 +360,28 @@ class _SynapseStates:
         self.post, self.signw, self.state_of = post, signw, state_of
         self.pre = np.array([pre for pre, _ in keys], dtype=np.int64)
         self.of_pre = [np.nonzero(self.pre == i)[0] for i in range(n_neurons)]
-        self.tau = np.array([time_constant(sp) for sp in sps])
-        self.i_tau = np.array([sp.i_tau for sp in sps])
-        self.i_pulse = np.array([sp.i_pulse for sp in sps])
-        self.a = self.i_pulse - self.i_tau
-        self.c = self.i_tau / self.a
-        self.width = np.array([sp.pulse_width for sp in sps])
-        self.floor = self.i_tau * FLOOR_RATIO
+        tau = np.array([time_constant(sp) for sp in sps])
+        i_tau = np.array([sp.i_tau for sp in sps])
+        i_pulse = np.array([sp.i_pulse for sp in sps])
+        a = i_pulse - i_tau
+        # Per-output constants, a row each, gathered in one call for the
+        # outputs that pulses drive.
+        self.consts = np.array([tau, i_tau, i_pulse, a, i_tau / a,
+                                [sp.pulse_width for sp in sps], i_tau * FLOOR_RATIO])
+        self.tau, _, _, _, _, self.width, self.floor = self.consts
         self.i = self.floor.copy()
-        self.end = np.full(len(keys), -np.inf)
-        self.busy_until = -np.inf
+        # A pulse is in flight over at most ceil(width / dt) steps after its
+        # onset step (one more is kept for the rounding of the quotient).
+        cols = int(math.ceil(self.width.max() / dt)) + 1
+        self.ends = np.arange(1, cols + 2) * dt  # step ends from the onset step's start
+        self.ring = cols + 1
+        # Ring rows of the steps k+1 .. k+cols, by k % ring.
+        self.ahead = (np.arange(self.ring)[:, None] + np.arange(1, cols + 1)) % self.ring
+        self.tab_i = np.zeros((self.ring, len(keys)))
+        self.tab_q = np.zeros((self.ring, len(keys)))
+        self.tab_on = np.zeros((self.ring, len(keys)))
+        self.until = np.full(len(keys), -1, dtype=np.int64)
+        self.busy_until = 0
         self.at_floor = True
         self.idle_on = np.zeros(len(keys))  # pulse time left within an idle step
         self.floor_input = self.input_current(dpi_decay(self.floor, dt, self.tau, self.floor)[1])
@@ -372,27 +394,38 @@ class _SynapseStates:
         return np.bincount(self.post, weights=self.signw * (q / self.dt)[self.state_of],
                            minlength=self.n_neurons)
 
-    def idle_at_floor(self, t: float) -> bool:
-        """True when the step from t has no pulse in flight and every output
-        sits at its floor."""
-        return self.at_floor and not t < self.busy_until
+    def idle_at_floor(self, k: int) -> bool:
+        """True when step k has no pulse in flight and every output sits at
+        its floor."""
+        return self.at_floor and k >= self.busy_until
 
-    def step(self, t: float):
-        """Advance over [t, t + dt] under the pulses of earlier spikes;
-        returns the per-neuron synaptic input current over the step."""
+    def _rise(self, i, consts, h):
+        """Outputs with constants ``consts`` (columns of ``self.consts``)
+        after ``h`` seconds of their pulse drive from ``i``, and their
+        charge: one rising solve, by the rising branch alone when every
+        output lies below its fixed point."""
+        self.rising_solves += 1
+        tau, i_tau, i_pulse, a, c, _, floor = consts
+        if (i < a).all():
+            return dpi_rise(i, i_pulse, h, a, c, tau)
+        return dpi_flow(i, i_pulse, h, i_tau, tau, floor)
+
+    def step(self, k: int):
+        """Advance over step k under the pulses of earlier spikes; returns
+        the per-neuron synaptic input current over the step."""
         dt = self.dt
         self.i_start = self.i
-        if t < self.busy_until:
+        if k < self.busy_until:
             self.pulse_steps += 1
             self.at_floor = False
-            # Pulse time left within this step.
-            on = self.end - t
-            np.maximum(on, 0.0, out=on)
-            self.on = on = np.minimum(on, dt, out=on)
-            self.rising_solves += 1
-            i, q_on = _pulse_flow(self.i, self.i_pulse, on, self.a, self.c, self.i_tau, self.tau, self.floor)
+            r = k % self.ring
+            # x * mask is x where the mask is set and +0.0 elsewhere, for
+            # the finite, non-negative table entries.
+            flight = k <= self.until
+            i = np.where(flight, self.tab_i[r], self.i)
+            self.on = on = self.tab_on[r] * flight
             self.i, q = dpi_decay(i, dt - on, self.tau, self.floor)
-            return self.input_current(q + q_on)
+            return self.input_current(q + self.tab_q[r] * flight)
         self.on = self.idle_on
         if self.at_floor:
             return self.floor_input
@@ -400,37 +433,51 @@ class _SynapseStates:
         self.at_floor = bool((self.i == self.floor).all())
         return self.input_current(q)
 
-    def start_pulses(self, t: float, spiking, onsets) -> None:
-        """Record spike onsets at offsets ``onsets`` into the step from t, and
-        re-advance the outputs they drive from the start of the step with
-        the new pulse switched on at its onset.  The membrane already took
-        this step's current; the new pulse reaches it from the next step."""
+    def start_pulses(self, k: int, spiking, onsets) -> None:
+        """Start the pulses of spikes at offsets ``onsets`` into step k: take
+        the outputs they drive to the onset and solve each pulse from there
+        (see the class docstring).  The membrane already took this step's
+        current; the new pulse reaches it from the next step.  A pulse ends
+        after any earlier pulse of its output, so it takes over from its
+        onset (pulses do not stack)."""
         groups = [self.of_pre[i] for i in spiking]
         hit = np.concatenate(groups)
         if not hit.size:
             return
-        theta = np.repeat(onsets, [len(g) for g in groups])
-        width = self.width[hit]
-        end = (t + theta) + width
-        self.end[hit] = end
-        self.busy_until = max(self.busy_until, float(end.max()))
-        self.at_floor = False
         dt = self.dt
-        old_on = self.on[hit]
-        first_off = np.minimum(old_on, theta)
-        last_on = np.maximum(old_on, np.minimum(theta + width, dt))
-        tau, floor, drive, i_tau = self.tau[hit], self.floor[hit], self.i_pulse[hit], self.i_tau[hit]
-        a, c = self.a[hit], self.c[hit]
+        theta = np.repeat(onsets, [len(g) for g in groups])
+        consts = self.consts[:, hit]
+        tau, width, floor = consts[0], consts[5], consts[6]
+        # To the onset, from the start of the step, under an earlier pulse
+        # while it lasts.
+        first_off = np.minimum(self.on[hit], theta)
         i = self.i_start[hit]
         if first_off.any():
-            self.rising_solves += 1
-            i, _ = _pulse_flow(i, drive, first_off, a, c, i_tau, tau, floor)
-        i, _ = dpi_decay(i, theta - first_off, tau, floor)
-        self.rising_solves += 1
-        i, _ = _pulse_flow(i, drive, last_on - theta, a, c, i_tau, tau, floor)
-        if (last_on < dt).any():
-            i, _ = dpi_decay(i, dt - last_on, tau, floor)
-        self.i[hit] = i
+            i, _ = self._rise(i, consts, first_off)
+        i = np.maximum(i * np.exp(-(theta - first_off) / tau), floor)  # dpi_decay's state
+        # Offsets from the onset of the m step ends within the pulse, then of
+        # its end (repeated where another pulse covers more step ends), all
+        # solved together.
+        h = np.minimum(self.ends - theta[:, None], width[:, None])
+        m = (h < width[:, None]).sum(axis=1)
+        n = int(m.max()) + 1
+        h = h[:, :n]
+        i_tab, q_tab = self._rise(np.repeat(i, n), np.repeat(consts, n, axis=1), h.ravel())
+        i_tab, q_tab = i_tab.reshape(h.shape), q_tab.reshape(h.shape)
+        # The onset step ends in its pulse, or (m = 0) after the pulse's end.
+        end = i_tab[:, 0]
+        if not m.all():
+            end, _ = dpi_decay(end, (dt - theta) - h[:, 0], tau, floor)
+        self.i[hit] = end
+        # Step k+j, j = 1 .. m, is driven from offset h[j-1] to the pulse's
+        # end or, all through, to the step's end.
+        cells = (self.ahead[k % self.ring][:n - 1, None], hit)
+        self.tab_i[cells] = i_tab[:, 1:].T
+        self.tab_q[cells] = (q_tab[:, 1:] - q_tab[:, :-1]).T
+        self.tab_on[cells] = np.minimum(width[:, None] - h[:, :-1], dt).T
+        self.until[hit] = k + m
+        self.busy_until = max(self.busy_until, k + n)
+        self.at_floor = False
 
 
 class _QuietStretch:
@@ -579,17 +626,15 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
 
     k = general_steps = 0
     while k < n_steps:
-        t = k * dt
-        if (synapses is None or synapses.idle_at_floor(t)) and quiet.holds(v_m, v_n):
+        if (synapses is None or synapses.idle_at_floor(k)) and quiet.holds(v_m, v_n):
             k, v_m, v_n = quiet.take(k, v_m, v_n, traces)
             if k == n_steps:
                 break
-            t = k * dt
         general_steps += 1
         i_total = noise_arr[island_of, k // hold]
 
         if synapses is not None:
-            i_total = i_total + synapses.step(t)
+            i_total = i_total + synapses.step(k)
 
         v_m, v_n, spiking, onsets = neurons.step(v_m, v_n, i_total)
 
@@ -602,7 +647,7 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
         if spiking.size:
             acc_steps.append((k + 1, spiking))
             if synapses is not None:
-                synapses.start_pulses(t, spiking, onsets)
+                synapses.start_pulses(k, spiking, onsets)
 
         if traces is not None:
             traces.after(k, v_m)

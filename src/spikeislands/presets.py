@@ -10,12 +10,13 @@ recharge from the clamp floor) is roughly half a microsecond; the gate
 stays open for 426 ns after a spike under the 1.5 uA tonic drive.  That is
 shorter than the round trip of a volley around a four-island ring of
 tripled synapses, so the echo can fire its source island again.  Measured
-on fig6G at master seed 1: island 0's first volley (all 16 neurons at
-7.74 us) reaches islands 1, 3 and 2 within 90-650 ns and returns to island
-0 550-650 ns after it left, where it fires island 0 again.  The ring then
-reverberates: every island fires 30-130 spikes per 5 us over 5-25, 30-60
-and 70-120 us, and fires at most 5 spikes per island over 25-30 and
-60-70 us.
+on fig6G at master seed 1 over 120 us: island 0's first volley (all 16
+neurons at 7.74 us) reaches islands 1, 3 and 2 after 90, 210 and 360 ns
+and returns to island 0 550-650 ns after it left, where it fires island 0
+again.  The ring then reverberates: every island fires 30-120 spikes per
+5 us over 5-30 us, one volley (15-18 spikes) per 5 us over 35-55 us, and
+16-120 per 5 us over 75-120 us, with a burst of 54-69 over 60-65 us; it
+fires at most one spike per island over 30-35, 55-60 and 65-75 us.
 
 The ``fast-dpi`` synapse is calibrated so that a single presynaptic spike
 produces a clear postsynaptic response: one pulse deposits enough charge to

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +58,11 @@ FLOOR_RATIO = 1e-6
 
 # Thermal voltage at 300 K, volts.
 U_T_300K = 25.85e-3
+
+# Newton iterations taken before the first stopping test (``_newton``): a
+# rising solve from its interpolated start (``_rising_start``) passes the
+# test at the third.
+NEWTON_BATCH = 3
 
 
 @dataclass(frozen=True)
@@ -158,20 +164,59 @@ def _newton(g, y, target):
     iterates decrease monotonically to it).
 
     Each element stops on its own test, ``|step| <= 1e-14 * (1 + |y|)``,
-    and keeps that iterate while the others go on; no reduction over the
-    array decides how many iterations an element gets, so every element has
-    the bits it has when solved alone, whatever it is solved with.
+    at the first iterate that meets it; no reduction over the array decides
+    how many iterations an element gets, so every element has the bits it
+    has when solved alone, whatever it is solved with.  The first
+    NEWTON_BATCH iterates are taken untested and kept, and the test then
+    picks each element's first passing one; an element that has not passed
+    goes on alone, masked, from the last of them.
     """
-    active = np.ones(np.shape(y), dtype=bool)
-    for _ in range(100):
+    ys = np.empty((NEWTON_BATCH,) + np.shape(y))
+    steps = np.empty(ys.shape)
+    for j in range(NEWTON_BATCH):
+        val, slope = g(y)
+        np.divide(val - target, slope, out=steps[j, ...])
+        y = np.subtract(y, steps[j, ...], out=ys[j, ...])
+    going = np.abs(steps) > 1e-14 * (1.0 + np.abs(ys))
+    # Each element's first passing iterate, or the last one if none passed.
+    y, active = ys[-1], going[-1]
+    for j in range(NEWTON_BATCH - 2, -1, -1):
+        y = np.where(going[j], y, ys[j])
+        active = active & going[j]
+    if not active.any():
+        return y
+    y = np.array(y)
+    for _ in range(100 - NEWTON_BATCH):
         val, slope = g(y)
         step = (val - target) / slope
-        moved = y - step
-        y = np.where(active, moved, y)
-        active &= np.abs(step) > 1e-14 * (1.0 + np.abs(moved))
+        np.subtract(y, step, out=y, where=active)
+        active &= np.abs(step) > 1e-14 * (1.0 + np.abs(y))
         if not active.any():
             break
     return y
+
+
+@lru_cache(maxsize=8)
+def _rising_relation(c: float):
+    """The rising time relation ``c * psi + softplus(psi)`` on a grid of psi
+    spaced 0.03 apart, as (relation, psi)."""
+    psi = np.linspace(-60.0, 60.0, 4097)
+    return c * psi + np.logaddexp(0.0, psi), psi
+
+
+def _rising_start(target, c):
+    """Newton start for the root of ``c * psi + softplus(psi) = target``:
+    linear interpolation in the tabulated relation of each element's c,
+    within about 1e-4 of the root (the end of the grid beyond it)."""
+    first = float(np.ravel(c)[0]) if np.size(c) else 0.0
+    if (c == first).all():
+        return np.interp(target, *_rising_relation(first))
+    c = np.broadcast_to(c, np.shape(target))
+    start = np.empty(c.shape)
+    for value in np.unique(c):
+        sel = c == value
+        start[sel] = np.interp(target[sel], *_rising_relation(float(value)))
+    return start
 
 
 def _rising(i0, d, h, a, c, tau):
@@ -183,16 +228,14 @@ def _rising(i0, d, h, a, c, tau):
     [i_tau/a, d/a]; I = a * sigmoid(psi).
     """
     psi0 = np.log(i0) - np.log(a - i0)
-    sp0, sig0 = _softplus_sigmoid(psi0)
+    sp0 = np.logaddexp(0.0, psi0)
 
     def g(psi):
         sp, sig = _softplus_sigmoid(psi)
         return c * psi + sp, c + sig
 
-    # Start from the root of the second-order Taylor model of the relation.
-    slope, dt_tau = c + sig0, h / tau
-    start = psi0 + 2.0 * dt_tau / (slope + np.sqrt(slope * slope + 2.0 * sig0 * (1.0 - sig0) * dt_tau))
-    psi1 = _newton(g, start, c * psi0 + sp0 + dt_tau)
+    target = c * psi0 + sp0 + h / tau
+    psi1 = _newton(g, _rising_start(target, c), target)
     sp1, sig1 = _softplus_sigmoid(psi1)
     i1 = a * sig1
     return i1, tau * (d * (sp1 - sp0) - (i1 - i0))

@@ -43,7 +43,7 @@ SPIKES_SHA256 = {
     ("fig6E", 1): "237ed618fa4fd236aa73f94fc036ac0cabe0e02c125b1defe1887ab7314847cf",
     ("fig6F", 0): "384b89da667ab3e26dda3600361c62cd0566a5c97ef7a2aa8649b4756f27815d",
     ("fig6F", 1): "1d4d5a3494c1b971c16419d21627750876b06aeee60121a78ebe5c1fcbfffd3a",
-    ("fig6G", 0): "95d19e131686d84ba67a4322329e90f01399790ff20c90b5729f8652522225e6",
+    ("fig6G", 0): "7a9cff1f55f22c8a20fe8c9b3900da2c0c5ce100c26546fd6b7a62fe037e8bf6",
     ("fig6G", 1): "5a04bac18b253266b542856db953a2bc756b39d99b4616bdc145bf90c0af4039",
     ("fig6H", 0): "53d2a26403491d50428250093accf3d17dffc03547a94e1431e09541aca26e6d",
     ("fig6H", 1): "455652cc0ddaa905a002d4bb5d6795024378940140038089bfa866a9400d2677",
@@ -51,7 +51,7 @@ SPIKES_SHA256 = {
 
 TRACED_SHA256 = {
     "spikes": "1d4d5a3494c1b971c16419d21627750876b06aeee60121a78ebe5c1fcbfffd3a",
-    "traces": "3d845b4a4e882da5de101878efd51930fa81e87477c9a0f92151f894277e3b8c",
+    "traces": "0ecae6b7d521ac0d1c3370655e14cefb4df9007aea1a7c913bd3d23e0e076453",
 }
 
 
@@ -76,20 +76,20 @@ SINGLE_SHA256 = {
 # fig6G and fig5B_ring8 over 120 us: the spikes CSV and the run's stats.
 BUSY_DURATION = 120e-6
 BUSY_SHA256 = {
-    ("fig6G", 2): "896722836969ec89b72077192540302c61ca176078abac7abc5446ab588f5d78",
-    ("fig6G", 3): "0353b503a7162ef6ef9a8ffee96a5aef105e45f1f959ed3542371cf26354e9e6",
+    ("fig6G", 2): "c82840e53992320b9889a5fb78fbd3390200ad8c6fb08679e118b19684d68053",
+    ("fig6G", 3): "23d467132e654501b2f0fdc6e476c3a836ca357309a15d4edb43578cd7e0d0cb",
     ("fig5B_ring8", 2): "a186bd918332bd17455870c050a64ed621a33b766e9cd4ea9e3575b679efabbb",
-    ("fig5B_ring8", 3): "20dcfa227574e657a59a6f60e28b19434d4dd7cbc417538ae03c77e2103298ad",
+    ("fig5B_ring8", 3): "c7935c22af69b3da40b0a192f99ee99dc135f2437f03f20057b79ce9a406ca78",
 }
 BUSY_STATS = {
-    ("fig6G", 2): {"steps": 12000, "quiet_steps": 4575, "pulse_steps": 6586, "rising_solves": 9425,
-                   "spikes_per_island": [1291, 1342, 1316, 1238]},
-    ("fig6G", 3): {"steps": 12000, "quiet_steps": 6567, "pulse_steps": 4568, "rising_solves": 6603,
-                   "spikes_per_island": [922, 981, 920, 912]},
-    ("fig5B_ring8", 2): {"steps": 12000, "quiet_steps": 7202, "pulse_steps": 4128, "rising_solves": 5371,
+    ("fig6G", 2): {"steps": 12000, "quiet_steps": 4133, "pulse_steps": 7214, "rising_solves": 3230,
+                   "spikes_per_island": [1476, 1506, 1440, 1390]},
+    ("fig6G", 3): {"steps": 12000, "quiet_steps": 6200, "pulse_steps": 5222, "rising_solves": 2408,
+                   "spikes_per_island": [1055, 1141, 1078, 1032]},
+    ("fig5B_ring8", 2): {"steps": 12000, "quiet_steps": 7202, "pulse_steps": 4128, "rising_solves": 1243,
                          "spikes_per_island": [522, 490, 474, 369]},
-    ("fig5B_ring8", 3): {"steps": 12000, "quiet_steps": 3633, "pulse_steps": 7658, "rising_solves": 10272,
-                         "spikes_per_island": [966, 948, 906, 835]},
+    ("fig5B_ring8", 3): {"steps": 12000, "quiet_steps": 1651, "pulse_steps": 9864, "rising_solves": 3700,
+                         "spikes_per_island": [1305, 1334, 1291, 1231]},
 }
 
 PINK_SERIES_SHA256 = "c742dd9a4084600280a6690fd7074996d583b745a359ce2ea9fe55a7b20350df"

@@ -9,6 +9,7 @@ from spikeislands.synapse import (
     SynapseParams,
     SynapseState,
     _newton,
+    _rising_start,
     _softplus_sigmoid,
     dpi_flow,
     dpi_rise,
@@ -147,15 +148,14 @@ def _reference_rising(i0, d, h, i_tau, tau):
         a = d[k] - i_tau[k]
         c = i_tau[k] / a
         psi0 = np.log(i0[k]) - np.log(a - i0[k])
-        sp0, sig0 = _softplus_sigmoid(psi0)
+        sp0 = np.logaddexp(0.0, psi0)
 
         def g(psi):
             sp, sig = _softplus_sigmoid(psi)
             return c * psi + sp, c + sig
 
-        slope, dt_tau = c + sig0, h[k] / tau[k]
-        start = psi0 + 2.0 * dt_tau / (slope + np.sqrt(slope * slope + 2.0 * sig0 * (1.0 - sig0) * dt_tau))
-        psi1 = _newton_alone(g, start, c * psi0 + sp0 + dt_tau)
+        target = c * psi0 + sp0 + h[k] / tau[k]
+        psi1 = _newton_alone(g, _rising_start(target, c), target)
         sp1, sig1 = _softplus_sigmoid(psi1)
         i1 = a * sig1
         moving = h[k] > 0.0
@@ -236,6 +236,19 @@ class TestRisingBranch:
             paired = dpi_flow([i0[k], p.i_floor], p.i_pulse, [h[k], 0.0], p.i_tau, tau[k], p.i_floor)[0][0]
             differ += (alone != paired) + (alone != batch[k])
         assert differ == 0
+
+
+    def test_outputs_of_two_presets_solve_as_alone(self):
+        # outputs of two presets (two values of c = i_tau / a) in one call
+        # give the bits of each output solved alone
+        rng = np.random.default_rng(1)
+        problems = [_rising_problem(list(zip(rng.uniform(0.0, 0.999999, 50), rng.uniform(0.0, 1.0, 50))), p)
+                    for p in (FAST, REF)]
+        batch = [np.concatenate(arrays) for arrays in zip(*problems)]
+        i1, q = dpi_flow(*batch)
+        alone = [dpi_flow(*(x[k] for x in batch)) for k in range(batch[0].size)]
+        assert i1.tobytes() == np.array([a for a, _ in alone]).tobytes()
+        assert q.tobytes() == np.array([b for _, b in alone]).tobytes()
 
 
 class TestLinear:
