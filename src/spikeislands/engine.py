@@ -739,14 +739,17 @@ class _ScalarNeuron:
                         v_n = v_n * decay
                     else:
                         break
-                if v > v_th:
+                if v <= stop:
+                    v_m = lo if v < lo else v
+                    v_n = v_n * decay
+                elif v > v_th:
                     v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
                     if onset is not None:
                         steps.append(k)
-                else:
-                    if v_m < th <= v:
+                else:  # 1 V <= v <= v_th: no switch flips
+                    if v_m < th:
                         steps.append(k)
-                    v_m = lo if v < lo else v
+                    v_m = v
                     v_n = v_n * decay
             else:
                 na = v_m > v_th
