@@ -8,8 +8,11 @@ hashed bit for bit.  The single neuron is pinned further over 2 ms
 three steps, and under the benchmark's pink drive, together with the raw
 bytes of one pink series.  The busy ring configs fig6G and fig5B_ring8, in
 which a pulse is in flight on most steps, are pinned over 120 us at master
-seeds 2 and 3 together with their ``SpikeRecord.stats``.  A change that is meant to keep behaviour (a faster
-path, a refactor) must leave every hash as it is; a change that moves
+seeds 2 and 3 together with their ``SpikeRecord.stats``.  The network
+each shipped config parses to is pinned by the sha256 of its canonical
+text (``serialize_config``), so a config rewritten in another form must
+still describe the same network, edge for edge.  A change that is meant to
+keep behaviour (a faster path, a refactor) must leave every hash as it is; a change that moves
 trajectories on purpose re-baselines them and says so in CHANGES.md.
 
 The ring configs are chaotic in the last bit of floating-point rounding,
@@ -23,12 +26,24 @@ import hashlib
 import numpy as np
 import pytest
 
-from spikeislands.configio import builtin_names, load_builtin, parse_document
+from spikeislands.configio import builtin_names, load_builtin, parse_document, serialize_config
 from spikeislands.engine import SimConfig, run
 from spikeislands.io import write_spikes_csv
 from spikeislands.noise import NoiseSpec, generate
 
 DURATION = 40e-6
+
+# sha256 of serialize_config(parse_document(load_builtin(name))[0]).
+CONFIG_SHA256 = {
+    "fig3_single_neuron": "4a1881449c05d3261e66c0a275320edf5c2ca1b6783b96f111c4fe1000cfbae7",
+    "fig4B_islands": "23ba901347bcde5579baf43c3baf678b2f7d2e15d7dc915222564fdc157294db",
+    "fig5A_nobond": "23ba901347bcde5579baf43c3baf678b2f7d2e15d7dc915222564fdc157294db",
+    "fig5B_ring8": "790a3b0206e0edbf8af884f7c07a046202c5f930538a16c2140eb9d92e090871",
+    "fig6E": "23ba901347bcde5579baf43c3baf678b2f7d2e15d7dc915222564fdc157294db",
+    "fig6F": "3b42a10cb95869896314b297122ff8524574d18d3e60c4b6bcecf59ad4a69205",
+    "fig6G": "3d1b662dabbc38bf8409a33fd52e4de7378f2c496976b129f940e3d0b4483420",
+    "fig6H": "c753bd2e37ab2d126543ded66ccfe9152d9fcec638a4dba721e92e4de4b40ecc",
+}
 
 SPIKES_SHA256 = {
     ("fig3_single_neuron", 0): "d7f4ac5c2eb7497649a241fa8c432902b23dfb8a45534c288fd5bf6e6b073073",
@@ -101,6 +116,11 @@ def spikes_sha256(record, tmp_path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def config_sha256(name: str) -> str:
+    network, _ = parse_document(load_builtin(name))
+    return hashlib.sha256(serialize_config(network).encode()).hexdigest()
+
+
 def traces_sha256(traces) -> str:
     t, by_id = traces
     h = hashlib.sha256(np.ascontiguousarray(t, dtype=np.float64).tobytes())
@@ -116,6 +136,12 @@ def run_builtin(name: str, seed: int, duration: float = DURATION, **sim_kw):
 
 def test_every_shipped_config_is_pinned():
     assert sorted({name for name, _ in SPIKES_SHA256}) == sorted(builtin_names())
+    assert sorted(CONFIG_SHA256) == sorted(builtin_names())
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_SHA256))
+def test_parsed_network_matches_golden_hash(name):
+    assert config_sha256(name) == CONFIG_SHA256[name]
 
 
 @pytest.mark.parametrize("name,seed", sorted(SPIKES_SHA256))
@@ -186,6 +212,7 @@ def main() -> None:
     import tempfile
     from pathlib import Path
 
+    _print_dict("CONFIG_SHA256", {name: f'"{config_sha256(name)}"' for name in CONFIG_SHA256})
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         _print_dict("SPIKES_SHA256", {
