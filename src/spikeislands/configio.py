@@ -11,7 +11,9 @@ The format is a line-oriented, human-readable key-value text.  Grammar
                  | "neuron_preset" name
                  | "synapse_preset" name
                  | "noise" ("white" | "pink") { kv }
-                 | "edge" int "->" int ("exc" | "inh") ;
+                 | "edge" int "->" int ("exc" | "inh")
+                 | crossbar_stmt ;
+    crossbar_stmt = "crossbar" kv kv kv ;     (* edges=, inh=, seed= *)
     link_line    = "link" int "." int "->" int "." intlist { kv } ;
     ring_line    = "ring" { kv } ;
     intlist      = "[" int { "," int } "]" ;
@@ -22,12 +24,17 @@ declare exactly one ``noise`` source.  ``sim`` lines carry run defaults
 (``duration``, ``dt``, ``seed``) that the CLI may override.  ``ring`` lines
 are constructor shorthand: after parsing, ``build_ring`` is applied with the
 given ``links``/``fanout``/``multiplicity``/``seed``, producing explicit
-links.  Canonical serialization therefore emits explicit ``link`` lines and
-never ``ring`` lines; parse(serialize(spec)) reproduces the spec exactly.
+links.  An island's crossbar comes from either its ``edge`` lines or one
+``crossbar`` line, never both: at the island's ``end``, ``crossbar`` becomes
+``random_crossbar(n, edges, inh, seed, allow_self=True)`` for the island's
+final neuron count ``n``.  Canonical serialization therefore emits explicit
+``link`` and ``edge`` lines and never ``ring`` or ``crossbar`` lines;
+parse(serialize(spec)) reproduces the spec exactly.
 
 Recognized kv keys: sim: duration, dt, seed; noise: density, rms, band
 (``lo:hi``), seed, stream; link: multiplicity; ring: links, fanout,
-multiplicity, seed.
+multiplicity, seed; crossbar: edges, inh, seed (all three required).
+Values of ``ring`` and ``crossbar`` keys are integers.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from .topology import (
     NetworkSpec,
     TopologyError,
     build_ring,
+    random_crossbar,
 )
 
 __all__ = [
@@ -112,6 +120,17 @@ def _parse_kvs(toks: list[_Tok], allowed: set[str]) -> dict[str, tuple[str, _Tok
         if key in out:
             raise ConfigSyntaxError(tok.line, tok.col, f"duplicate key {key!r}")
         out[key] = (val, tok)
+    return out
+
+
+def _parse_int_kvs(head: _Tok, toks: list[_Tok], defaults: dict[str, int | None]) -> dict[str, int]:
+    """Integer ``key=value`` pairs over the keys of ``defaults``; a None default marks a required key."""
+    out = dict(defaults)
+    for key, (val, tok) in _parse_kvs(toks, set(defaults)).items():
+        out[key] = _parse_int(_Tok(val, tok.line, tok.col), key)
+    missing = [key for key, val in out.items() if val is None]
+    if missing:
+        raise ConfigSyntaxError(head.line, head.col, f"{head.text} requires {', '.join(missing)}")
     return out
 
 
@@ -195,10 +214,17 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
             if head.text == "end":
                 if len(toks) > 1:
                     raise ConfigSyntaxError(toks[1].line, toks[1].col, "unexpected token after 'end'")
+                edges = tuple(cur["edges"])
+                if cur["crossbar"]:
+                    xhead, xb = cur["crossbar"]
+                    try:
+                        edges = random_crossbar(cur["n_neurons"], xb["edges"], xb["inh"], xb["seed"], allow_self=True)
+                    except ValueError as exc:
+                        raise ConfigSyntaxError(xhead.line, xhead.col, str(exc)) from None
                 islands.append(
                     IslandSpec(
                         n_neurons=cur["n_neurons"],
-                        crossbar=tuple(cur["edges"]),
+                        crossbar=edges,
                         neuron_preset=cur["neuron_preset"],
                         synapse_preset=cur["synapse_preset"],
                     )
@@ -217,6 +243,10 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
                 if cur["noise"] is not None:
                     raise TopologyError(f"island[{cur['index']}].noise", "island declares more than one noise source")
                 cur["noise"] = _parse_noise(toks[1:], cur["index"])
+            elif cur["crossbar"] and head.text in ("edge", "crossbar") or cur["edges"] and head.text == "crossbar":
+                raise ConfigSyntaxError(head.line, head.col, "an island's crossbar comes from edge lines or one crossbar line")
+            elif head.text == "crossbar":
+                cur["crossbar"] = (head, _parse_int_kvs(head, toks[1:], {"edges": None, "inh": None, "seed": None}))
             elif head.text == "edge":
                 if len(toks) != 5 or toks[2].text != "->":
                     raise ConfigSyntaxError(head.line, head.col, "usage: edge <pre> -> <post> exc|inh")
@@ -240,6 +270,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
                 "index": idx,
                 "n_neurons": 16,
                 "edges": [],
+                "crossbar": None,
                 "neuron_preset": "fast-mode",
                 "synapse_preset": "fast-dpi",
                 "noise": None,
@@ -279,11 +310,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
                 )
             )
         elif head.text == "ring":
-            kvs = _parse_kvs(toks[1:], {"links", "fanout", "multiplicity", "seed"})
-            ring = {"links": 0, "fanout": 1, "multiplicity": 1, "seed": 0}
-            for key, (val, tok) in kvs.items():
-                ring[key] = int(_parse_float(val, tok, key))
-            rings.append(ring)
+            rings.append(_parse_int_kvs(head, toks[1:], {"links": 0, "fanout": 1, "multiplicity": 1, "seed": 0}))
         else:
             raise ConfigSyntaxError(head.line, head.col, f"unknown statement {head.text!r}")
 

@@ -12,7 +12,14 @@ from spikeislands.configio import (
     serialize_config,
 )
 from spikeislands.noise import NoiseSpec
-from spikeislands.topology import InterIslandLink, IslandSpec, NetworkSpec, TopologyError, inhibitory_ratio
+from spikeislands.topology import (
+    InterIslandLink,
+    IslandSpec,
+    NetworkSpec,
+    TopologyError,
+    inhibitory_ratio,
+    random_crossbar,
+)
 
 MINIMAL = """
 island 0
@@ -105,6 +112,50 @@ class TestParse:
             parse_config("island 1\n  neurons 2\n  noise white density=1e-10\nend\n")
 
 
+ISLAND_HEAD = "island 0\n  neurons 4\n  noise white density=1e-10\n"
+
+
+class TestCrossbar:
+    def test_crossbar_is_the_random_crossbar_of_the_final_neuron_count(self):
+        net = parse_config("island 0\n  crossbar edges=20 inh=3 seed=5\n  neurons 6\n  noise white density=1e-10\nend\n")
+        assert net.islands[0].n_neurons == 6
+        assert net.islands[0].crossbar == random_crossbar(6, 20, 3, 5, allow_self=True)
+
+    def test_crossbar_serializes_as_edge_lines(self):
+        net = parse_config(ISLAND_HEAD + "  crossbar edges=5 inh=1 seed=3\nend\n")
+        text = serialize_config(net)
+        assert "crossbar" not in text and text.count("  edge ") == 5
+        assert parse_config(text) == net
+
+    @pytest.mark.parametrize(
+        "body,line",
+        [
+            ("  crossbar edges=5 inh=1\n", 4),  # missing key
+            ("  crossbar edges=5 inh=1 seed=3 self=1\n", 4),  # unknown key
+            ("  crossbar edges=5.0 inh=1 seed=3\n", 4),  # non-integer value
+            ("  crossbar edges=5 inh=one seed=3\n", 4),
+            ("  crossbar edges=17 inh=0 seed=3\n", 4),  # more edges than 4 x 4 slots
+            ("  crossbar edges=-1 inh=0 seed=3\n", 4),
+            ("  crossbar edges=3 inh=4 seed=3\n", 4),  # more inhibitory than edges
+            ("  crossbar edges=3 inh=-1 seed=3\n", 4),
+            ("  crossbar edges=10 inh=0 seed=3\n  neurons 3\n", 4),  # sized by the later neurons line
+            ("  crossbar edges=5 inh=1 seed=3\n  crossbar edges=5 inh=1 seed=4\n", 5),
+            ("  edge 0 -> 1 exc\n  crossbar edges=5 inh=1 seed=3\n", 5),
+            ("  crossbar edges=5 inh=1 seed=3\n  edge 0 -> 1 exc\n", 5),
+        ],
+    )
+    def test_bad_crossbar_names_its_line(self, body, line):
+        with pytest.raises(ConfigSyntaxError) as err:
+            parse_config(ISLAND_HEAD + body + "end\n")
+        assert err.value.line == line
+
+    def test_ring_values_are_integers(self):
+        two = ISLAND_HEAD + "end\n" + ISLAND_HEAD.replace("island 0", "island 1")
+        with pytest.raises(ConfigSyntaxError) as err:
+            parse_config(two + "end\nring links=1.5\n")
+        assert err.value.line == 9
+
+
 class TestRoundTrip:
     def test_round_trip_minimal(self):
         net = parse_config(MINIMAL)
@@ -127,8 +178,6 @@ class TestRoundTrip:
         kind=st.sampled_from(["white", "pink"]),
     )
     def test_round_trip_random(self, n_islands, size, n_edges, seed, kind):
-        from spikeislands.topology import random_crossbar
-
         n_edges = min(n_edges, size * size)
         islands = tuple(
             IslandSpec(size, random_crossbar(size, n_edges, min(1, n_edges), seed=seed + k))
