@@ -200,12 +200,6 @@ def advance(
         n_switch += 1
 
 
-def _advance(v_m: float, v_n: float, i_in: float, dt: float, p: NeuronParams) -> tuple[float, float]:
-    """One unvalidated step on plain floats (shared fast path)."""
-    v_m, v_n, _ = advance(v_m, v_n, i_in, dt, p)
-    return v_m, v_n
-
-
 def neuron_step(state: NeuronState, params: NeuronParams, i_in: float, dt: float) -> NeuronState:
     """Advance the neuron by one step of length ``dt`` under constant input.
 
@@ -231,7 +225,7 @@ def neuron_step(state: NeuronState, params: NeuronParams, i_in: float, dt: float
         raise ValueError(
             f"dt={dt:g} exceeds stability bound tau_n/10 = {stability_dt_max(params):g}"
         )
-    v_m, v_n = _advance(state.v_m, state.v_n, i_in, dt, params)
+    v_m, v_n, _ = advance(state.v_m, state.v_n, i_in, dt, params)
     return NeuronState(v_m=v_m, v_n=v_n, refractory=v_n >= params.v_gate_th)
 
 

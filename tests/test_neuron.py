@@ -5,6 +5,7 @@ from spikeislands.engine import SimConfig, run_single_neuron
 from spikeislands.neuron import (
     NeuronParams,
     NoFiringError,
+    advance,
     natural_period,
     neuron_step,
     rest_state,
@@ -136,10 +137,8 @@ class TestNaturalPeriod:
         v_m, v_n = P.v_rest, 0.0
         crossings = []
         armed = True
-        from spikeislands.neuron import _advance
-
         for k in range(100_000):  # 1 ms at 10 ns
-            v_m, v_n = _advance(v_m, v_n, 1.5e-6, DT, P)
+            v_m, v_n, _ = advance(v_m, v_n, 1.5e-6, DT, P)
             if armed:
                 if v_m >= 1.0:
                     crossings.append(k + 1)
