@@ -220,8 +220,19 @@ def _on_steps(noise, start: int, end: int, hold: int) -> np.ndarray:
     return noise[..., start:end] if hold == 1 else noise[..., np.arange(start, end) // hold]
 
 
-def _network_hash(network: NetworkSpec) -> str:
-    return hashlib.sha256(serialize_config(network).encode()).hexdigest()
+def _meta(config_hash: str, sim: SimConfig, n_neurons: int, n_synapses: int) -> dict:
+    """The ``SpikeRecord.meta`` of a run."""
+    return {
+        "tool": "spikeislands",
+        "version": __version__,
+        "config_hash": config_hash,
+        "master_seed": sim.master_seed,
+        "dt": sim.dt,
+        "noise_dt": sim.noise_dt if sim.noise_dt is not None else sim.dt,
+        "duration": sim.duration,
+        "n_neurons": n_neurons,
+        "n_synapses": n_synapses,
+    }
 
 
 def _trace_selector(sel, n: int) -> list[int]:
@@ -592,17 +603,7 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
                         int(offsets[link.dst_island]) + tgt, float(link.multiplicity), preset)
 
     n_syn = len(post_l)
-    meta = {
-        "tool": "spikeislands",
-        "version": __version__,
-        "config_hash": _network_hash(network),
-        "master_seed": sim.master_seed,
-        "dt": dt,
-        "noise_dt": sim.noise_dt if sim.noise_dt is not None else dt,
-        "duration": sim.duration,
-        "n_neurons": n,
-        "n_synapses": n_syn,
-    }
+    meta = _meta(hashlib.sha256(serialize_config(network).encode()).hexdigest(), sim, n, n_syn)
 
     noise_arr = _island_noise(network.noise, sim)
     if n == 1 and n_syn == 0:
@@ -830,22 +831,8 @@ def run_single_neuron(noise: NoiseSpec, params, sim: SimConfig) -> SpikeRecord:
     if sim.dt > params.tau_n / 10.0:
         raise ValueError("dt exceeds neuron stability bound tau_n/10")
     noise_arr = _island_noise([noise], sim)
-    meta = {
-        "tool": "spikeislands",
-        "version": __version__,
-        "config_hash": hashlib.sha256(
-            json.dumps(
-                {"single_neuron": True, "noise": [noise.kind, noise.density, noise.band]},
-                sort_keys=True,
-            ).encode()
-        ).hexdigest(),
-        "master_seed": sim.master_seed,
-        "dt": sim.dt,
-        "noise_dt": sim.noise_dt if sim.noise_dt is not None else sim.dt,
-        "duration": sim.duration,
-        "n_neurons": 1,
-        "n_synapses": 0,
-    }
+    config = {"single_neuron": True, "noise": [noise.kind, noise.density, noise.band]}
+    meta = _meta(hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(), sim, 1, 0)
     return _run_scalar_single(
         params, noise_arr[0], sim, np.zeros(1, dtype=np.int32), meta, force_trace=True
     )

@@ -625,6 +625,23 @@ class TestSingleNeuron:
         assert t.min() >= 0 and t.max() <= rec.duration
         assert rec.meta["master_seed"] == 3
 
+    def test_meta_is_pinned(self):
+        # config_hash is the sha256 of the sorted JSON of the noise's kind,
+        # density and band; noise_dt is the held grid when one is given.
+        spec = NoiseSpec("pink", 3e-10, band=(100.0, 1e6), seed=4, stream_id=2)
+        rec = run_single_neuron(spec, P, SimConfig(duration=2e-6, dt=DT, master_seed=5, noise_dt=2e-8))
+        assert rec.meta == {
+            "tool": "spikeislands",
+            "version": "0.1.0",
+            "config_hash": "cda2a469fa92d7e7120cf7ed83d72a7fcb9c83009e3bb0b498bd5fe509cfb810",
+            "master_seed": 5,
+            "dt": 1e-08,
+            "noise_dt": 2e-08,
+            "duration": 2e-06,
+            "n_neurons": 1,
+            "n_synapses": 0,
+        }
+
 
 class TestRefinement:
     def test_network_spike_count_stable_under_dt_halving(self):
