@@ -10,16 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spikeislands import (
-    EventSeries,
-    SimConfig,
-    bin_events,
-    block_means,
-    load_builtin,
-    parse_document,
-    pearson_matrix,
-    run,
-)
+from spikeislands import SimConfig, block_means, load_builtin, parse_document, record_matrix, run
 from spikeislands.io import write_matrix_csv
 
 OUT = Path("out/03_island_correlations")
@@ -29,8 +20,7 @@ results = {}
 for name in ("fig5A_nobond", "fig5B_ring8"):
     network, hints = parse_document(load_builtin(name))
     rec = run(network, SimConfig(duration=hints["duration"], dt=hints["dt"], master_seed=1))
-    binned = [bin_events(EventSeries(i, t), 1e-6, rec.duration) for i, t in enumerate(rec.times)]
-    matrix = pearson_matrix(binned, bin_width=1e-6)
+    matrix = record_matrix(rec)
     within, cross = block_means(matrix, rec.island_of)
     results[name] = (rec, matrix, within, cross)
     write_matrix_csv(matrix, OUT / f"matrix_{name}.csv")

@@ -12,16 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from spikeislands import (
-    EventSeries,
-    SimConfig,
-    bin_events,
-    block_means,
-    load_builtin,
-    parse_document,
-    pearson_matrix,
-    run,
-)
+from spikeislands import SimConfig, block_means, load_builtin, parse_document, record_matrix, run
 from spikeislands.io import write_matrix_csv
 
 OUT = Path("out/04_multisynapse_ring")
@@ -42,8 +33,7 @@ for name, label in CASES:
     crosses = []
     for seed in SEEDS:
         rec = run(network, SimConfig(duration=hints["duration"], dt=hints["dt"], master_seed=seed))
-        binned = [bin_events(EventSeries(i, t), 1e-6, rec.duration) for i, t in enumerate(rec.times)]
-        matrix = pearson_matrix(binned, bin_width=1e-6)
+        matrix = record_matrix(rec)
         _, cross = block_means(matrix, rec.island_of)
         crosses.append(cross)
         if seed == 0:

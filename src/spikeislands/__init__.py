@@ -18,6 +18,7 @@ from .analysis import (
     isi,
     iti,
     pearson_matrix,
+    record_matrix,
     threshold_sweep,
     trains,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "isi",
     "iti",
     "pearson_matrix",
+    "record_matrix",
     "threshold_sweep",
     "trains",
     "ConfigSyntaxError",

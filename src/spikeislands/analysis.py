@@ -7,6 +7,9 @@ event binning, and Pearson correlation matrices of binned activity.
 All functions are pure and operate on plain arrays, so they apply equally
 to simulated spike records and to externally recorded event series (for
 example frame-sampled activity at one event per detected activation).
+The one exception, ``record_matrix``, reads only a spike record's
+``times`` and ``duration`` attributes, so this module does not import the
+engine.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "bin_events",
     "pearson_matrix",
     "block_means",
+    "record_matrix",
     "DEFAULT_BIN_S",
     "DEFAULT_GAP_FACTOR",
 ]
@@ -269,3 +273,15 @@ def block_means(corr: CorrelationMatrix, group_of) -> tuple[float, float]:
 
     v = corr.values
     return _mean(v[same & off_diag]), _mean(v[~same])
+
+
+def record_matrix(record) -> CorrelationMatrix:
+    """Pearson matrix of a spike record's neurons in ``DEFAULT_BIN_S`` bins.
+
+    Each neuron's spikes (``record.times[i]``) are binned over
+    ``[0, record.duration)``; the matrix is labeled 0..n-1 and records the
+    bin width.  ``block_means(record_matrix(rec), rec.island_of)`` gives the
+    mean within-island and cross-island correlation of a run.
+    """
+    binned = [bin_events(EventSeries(i, t), DEFAULT_BIN_S, record.duration) for i, t in enumerate(record.times)]
+    return pearson_matrix(binned, bin_width=DEFAULT_BIN_S)

@@ -36,6 +36,7 @@ from .analysis import (
     isi,
     iti,
     pearson_matrix,
+    record_matrix,
     threshold_sweep,
     trains,
 )
@@ -44,7 +45,6 @@ from .engine import SimConfig, SimulationError, derive_seed, run
 from .io import (
     read_events_csv,
     read_traces_csv,
-    record_events,
     write_histogram_csv,
     write_matrix_csv,
     write_psd_csv,
@@ -224,8 +224,7 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_network(config_text: str, axis: str, value: float, args):
-    network, _ = parse_document(config_text)
+def _sweep_network(network, axis: str, value: float, args):
     if axis == "noise-density":
         noises = tuple(replace(ns, density=float(value)) for ns in network.noise)
         network = replace(network, noise=noises)
@@ -250,16 +249,13 @@ def _sweep_network(config_text: str, axis: str, value: float, args):
 
 def _sweep_one(job) -> dict:
     """One sweep run; module-level so it pickles for multiprocessing."""
-    config_text, axis, value, run_index, args_ns, base_sim, out_dir = job
-    network = _sweep_network(config_text, axis, value, args_ns)
+    network, value, run_index, base_sim, out_dir = job
     sim = replace(base_sim, master_seed=derive_seed(base_sim.master_seed, run_index))
     record = run(network, sim)
     _write_run(Path(out_dir), record, write_traces=False)
 
     isis = np.concatenate([np.diff(t) for t in record.times if len(t) >= 2] or [np.empty(0)])
-    binned = [bin_events(e, DEFAULT_BIN_S, record.duration) for e in record_events(record)]
-    matrix = pearson_matrix(binned)
-    _, cross = block_means(matrix, record.island_of)
+    _, cross = block_means(record_matrix(record), record.island_of)
     return {
         "value": value,
         "total_spikes": record.total_spikes(),
@@ -275,15 +271,22 @@ def cmd_sweep(args) -> int:
     if not values:
         raise CliError("empty sweep value list")
     config_text, source = _load_config(args.config)
-    network, hints = parse_document(config_text)  # validate before launching workers
+    network, hints = parse_document(config_text)
+    # Every swept network is built before any run starts, so a bad value writes nothing.
+    networks = []
+    for v in values:
+        try:
+            networks.append(_sweep_network(network, args.axis, v, args))
+        except ValueError as exc:
+            raise CliError(f"{args.axis}={v:g}: {exc}") from None
     # Run i uses master seed derive_seed(sim.master_seed, i).
     sim = _sim_from_args(args, hints)
 
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [
-        (config_text, args.axis, v, i, args, sim, str(out_dir / f"{args.axis}={v:g}"))
-        for i, v in enumerate(values)
+        (net, v, i, sim, str(out_dir / f"{args.axis}={v:g}"))
+        for i, (net, v) in enumerate(zip(networks, values))
     ]
     if args.jobs > 1:
         # Forked workers inherit scipy and the filter design of pink sources.

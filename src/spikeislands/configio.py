@@ -34,7 +34,9 @@ parse(serialize(spec)) reproduces the spec exactly.
 Recognized kv keys: sim: duration, dt, seed; noise: density, rms, band
 (``lo:hi``), seed, stream; link: multiplicity; ring: links, fanout,
 multiplicity, seed; crossbar: edges, inh, seed (all three required).
-Values of ``ring`` and ``crossbar`` keys are integers.
+Values of ``ring`` and ``crossbar`` keys are integers; values that
+``build_ring`` or ``random_crossbar`` rejects are a ConfigSyntaxError at
+their line.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
     islands: list[IslandSpec] = []
     noises: list[NoiseSpec | None] = []
     links: list[InterIslandLink] = []
-    rings: list[dict] = []
+    rings: list[tuple[_Tok, dict]] = []
     hints: dict = {}
 
     lines = text.splitlines()
@@ -310,7 +312,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
                 )
             )
         elif head.text == "ring":
-            rings.append(_parse_int_kvs(head, toks[1:], {"links": 0, "fanout": 1, "multiplicity": 1, "seed": 0}))
+            rings.append((head, _parse_int_kvs(head, toks[1:], {"links": 0, "fanout": 1, "multiplicity": 1, "seed": 0})))
         else:
             raise ConfigSyntaxError(head.line, head.col, f"unknown statement {head.text!r}")
 
@@ -324,14 +326,17 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
 
     network = NetworkSpec(islands=tuple(islands), noise=tuple(noises), links=tuple(links))
     network.validate()
-    for ring in rings:
-        network = build_ring(
-            network,
-            links_per_pair=ring["links"],
-            fanout=ring["fanout"],
-            multiplicity=ring["multiplicity"],
-            seed=ring["seed"],
-        )
+    for head, ring in rings:
+        try:
+            network = build_ring(
+                network,
+                links_per_pair=ring["links"],
+                fanout=ring["fanout"],
+                multiplicity=ring["multiplicity"],
+                seed=ring["seed"],
+            )
+        except ValueError as exc:
+            raise ConfigSyntaxError(head.line, head.col, str(exc)) from None
     return network, hints
 
 

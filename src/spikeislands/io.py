@@ -27,7 +27,6 @@ __all__ = [
     "write_matrix_csv",
     "write_histogram_csv",
     "write_psd_csv",
-    "record_events",
 ]
 
 SPIKES_HEADER = "neuron_id,t_seconds"
@@ -47,11 +46,6 @@ def spikes_to_csv(record: SpikeRecord) -> str:
 
 def write_spikes_csv(record: SpikeRecord, path) -> None:
     Path(path).write_text(spikes_to_csv(record), encoding="utf-8")
-
-
-def record_events(record: SpikeRecord) -> list[EventSeries]:
-    """Per-neuron event series of a spike record."""
-    return [EventSeries(source_id=i, times=t) for i, t in enumerate(record.times)]
 
 
 def read_events_csv(path_or_text, origin: str = "external") -> list[EventSeries]:

@@ -149,15 +149,14 @@ def stability_dt_max(params: NeuronParams) -> float:
     return params.tau_n / 10.0
 
 
-def advance(
-    v_m: float, v_n: float, i_in: float, dt: float, p: NeuronParams, v_detect: float = DETECT_THRESHOLD_V
-) -> tuple[float, float, float | None]:
+def advance(v_m: float, v_n: float, i_in: float, dt: float, p: NeuronParams) -> tuple[float, float, float | None]:
     """Advance (v_m, v_n) by ``dt`` under constant input ``i_in``, exactly.
 
     Returns ``(v_m, v_n, onset)`` where ``onset`` is the offset into the
-    step of the rising crossing of ``v_detect``, or None.  No validation:
-    this is the update every other entry point shares.
+    step of the rising crossing of ``DETECT_THRESHOLD_V``, or None.  No
+    validation: this is the update every other entry point shares.
     """
+    v_detect = DETECT_THRESHOLD_V
     v_th = p.v_th
     v_gate = p.v_gate_th
     c_m = p.c_m
@@ -235,13 +234,12 @@ def natural_period(
     dt: float,
     n_discard: int = 3,
     n_average: int = 8,
-    detect_threshold: float = 1.0,
 ) -> float:
     """Steady inter-spike period under a constant drive ``i_const``.
 
     The neuron is simulated from rest; the first ``n_discard`` spikes are
     discarded and the next ``n_average`` inter-spike intervals are averaged.
-    Spikes are rising crossings of ``detect_threshold``, timed exactly
+    Spikes are rising crossings of ``DETECT_THRESHOLD_V``, timed exactly
     within the step, so the period does not depend on ``dt``.
 
     Raises
@@ -264,7 +262,7 @@ def natural_period(
     needed = n_discard + n_average + 1
     spike_times: list[float] = []
     for k in range(max_steps):
-        v_m, v_n, onset = advance(v_m, v_n, i_const, dt, params, detect_threshold)
+        v_m, v_n, onset = advance(v_m, v_n, i_const, dt, params)
         if onset is not None:
             spike_times.append(k * dt + onset)
             if len(spike_times) >= needed:

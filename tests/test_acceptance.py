@@ -13,15 +13,7 @@ import numpy as np
 import pytest
 from oracles import eq3_oracle
 
-from spikeislands.analysis import (
-    DEFAULT_BIN_S,
-    EventSeries,
-    bin_events,
-    block_means,
-    isi,
-    pearson_matrix,
-    threshold_sweep,
-)
+from spikeislands.analysis import EventSeries, block_means, isi, pearson_matrix, record_matrix, threshold_sweep
 from spikeislands.configio import builtin_names, load_builtin, parse_document
 from spikeislands.engine import SimConfig, run, run_single_neuron
 from spikeislands.io import spikes_to_csv
@@ -44,8 +36,7 @@ def block_stats(config_name: str, seeds=SEEDS, duration=None):
     within, cross = [], []
     for seed in seeds:
         rec = run(net, SimConfig(duration=duration, dt=hints.get("dt", DT), master_seed=seed))
-        binned = [bin_events(EventSeries(i, t), DEFAULT_BIN_S, rec.duration) for i, t in enumerate(rec.times)]
-        w, c = block_means(pearson_matrix(binned), rec.island_of)
+        w, c = block_means(record_matrix(rec), rec.island_of)
         within.append(w)
         cross.append(c)
     return float(np.mean(within)), float(np.mean(cross))

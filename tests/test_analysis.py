@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikeislands.analysis import (
+    DEFAULT_BIN_S,
     CorrelationMatrix,
     EventSeries,
     bin_events,
@@ -13,9 +14,12 @@ from spikeislands.analysis import (
     isi,
     iti,
     pearson_matrix,
+    record_matrix,
     threshold_sweep,
     trains,
 )
+from spikeislands.configio import load_builtin, parse_document
+from spikeislands.engine import SimConfig, run
 
 
 def synth_spike_trace(spike_times, duration, dt, peak=2.5, width=1.5e-7):
@@ -262,3 +266,16 @@ class TestBlockMeans:
         within, cross = block_means(m, [0, 1])
         assert np.isnan(within) or within == pytest.approx(1.0)  # no within pairs
         assert np.isnan(cross)
+
+
+def test_record_matrix_is_the_bin_pearson_chain():
+    network, _ = parse_document(load_builtin("fig6G"))
+    # 57 spikes; 7 silent neurons give NaN rows
+    rec = run(network, SimConfig(duration=20e-6, dt=1e-8, master_seed=3))
+    binned = [bin_events(EventSeries(i, t), DEFAULT_BIN_S, rec.duration) for i, t in enumerate(rec.times)]
+    chain = pearson_matrix(binned)
+    got = record_matrix(rec)
+    assert 0 < chain.undefined.sum() < chain.n
+    assert np.array_equal(got.values, chain.values, equal_nan=True)
+    assert np.array_equal(got.undefined, chain.undefined)
+    assert got.labels == chain.labels and got.bin_width == DEFAULT_BIN_S

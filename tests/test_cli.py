@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from spikeislands.configio import load_builtin
+
 
 def cli(*args, env=None, cwd=None):
     return subprocess.run(
@@ -38,6 +40,13 @@ class TestValidateConfig:
         res = cli("validate-config", "--config", str(bad))
         assert res.returncode == 2
         assert "island[0].edge[0]" in res.stderr
+
+    def test_ring_out_of_range_exit_2(self, tmp_path):
+        bad = tmp_path / "ring17.cfg"
+        bad.write_text(load_builtin("fig6E").replace("ring links=0", "ring links=17"))
+        res = cli("validate-config", "--config", str(bad))
+        assert res.returncode == 2
+        assert "line 35" in res.stderr and "links_per_pair 17" in res.stderr
 
     def test_syntax_error_line_col(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -168,6 +177,14 @@ class TestSweep:
         res = cli("sweep", "--config", "fig3_single_neuron", "--axis", "flux",
                   "--values", "1,2", "--out", str(tmp_path / "s"))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("axis,values", [("links", "1,17"), ("multiplicity", "0")])
+    def test_bad_value_exit_2_before_any_run(self, tmp_path, axis, values):
+        out = tmp_path / "s"
+        res = cli("sweep", "--config", "fig6E", "--axis", axis, "--values", values,
+                  "--duration", "2e-6", "--out", str(out))
+        assert res.returncode == 2, res.stderr
+        assert not out.exists()
 
     def test_empty_values_exit_2(self, tmp_path):
         res = cli("sweep", "--config", "fig3_single_neuron", "--axis", "noise-density",

@@ -155,6 +155,14 @@ class TestCrossbar:
             parse_config(two + "end\nring links=1.5\n")
         assert err.value.line == 9
 
+    @pytest.mark.parametrize("ring", ["ring links=17 fanout=1 multiplicity=1 seed=103",  # > 16 neurons
+                                      "ring links=0 fanout=1 multiplicity=0 seed=103"])
+    def test_ring_that_build_ring_rejects_names_its_line(self, ring):
+        text = load_builtin("fig6E").replace("ring links=0 fanout=1 multiplicity=1 seed=103", ring)
+        with pytest.raises(ConfigSyntaxError) as err:
+            parse_config(text)
+        assert err.value.line == text.splitlines().index(ring) + 1
+
 
 class TestRoundTrip:
     def test_round_trip_minimal(self):
