@@ -215,9 +215,9 @@ def prepare(spec: NoiseSpec, dt: float) -> None:
 def generate(spec: NoiseSpec, n: int, dt: float) -> np.ndarray:
     """Length-``n`` current series sampled at ``dt`` for the given source.
 
-    The sample mean is subtracted, so the returned series has zero mean to
-    within one rounding unit.  The same (spec, n, dt) always yields the
-    identical series.
+    The series is zero-mean in expectation; its sample mean is not
+    subtracted, so the first ``n`` samples do not depend on ``n``.  The same
+    (spec, n, dt) always yields the identical series.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -241,9 +241,6 @@ def generate(spec: NoiseSpec, n: int, dt: float) -> np.ndarray:
         for k in range(0, n, PINK_CHUNK):
             y, zi = signal.sosfilt(sos, rng.standard_normal(min(PINK_CHUNK, n - k)), zi=zi)
             np.multiply(y, gain, out=out[k:k + PINK_CHUNK])
-
-    out -= out.mean()
-    out -= out.mean()
     return out
 
 

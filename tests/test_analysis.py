@@ -270,8 +270,8 @@ class TestBlockMeans:
 
 def test_record_matrix_is_the_bin_pearson_chain():
     network, _ = parse_document(load_builtin("fig6G"))
-    # 57 spikes; 7 silent neurons give NaN rows
-    rec = run(network, SimConfig(duration=20e-6, dt=1e-8, master_seed=3))
+    # 102 spikes; a silent neuron gives a NaN row
+    rec = run(network, SimConfig(duration=10e-6, dt=1e-8, master_seed=5))
     binned = [bin_events(EventSeries(i, t), DEFAULT_BIN_S, rec.duration) for i, t in enumerate(rec.times)]
     chain = pearson_matrix(binned)
     got = record_matrix(rec)

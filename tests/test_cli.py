@@ -229,10 +229,12 @@ class TestSweep:
             assert a == b
         assert (outs["1"] / "summary.csv").read_bytes() == (outs["2"] / "summary.csv").read_bytes()
 
-    def test_manifest_hash_covers_every_data_flag(self, tmp_path):
+    def test_manifest_hash_covers_every_data_flag(self, tmp_path, monkeypatch):
         # the sweep manifest's content_hash changes with every flag that can
-        # change the data, and not with --jobs; without --seed the config's
-        # seed hint is the base seed
+        # change the data and with the tool version, whose bump marks a change
+        # of the data the same inputs give, and not with --jobs; without
+        # --seed the config's seed hint is the base seed
+        import spikeislands.cli as cli_mod
         from spikeislands.cli import main
         from spikeislands.configio import load_builtin
 
@@ -258,6 +260,10 @@ class TestSweep:
             "axis": sweep("axis", "links"),
         }
         variants["ring_fanout"] = sweep("ring_fanout", "links", "--ring-fanout", "2")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "__version__", "0.1.0")
+            variants["version"] = sweep("version", "fanout")
+        assert variants["version"]["version"] == "0.1.0"
         hashes = [base["content_hash"]] + [m["content_hash"] for m in variants.values()]
         assert len(set(hashes)) == len(hashes)
 

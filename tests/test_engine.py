@@ -560,7 +560,7 @@ class TestQuietStretches:
     def test_stats_pin_quiet_steps(self):
         # steps at which no switch is on, no pulse is in flight and every
         # synapse sits at its floor, taken as quiet stretches; seed 1, 120 us
-        expected = {"fig6E": 10945, "fig6F": 10012, "fig6G": 5539, "fig6H": 10035}
+        expected = {"fig6E": 10752, "fig6F": 9979, "fig6G": 3042, "fig6H": 9350}
         for name, quiet in expected.items():
             net, _ = parse_document(load_builtin(name))
             sim = SimConfig(duration=1.2e-4, dt=DT, master_seed=1)
@@ -632,7 +632,7 @@ class TestSingleNeuron:
         rec = run_single_neuron(spec, P, SimConfig(duration=2e-6, dt=DT, master_seed=5, noise_dt=2e-8))
         assert rec.meta == {
             "tool": "spikeislands",
-            "version": "0.1.0",
+            "version": "0.2.0",
             "config_hash": "cda2a469fa92d7e7120cf7ed83d72a7fcb9c83009e3bb0b498bd5fe509cfb810",
             "master_seed": 5,
             "dt": 1e-08,

@@ -46,27 +46,27 @@ CONFIG_SHA256 = {
 }
 
 SPIKES_SHA256 = {
-    ("fig3_single_neuron", 0): "d7f4ac5c2eb7497649a241fa8c432902b23dfb8a45534c288fd5bf6e6b073073",
-    ("fig3_single_neuron", 1): "e497177472974fd6ea88d1140694af2931d36709d64ae6d57798d6b31f269c54",
-    ("fig4B_islands", 0): "5ae8f775a106db0bf51d6ab406358cd157f8fa75890f03091a862b2ccb66cb7e",
-    ("fig4B_islands", 1): "237ed618fa4fd236aa73f94fc036ac0cabe0e02c125b1defe1887ab7314847cf",
-    ("fig5A_nobond", 0): "5ae8f775a106db0bf51d6ab406358cd157f8fa75890f03091a862b2ccb66cb7e",
-    ("fig5A_nobond", 1): "237ed618fa4fd236aa73f94fc036ac0cabe0e02c125b1defe1887ab7314847cf",
-    ("fig5B_ring8", 0): "b4d328553e1d2e5d93e441a1cb0831f8db2f7b2ebdd2c7859142ddec92dafa42",
-    ("fig5B_ring8", 1): "ac7c6279f5a9788550de82792c401935234d653ce0e0d0b92cced56a8fe49ec2",
-    ("fig6E", 0): "5ae8f775a106db0bf51d6ab406358cd157f8fa75890f03091a862b2ccb66cb7e",
-    ("fig6E", 1): "237ed618fa4fd236aa73f94fc036ac0cabe0e02c125b1defe1887ab7314847cf",
-    ("fig6F", 0): "384b89da667ab3e26dda3600361c62cd0566a5c97ef7a2aa8649b4756f27815d",
-    ("fig6F", 1): "1d4d5a3494c1b971c16419d21627750876b06aeee60121a78ebe5c1fcbfffd3a",
-    ("fig6G", 0): "7a9cff1f55f22c8a20fe8c9b3900da2c0c5ce100c26546fd6b7a62fe037e8bf6",
-    ("fig6G", 1): "5a04bac18b253266b542856db953a2bc756b39d99b4616bdc145bf90c0af4039",
-    ("fig6H", 0): "53d2a26403491d50428250093accf3d17dffc03547a94e1431e09541aca26e6d",
-    ("fig6H", 1): "455652cc0ddaa905a002d4bb5d6795024378940140038089bfa866a9400d2677",
+    ("fig3_single_neuron", 0): "0b1e743f32394b0f87f9bc4105d6a780342702ca3691265028abf14460646fa3",
+    ("fig3_single_neuron", 1): "3ba7ca888ec6315c88eb2b60d96f68c9f989b0ea04681f022e54c23559820cd3",
+    ("fig4B_islands", 0): "8e6aa5ddc6616c9a5e08de0c11cd9730d2958065a6df637804c5a91d448d1d49",
+    ("fig4B_islands", 1): "23cec1f9c5f918c56e93b1418a26a30d00c42a4c91500b79d23f6d7a1e8cc8e8",
+    ("fig5A_nobond", 0): "8e6aa5ddc6616c9a5e08de0c11cd9730d2958065a6df637804c5a91d448d1d49",
+    ("fig5A_nobond", 1): "23cec1f9c5f918c56e93b1418a26a30d00c42a4c91500b79d23f6d7a1e8cc8e8",
+    ("fig5B_ring8", 0): "e1c679a59767b3ea1474248cd6a3cd0020a8121a41e167e489efce02bbdabcfd",
+    ("fig5B_ring8", 1): "32a23c01399dce76d5d58b3e678e3eb7d0c796fa84cb27b186df7a20f4fbb310",
+    ("fig6E", 0): "8e6aa5ddc6616c9a5e08de0c11cd9730d2958065a6df637804c5a91d448d1d49",
+    ("fig6E", 1): "23cec1f9c5f918c56e93b1418a26a30d00c42a4c91500b79d23f6d7a1e8cc8e8",
+    ("fig6F", 0): "d3617f4816eacfe299a2bc81b3f2322ffdbeca0d613dad3057fea9ddf606ba59",
+    ("fig6F", 1): "ea569876aef94cfa732af6aba01b8946396420a447ad2cf2e3c256300b211496",
+    ("fig6G", 0): "b98fb4fe565547a03ab0e7d0bef17630f0eb0f0df4ed405689c6b790cd50be22",
+    ("fig6G", 1): "2204843eac07da9f8c1359d0741d27af77ad805c0070fca37c12a6c3a53500d8",
+    ("fig6H", 0): "5440d2f98d166dbbbe6e842d2f5da5b3ff5c7d1e0c4747feeb24f59b9c9519bf",
+    ("fig6H", 1): "c8cfd815e4d9a9725d9e184aa4af23d4279123e685df52ac4583c1f0fd9ec5d1",
 }
 
 TRACED_SHA256 = {
-    "spikes": "1d4d5a3494c1b971c16419d21627750876b06aeee60121a78ebe5c1fcbfffd3a",
-    "traces": "0ecae6b7d521ac0d1c3370655e14cefb4df9007aea1a7c913bd3d23e0e076453",
+    "spikes": "ea569876aef94cfa732af6aba01b8946396420a447ad2cf2e3c256300b211496",
+    "traces": "8db3b677d33a55a07d62dd729c0de45534fb41244153a869fb9f98802e72b10d",
 }
 
 
@@ -80,34 +80,34 @@ SINGLE_NOISE = {
     "pink": "noise pink rms=1.5e-06 band=10000.0:5000000.0 seed=0 stream=0",
 }
 SINGLE_SHA256 = {
-    ("white", 0): "889e1d60e7a73d813d13acb1c578c2fde362894b358ddff31fedbd16de0eeea8",
-    ("white", 1): "5a384d992ab8c652720d1b2440136b77183abc815b55dfe002bf3a9c59a4bd29",
-    ("held", 0): "2ba36fde985195314e9da50f1a14f6f01ceefb76bdd99ae52321f0988636d2db",
-    ("held", 1): "1240937d55c0d47a85377b7a6385dd298133ee8158c03b75669777f68fc13957",
-    ("pink", 0): "83a8e34fd35c923ca51c0505bb2fd3b9b51e7df55e486c356b6022de9dd12beb",
-    ("pink", 1): "e13a0bb802b5a881e07faa578dd206d48f010e7e1f21fb912ca223df02f3996b",
+    ("white", 0): "7647b1d9950fe49608e16d569bf64f2da50921a3faca516fd6e021c82f3eee63",
+    ("white", 1): "5de4a30fb8403d1e6f9ab23691cd3632e89002d5f063390e7df022b004e31f19",
+    ("held", 0): "017181c5166a42335cdfa42a795f45e3f5deea89945c25468be5df099b8437be",
+    ("held", 1): "cfe5ae17e0356174f66734c7fca7523cca659363fcc5c916bb56902d7955751d",
+    ("pink", 0): "2502e98ff5aec1e898fcf104205f0d10001ed980b463dc92bf30f04406214046",
+    ("pink", 1): "7848b67b952505eed73e7492abb6d8339131d5ccd46f12f4748777c8f683429e",
 }
 
 # fig6G and fig5B_ring8 over 120 us: the spikes CSV and the run's stats.
 BUSY_DURATION = 120e-6
 BUSY_SHA256 = {
-    ("fig6G", 2): "c82840e53992320b9889a5fb78fbd3390200ad8c6fb08679e118b19684d68053",
-    ("fig6G", 3): "23d467132e654501b2f0fdc6e476c3a836ca357309a15d4edb43578cd7e0d0cb",
-    ("fig5B_ring8", 2): "a186bd918332bd17455870c050a64ed621a33b766e9cd4ea9e3575b679efabbb",
-    ("fig5B_ring8", 3): "c7935c22af69b3da40b0a192f99ee99dc135f2437f03f20057b79ce9a406ca78",
+    ("fig6G", 2): "e22a82bb859701368585acf0e72b9b8710f63063158a0347d9a9a16825c9b88b",
+    ("fig6G", 3): "252703e77a6f705013d3d8ab2f23bb8c8e7f79fba05c2990b4328cde41252185",
+    ("fig5B_ring8", 2): "0e5e2b1c58047e10354500bf752877a2e5db6eee2e2844dc9c0f824ca8705e26",
+    ("fig5B_ring8", 3): "1f1d3b9fbbfc1c7b5fc3908fd4da59f5bfa89851ef91b9d48fdaa964f0ad3de3",
 }
 BUSY_STATS = {
-    ("fig6G", 2): {"steps": 12000, "quiet_steps": 4133, "pulse_steps": 7214, "rising_solves": 3230,
-                   "spikes_per_island": [1476, 1506, 1440, 1390]},
-    ("fig6G", 3): {"steps": 12000, "quiet_steps": 6200, "pulse_steps": 5222, "rising_solves": 2408,
-                   "spikes_per_island": [1055, 1141, 1078, 1032]},
-    ("fig5B_ring8", 2): {"steps": 12000, "quiet_steps": 7202, "pulse_steps": 4128, "rising_solves": 1243,
-                         "spikes_per_island": [522, 490, 474, 369]},
-    ("fig5B_ring8", 3): {"steps": 12000, "quiet_steps": 1651, "pulse_steps": 9864, "rising_solves": 3700,
-                         "spikes_per_island": [1305, 1334, 1291, 1231]},
+    ("fig6G", 2): {"steps": 12000, "quiet_steps": 3222, "pulse_steps": 8043, "rising_solves": 3534,
+                   "spikes_per_island": [1559, 1636, 1595, 1510]},
+    ("fig6G", 3): {"steps": 12000, "quiet_steps": 4725, "pulse_steps": 6629, "rising_solves": 3019,
+                   "spikes_per_island": [1334, 1425, 1337, 1295]},
+    ("fig5B_ring8", 2): {"steps": 12000, "quiet_steps": 1665, "pulse_steps": 9675, "rising_solves": 3579,
+                         "spikes_per_island": [1337, 1300, 1213, 1130]},
+    ("fig5B_ring8", 3): {"steps": 12000, "quiet_steps": 1418, "pulse_steps": 9881, "rising_solves": 3352,
+                         "spikes_per_island": [1352, 1161, 1146, 915]},
 }
 
-PINK_SERIES_SHA256 = "c742dd9a4084600280a6690fd7074996d583b745a359ce2ea9fe55a7b20350df"
+PINK_SERIES_SHA256 = "e85b06977ba64639b35686f37308698ac7fadbd156cddb4379034e0deb467012"
 
 
 def spikes_sha256(record, tmp_path) -> str:
@@ -191,10 +191,16 @@ def test_pink_series_matches_golden_hash():
     assert pink_series_sha256() == PINK_SERIES_SHA256
 
 
-def _print_dict(name: str, entries: dict) -> None:
+def _print_dict(name: str, entries: dict, pinned: dict, literal=lambda key, value: f'"{value}"') -> None:
+    """Print ``entries`` as the file writes ``name``; an entry that differs
+    from the file's ``pinned`` one ends in a ``# was`` comment with the old
+    value."""
     print(f"{name} = {{")
     for key, value in entries.items():
-        print(f"    {key!r}: {value},".replace("'", '"'))
+        line = f"    {key!r}: {literal(key, value)},"
+        if value != pinned.get(key):
+            line += f"  # was {pinned.get(key)}"
+        print(line.replace("'", '"'))
     print("}")
 
 
@@ -208,25 +214,29 @@ def _stats_literal(key, stats) -> str:
 
 def main() -> None:
     """Print the current hashes and stats in this file's layout, for a
-    change that re-takes them: ``PYTHONPATH=src python tests/test_golden.py``."""
+    change that re-takes them: ``PYTHONPATH=src python tests/test_golden.py``.
+    Each value that differs from the one pinned here is followed by
+    ``# was <old value>``, which gives a re-baseline its old -> new list."""
     import tempfile
     from pathlib import Path
 
-    _print_dict("CONFIG_SHA256", {name: f'"{config_sha256(name)}"' for name in CONFIG_SHA256})
+    _print_dict("CONFIG_SHA256", {name: config_sha256(name) for name in CONFIG_SHA256}, CONFIG_SHA256)
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         _print_dict("SPIKES_SHA256", {
-            (name, seed): f'"{spikes_sha256(run_builtin(name, seed), tmp_path)}"'
-            for name, seed in SPIKES_SHA256})
+            (name, seed): spikes_sha256(run_builtin(name, seed), tmp_path) for name, seed in SPIKES_SHA256},
+            SPIKES_SHA256)
         rec = run_builtin("fig6F", 1, record_traces="all", trace_decimation=1)
-        _print_dict("TRACED_SHA256", {"spikes": f'"{spikes_sha256(rec, tmp_path)}"',
-                                      "traces": f'"{traces_sha256(rec.traces)}"'})
+        _print_dict("TRACED_SHA256", {"spikes": spikes_sha256(rec, tmp_path), "traces": traces_sha256(rec.traces)},
+                    TRACED_SHA256)
         _print_dict("SINGLE_SHA256", {
-            key: f'"{spikes_sha256(run_single_neuron_variant(*key), tmp_path)}"' for key in SINGLE_SHA256})
+            key: spikes_sha256(run_single_neuron_variant(*key), tmp_path) for key in SINGLE_SHA256}, SINGLE_SHA256)
         busy = {key: run_builtin(*key, BUSY_DURATION) for key in BUSY_SHA256}
-        _print_dict("BUSY_SHA256", {key: f'"{spikes_sha256(rec, tmp_path)}"' for key, rec in busy.items()})
-        _print_dict("BUSY_STATS", {key: _stats_literal(key, rec.stats) for key, rec in busy.items()})
-    print(f'PINK_SERIES_SHA256 = "{pink_series_sha256()}"')
+        _print_dict("BUSY_SHA256", {key: spikes_sha256(rec, tmp_path) for key, rec in busy.items()}, BUSY_SHA256)
+        _print_dict("BUSY_STATS", {key: rec.stats for key, rec in busy.items()}, BUSY_STATS, _stats_literal)
+    pink = pink_series_sha256()
+    was = "" if pink == PINK_SERIES_SHA256 else f"  # was {PINK_SERIES_SHA256}"
+    print(f'PINK_SERIES_SHA256 = "{pink}"{was}')
 
 
 if __name__ == "__main__":
