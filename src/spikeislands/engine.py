@@ -69,7 +69,7 @@ import numpy as np
 from . import __version__
 from .configio import serialize_config
 from .neuron import DETECT_THRESHOLD_V, advance
-from .noise import NoiseSpec, generate
+from .noise import NOISE_CHUNK, NoiseSpec, NoiseStream
 from .presets import neuron_preset, synapse_preset
 from .synapse import FLOOR_RATIO, dpi_decay, dpi_flow, dpi_rise, time_constant
 from .topology import NetworkSpec
@@ -200,24 +200,50 @@ def _effective_noise(spec: NoiseSpec, master_seed: int, island_index: int) -> No
     )
 
 
-def _island_noise(specs, sim: SimConfig) -> np.ndarray:
-    """Per-island shared noise on the noise grid, one row per island; one
-    island's series is used as generated, more are copied into one array
-    as they are generated."""
-    n_noise = -(-sim.n_steps // sim.hold)  # ceil
-    noise_dt = sim.dt * sim.hold
-    specs = [_effective_noise(spec, sim.master_seed, i) for i, spec in enumerate(specs)]
-    if len(specs) == 1:
-        return generate(specs[0], n_noise, noise_dt)[None]
-    arr = np.empty((len(specs), n_noise))
-    for i, spec in enumerate(specs):
-        arr[i] = generate(spec, n_noise, noise_dt)
-    return arr
+class _Drive:
+    """Each island's noise on the step grid, read forward.
 
+    Holds every island's samples (a row each) from the first one a read may
+    still need, and draws NOISE_CHUNK more of each stream
+    (``noise.NoiseStream``) when a read runs past them; a run so holds about
+    ``n_islands x NOISE_CHUNK`` doubles whatever its length.  The steps of
+    a run read their samples in order, none before the last one read.
+    """
 
-def _on_steps(noise, start: int, end: int, hold: int) -> np.ndarray:
-    """The noise samples (last axis) that steps start..end-1 read."""
-    return noise[..., start:end] if hold == 1 else noise[..., np.arange(start, end) // hold]
+    def __init__(self, specs, sim: SimConfig):
+        noise_dt = sim.dt * sim.hold
+        self.streams = [NoiseStream(_effective_noise(spec, sim.master_seed, i), noise_dt)
+                        for i, spec in enumerate(specs)]
+        self.hold = sim.hold
+        self.first = 0  # noise sample in column 0 of self.held
+        self.held = np.empty((len(self.streams), 0))
+
+    def _hold(self, lo: int, hi: int) -> None:
+        """Hold noise samples lo .. hi-1."""
+        end = self.first + self.held.shape[1]
+        if hi <= end:
+            return
+        keep = self.held[:, min(lo, end) - self.first:].copy()
+        self.held = None  # not held next to its successor
+        held = np.empty((len(self.streams), keep.shape[1] + max(NOISE_CHUNK, hi - end)))
+        held[:, :keep.shape[1]] = keep
+        for row, stream in zip(held[:, keep.shape[1]:], self.streams):
+            stream.read(row.size, out=row)
+        self.first, self.held = end - keep.shape[1], held
+
+    def at(self, k: int) -> np.ndarray:
+        """The per-island samples step k reads."""
+        j = k // self.hold
+        self._hold(j, j + 1)
+        return self.held[:, j - self.first]
+
+    def steps(self, start: int, end: int) -> np.ndarray:
+        """The per-island samples (last axis) that steps start .. end-1 read."""
+        lo, hi = start // self.hold, (end - 1) // self.hold + 1
+        self._hold(lo, hi)
+        if self.hold == 1:
+            return self.held[:, lo - self.first:hi - self.first]
+        return self.held[:, np.arange(start, end) // self.hold - self.first]
 
 
 def _meta(config_hash: str, sim: SimConfig, n_neurons: int, n_synapses: int) -> dict:
@@ -496,8 +522,8 @@ class _QuietStretch:
     own expressions, the membrane increments of up to QUIET_CHUNK steps at
     a time computed in one batch."""
 
-    def __init__(self, noise_arr, island_of, hold: int, n_steps: int, neurons: _NeuronBlock, floor_input):
-        self.noise, self.island_of, self.hold, self.n_steps = noise_arr, island_of, hold, n_steps
+    def __init__(self, drive: _Drive, island_of, n_steps: int, neurons: _NeuronBlock, floor_input):
+        self.drive, self.island_of, self.n_steps = drive, island_of, n_steps
         self.k_dt, self.lo, self.decay = neurons.k, neurons.lo, neurons.decay
         self.v_th, self.v_gate = neurons.v_th, neurons.v_gate
         # A step that takes a membrane to v_th or to the detection level
@@ -519,7 +545,7 @@ class _QuietStretch:
 
     def _batch(self, k: int) -> None:
         end = min(k + QUIET_CHUNK, self.n_steps)
-        i_total = _on_steps(self.noise, k, end, self.hold).T[:, self.island_of]
+        i_total = self.drive.steps(k, end).T[:, self.island_of]
         if self.floor_input is not None:
             i_total = i_total + self.floor_input
         self.inc = ((i_total + 0.0) - 0.0) * self.k_dt
@@ -565,7 +591,6 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
     """
     network.validate()
     n_steps = sim.n_steps
-    hold = sim.hold
     dt = sim.dt
 
     sizes = [isl.n_neurons for isl in network.islands]
@@ -605,10 +630,10 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
     n_syn = len(post_l)
     meta = _meta(hashlib.sha256(serialize_config(network).encode()).hexdigest(), sim, n, n_syn)
 
-    noise_arr = _island_noise(network.noise, sim)
+    drive = _Drive(network.noise, sim)
     if n == 1 and n_syn == 0:
         return _run_scalar_single(
-            nps[0], noise_arr[0], sim, island_of, meta, force_trace=False
+            nps[0], drive, sim, island_of, meta, force_trace=False
         )
 
     synapses = None
@@ -617,7 +642,7 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
                                   np.array(signw_l), np.array(state_l, dtype=np.int64))
 
     neurons = _NeuronBlock([nps[i] for i in island_of], dt)
-    quiet = _QuietStretch(noise_arr, island_of, hold, n_steps, neurons,
+    quiet = _QuietStretch(drive, island_of, n_steps, neurons,
                           synapses.floor_input if synapses is not None else None)
     v_m = np.array([p.v_rest for p in neurons.params])
     v_n = np.zeros(n)
@@ -632,7 +657,7 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
             if k == n_steps:
                 break
         general_steps += 1
-        i_total = noise_arr[island_of, k // hold]
+        i_total = drive.at(k)[island_of]
 
         if synapses is not None:
             i_total = i_total + synapses.step(k)
@@ -782,15 +807,15 @@ class _ScalarNeuron:
         return v_m, v_n
 
 
-def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force_trace: bool) -> SpikeRecord:
+def _run_scalar_single(params, drive: _Drive, sim: SimConfig, island_of, meta, force_trace: bool) -> SpikeRecord:
     """Tight scalar loop for one neuron with no synapses (``_ScalarNeuron``).
 
     Takes the same steps as the vectorized path, in plain floats, reading
     the drive DRIVE_CHUNK steps at a time; ~50x faster for long
     single-neuron transients.  The state is tested after each chunk: a
     non-finite state stays non-finite, so a chunk that ends in one is taken
-    again step by step from its start to report the first non-finite step,
-    as the vectorized path does.
+    again step by step from its start, from the drive already read, to
+    report the first non-finite step, as the vectorized path does.
     """
     dt = sim.dt
     n_steps = sim.n_steps
@@ -799,17 +824,17 @@ def _run_scalar_single(params, noise_row, sim: SimConfig, island_of, meta, force
     v_m = params.v_rest
     v_n = 0.0
     for k in range(0, n_steps, DRIVE_CHUNK):
-        drive = _on_steps(noise_row, k, min(k + DRIVE_CHUNK, n_steps), sim.hold).tolist()
+        chunk = drive.steps(k, min(k + DRIVE_CHUNK, n_steps))[0].tolist()
         before = (v_m, v_n, len(neuron.spikes), neuron.w)
-        v_m, v_n = neuron.take(drive, k, v_m, v_n)
+        v_m, v_n = neuron.take(chunk, k, v_m, v_n)
         if not (math.isfinite(v_m) and math.isfinite(v_n)):
             v_m, v_n, n_spikes, neuron.w = before
             del neuron.spikes[n_spikes:]
-            for j, i_in in enumerate(drive, k):
+            for j, i_in in enumerate(chunk, k):
                 v_m, v_n = neuron.take([i_in], j, v_m, v_n)
                 if not (math.isfinite(v_m) and math.isfinite(v_n)):
                     raise SimulationError(0, 0, j, (j + 1) * dt)
-        del drive  # hold one chunk of Python floats at a time
+        del chunk  # hold one chunk of Python floats at a time
 
     times = [np.array(neuron.spikes, dtype=np.int64) * dt]
     traces = (neuron.trace_t[:neuron.w], {0: neuron.trace_v[:neuron.w]}) if record_trace else None
@@ -830,9 +855,8 @@ def run_single_neuron(noise: NoiseSpec, params, sim: SimConfig) -> SpikeRecord:
     """
     if sim.dt > params.tau_n / 10.0:
         raise ValueError("dt exceeds neuron stability bound tau_n/10")
-    noise_arr = _island_noise([noise], sim)
     config = {"single_neuron": True, "noise": [noise.kind, noise.density, noise.band]}
     meta = _meta(hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(), sim, 1, 0)
     return _run_scalar_single(
-        params, noise_arr[0], sim, np.zeros(1, dtype=np.int32), meta, force_trace=True
+        params, _Drive([noise], sim), sim, np.zeros(1, dtype=np.int32), meta, force_trace=True
     )

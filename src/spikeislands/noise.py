@@ -16,12 +16,19 @@ stationary from the first sample with no warm-up.
 Reproducibility: each source is a counter-based Philox stream keyed by
 ``(seed, stream_id)``.  For a pink source the generator first draws the
 initial filter state, then the input samples; this order is part of the
-stream contract and is stable within a major release.
+stream contract and is stable within a major release.  No sample mean is
+subtracted: a series is zero-mean in expectation, and its first ``n``
+samples do not depend on how many follow.
 
+A source is read forward through a ``NoiseStream``, which draws at most
+NOISE_CHUNK samples at a time and carries the generator and, for a pink
+source, the filter state ``zi`` from draw to draw.  How a series is split
+into reads changes none of its bits: Philox normals do not depend on how
+the draws are chunked, and ``sosfilt`` carrying ``zi`` filters sample by
+sample.  So ``generate(spec, n, dt)`` is the stream's first ``n`` samples,
+and a simulation holds one chunk of each source whatever its length.
 scipy designs and runs the pink filter and is imported on first use, so a
-process that only needs white sources never loads it.  A pink series is
-filtered in blocks of PINK_CHUNK samples, carrying the filter state from
-block to block, straight into the output array.
+process that only needs white sources never loads it.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import numpy as np
 
 __all__ = [
     "NoiseSpec",
+    "NoiseStream",
     "generate",
     "prepare",
     "psd_estimate",
@@ -48,9 +56,9 @@ PINK_SECTIONS = 6
 
 DEFAULT_BAND = (10.0, 5e6)
 
-# Samples per block of pink filtering; bounds its scratch memory at a few
-# times PINK_CHUNK doubles.
-PINK_CHUNK = 1 << 14
+# Samples a stream draws at a time; bounds its scratch memory at a few
+# times NOISE_CHUNK doubles.
+NOISE_CHUNK = 1 << 14
 
 
 def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -212,36 +220,56 @@ def prepare(spec: NoiseSpec, dt: float) -> None:
         _stationary_chol(*spec.band, dt)
 
 
-def generate(spec: NoiseSpec, n: int, dt: float) -> np.ndarray:
-    """Length-``n`` current series sampled at ``dt`` for the given source.
+class NoiseStream:
+    """The samples of one source at interval ``dt``, read forward.
 
-    The series is zero-mean in expectation; its sample mean is not
-    subtracted, so the first ``n`` samples do not depend on ``n``.  The same
+    ``read(n)`` returns the next ``n`` samples; the series does not depend
+    on how it is split into reads (see the module docstring).
+    """
+
+    def __init__(self, spec: NoiseSpec, dt: float):
+        _check_grid(spec.band, dt)
+        self._rng = make_rng(spec.seed, spec.stream_id)
+        if spec.kind == "white":
+            self._sos = None
+            self._gain = spec.density * np.sqrt(0.5 / dt)
+        else:
+            f_lo, f_hi = spec.band
+            chol = _stationary_chol(f_lo, f_hi, dt)
+            self._zi = (chol @ self._rng.standard_normal(chol.shape[0])).reshape(-1, 2)
+            sos_t, scale = _pink_filter(f_lo, f_hi, dt)
+            self._sos = np.asarray(sos_t)
+            self._gain = spec.density * scale
+
+    def read(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
+        """The next ``n`` samples, written into ``out`` (a contiguous
+        length-``n`` array) when one is given."""
+        if out is None:
+            out = np.empty(n)
+        for k in range(0, n, NOISE_CHUNK):
+            part = out[k:k + NOISE_CHUNK]
+            if self._sos is None:
+                self._rng.standard_normal(out=part)
+                part *= self._gain
+            else:
+                from scipy import signal
+
+                y, self._zi = signal.sosfilt(self._sos, self._rng.standard_normal(part.size), zi=self._zi)
+                np.multiply(y, self._gain, out=part)
+        return out
+
+
+def generate(spec: NoiseSpec, n: int, dt: float) -> np.ndarray:
+    """Length-``n`` current series sampled at ``dt`` for the given source:
+    the first ``n`` samples of its ``NoiseStream``.
+
+    The series is zero-mean in expectation; no sample mean is subtracted,
+    so the first ``n`` samples do not depend on ``n``.  The same
     (spec, n, dt) always yields the identical series.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _check_grid(spec.band, dt)
-
-    rng = make_rng(spec.seed, spec.stream_id)
-    if spec.kind == "white":
-        out = rng.standard_normal(n)
-        out *= spec.density * np.sqrt(0.5 / dt)
-    else:
-        from scipy import signal
-
-        f_lo, f_hi = spec.band
-        chol = _stationary_chol(f_lo, f_hi, dt)
-        state = chol @ rng.standard_normal(chol.shape[0])
-        zi = state.reshape(-1, 2)
-        sos_t, scale = _pink_filter(f_lo, f_hi, dt)
-        sos = np.asarray(sos_t)
-        gain = spec.density * scale
-        out = np.empty(n)
-        for k in range(0, n, PINK_CHUNK):
-            y, zi = signal.sosfilt(sos, rng.standard_normal(min(PINK_CHUNK, n - k)), zi=zi)
-            np.multiply(y, gain, out=out[k:k + PINK_CHUNK])
-    return out
+    return NoiseStream(spec, dt).read(n)
 
 
 def psd_estimate(series, dt: float, n_segments: int = 8) -> tuple[np.ndarray, np.ndarray]:

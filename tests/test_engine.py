@@ -21,7 +21,7 @@ from spikeislands.engine import (
 )
 from spikeislands.io import spikes_to_csv
 from spikeislands.neuron import NeuronState, advance, neuron_step
-from spikeislands.noise import NoiseSpec, density_for_rms, generate
+from spikeislands.noise import NOISE_CHUNK, NoiseSpec, density_for_rms, generate
 from spikeislands.presets import neuron_preset, synapse_preset
 from spikeislands.synapse import dpi_decay, dpi_flow, presynaptic_pulse, time_constant
 from spikeislands.topology import InterIslandLink, IslandSpec, NetworkSpec
@@ -71,6 +71,30 @@ def observer_kick(multiplicity, baseline=False):
     return v[np.searchsorted(t, t_stop) - 1] - before
 
 
+def poison_stream(monkeypatch, at, island=0):
+    """Make sample ``at`` of the noise stream each run opens for ``island``
+    NaN, wherever the run's reads split the stream."""
+    import spikeislands.engine as engine_mod
+
+    real_init = engine_mod._Drive.__init__
+
+    def init(self, specs, sim):
+        real_init(self, specs, sim)
+        stream = self.streams[island]
+        real_read, start = stream.read, [0]
+
+        def read(n, out=None):
+            out = real_read(n, out)
+            if start[0] <= at < start[0] + n:
+                out[at - start[0]] = float("nan")
+            start[0] += n
+            return out
+
+        stream.read = read
+
+    monkeypatch.setattr(engine_mod._Drive, "__init__", init)
+
+
 class TestSimConfig:
     def test_duration_floor(self):
         with pytest.raises(ValueError):
@@ -112,16 +136,7 @@ class TestZeroDriveAndBlowup:
     def test_blowup_reports_neuron_and_time(self, monkeypatch):
         # inject a NaN noise sample and check the abort names the neuron
         # and the time of the first non-finite state
-        import spikeislands.engine as engine_mod
-
-        real_generate = engine_mod.generate
-
-        def poisoned(spec, n, dt):
-            out = real_generate(spec, n, dt)
-            out[5] = float("nan")
-            return out
-
-        monkeypatch.setattr(engine_mod, "generate", poisoned)
+        poison_stream(monkeypatch, 5)
         net = single_island(3, [])
         with pytest.raises(SimulationError) as err:
             run(net, SimConfig(duration=1e-5, dt=DT, master_seed=0))
@@ -134,19 +149,7 @@ class TestZeroDriveAndBlowup:
     def test_blowup_names_the_island_of_the_neuron(self, monkeypatch):
         # a NaN in the second island's noise alone names a neuron of that
         # island, and the island
-        import spikeislands.engine as engine_mod
-
-        real_generate = engine_mod.generate
-        calls = []
-
-        def poisoned(spec, n, dt):
-            out = real_generate(spec, n, dt)
-            calls.append(spec)
-            if len(calls) == 2:
-                out[7] = float("nan")
-            return out
-
-        monkeypatch.setattr(engine_mod, "generate", poisoned)
+        poison_stream(monkeypatch, 7, island=1)
         net = NetworkSpec(
             islands=(IslandSpec(2, ()), IslandSpec(3, ())),
             noise=(NoiseSpec("white", 2e-10, (10.0, 5e6), seed=0, stream_id=0),
@@ -161,16 +164,7 @@ class TestZeroDriveAndBlowup:
     def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, monkeypatch):
         # the scalar single-neuron loop tests its state once per drive chunk
         # and reports the first non-finite step, as the network path does
-        import spikeislands.engine as engine_mod
-
-        real_generate = engine_mod.generate
-
-        def poisoned(spec, n, dt):
-            out = real_generate(spec, n, dt)
-            out[at] = float("nan")
-            return out
-
-        monkeypatch.setattr(engine_mod, "generate", poisoned)
+        poison_stream(monkeypatch, at)
         net, _ = parse_document(load_builtin("fig3_single_neuron"))
         sim = SimConfig(duration=(at + 1500) * DT, dt=DT, master_seed=0)
         with pytest.raises(SimulationError) as err:
@@ -190,13 +184,6 @@ class TestZeroDriveAndBlowup:
         # neuron and time the general path alone reports
         import spikeislands.engine as engine_mod
 
-        real_generate = engine_mod.generate
-
-        def poisoned(spec, n, dt):
-            out = real_generate(spec, n, dt)
-            out[500] = float("nan")
-            return out
-
         handoffs = []
         real_take = engine_mod._QuietStretch.take
 
@@ -205,7 +192,7 @@ class TestZeroDriveAndBlowup:
             handoffs.append((k, out[0]))
             return out
 
-        monkeypatch.setattr(engine_mod, "generate", poisoned)
+        poison_stream(monkeypatch, 500)
         monkeypatch.setattr(engine_mod._QuietStretch, "take", spy)
         crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
         net = NetworkSpec(
@@ -641,6 +628,47 @@ class TestSingleNeuron:
             "n_neurons": 1,
             "n_synapses": 0,
         }
+
+
+def assert_prefix(short, long):
+    """The spikes and traces of ``short`` are those of ``long`` up to its
+    end, bit for bit."""
+    end = short.dt * int(round(short.duration / short.dt))
+    for s, ls in zip(short.times, long.times, strict=True):
+        assert ls[:len(s)].tobytes() == s.tobytes()
+        assert (ls[len(s):] > end).all()
+    (t_s, v_s), (t_l, v_l) = short.traces, long.traces
+    assert t_l[:len(t_s)].tobytes() == t_s.tobytes()
+    for nid, v in v_s.items():
+        assert v_l[nid][:len(v)].tobytes() == v.tobytes()
+
+
+class TestRunLength:
+    # A run reads its noise forward and takes no statistic of the whole
+    # series, so a shorter run at the same seed gives the first part of a
+    # longer one's spikes and traces, also where the longer run reads on
+    # into the next chunk of noise.
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(10, NOISE_CHUNK + 2000), st.integers(1, 4000), st.integers(0, 2**31))
+    @example(NOISE_CHUNK - 3, 7, 1)
+    def test_network_run_is_a_prefix_of_a_longer_run(self, n_short, n_more, seed):
+        net, _ = parse_document(load_builtin("fig5A_nobond"))
+        short, long = (run(net, SimConfig(duration=n * DT, dt=DT, master_seed=seed,
+                                          record_traces=[0, 17, 40], trace_decimation=7))
+                       for n in (n_short, n_short + n_more))
+        assert_prefix(short, long)
+
+    @pytest.mark.parametrize("kind,hold", [("white", 1), ("pink", 1), ("white", 3)])
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(10, 3 * NOISE_CHUNK), st.integers(1, 2 * NOISE_CHUNK), st.integers(0, 2**31))
+    @example(NOISE_CHUNK - 3, 7, 1)
+    @example(3 * NOISE_CHUNK - 1, 2, 2)
+    def test_single_neuron_run_is_a_prefix_of_a_longer_run(self, kind, hold, n_short, n_more, seed):
+        spec = NoiseSpec.from_rms(kind, 1.5e-6, band=(1e4, 5e6), seed=3, stream_id=1)
+        short, long = (run_single_neuron(spec, P, SimConfig(duration=n * DT, dt=DT, master_seed=seed,
+                                                            trace_decimation=7, noise_dt=hold * DT))
+                       for n in (n_short, n_short + n_more))
+        assert_prefix(short, long)
 
 
 class TestRefinement:
