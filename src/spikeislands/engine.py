@@ -94,15 +94,30 @@ DRIVE_CHUNK = 1 << 14
 
 class SimulationError(RuntimeError):
     """Numerical blow-up during a run: the first neuron (global id) whose
-    state is not finite, its island, and the step that made it so (0-based;
-    the state is that at its end, ``t = (step + 1) * dt``)."""
+    state is not finite, its island, the step that made it so (0-based;
+    the state is that at its end, ``t = (step + 1) * dt``) and the phase of
+    that step at fault: ``"noise"`` or ``"synapse step"`` when that input of
+    the neuron was not finite (the first in update order), else
+    ``"neuron block"``."""
 
-    def __init__(self, neuron: int, island: int, step: int, t: float):
+    def __init__(self, neuron: int, island: int, step: int, t: float, phase: str):
         self.neuron = neuron
         self.island = island
         self.step = step
         self.t = t
-        super().__init__(f"non-finite state at neuron {neuron} (island {island}) after step {step}, t={t:.9g} s")
+        self.phase = phase
+        super().__init__(f"non-finite state at neuron {neuron} (island {island}) after step {step}, "
+                         f"t={t:.9g} s, phase: {phase}")
+
+
+def _phase_at_fault(i_noise: float, i_syn: float) -> str:
+    """``SimulationError.phase`` of a neuron that a step left non-finite,
+    from its noise and synaptic inputs over the step."""
+    if not math.isfinite(i_noise):
+        return "noise"
+    if not math.isfinite(i_syn):
+        return "synapse step"
+    return "neuron block"
 
 
 def _splitmix64(x: int) -> int:
@@ -657,10 +672,11 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
             if k == n_steps:
                 break
         general_steps += 1
-        i_total = drive.at(k)[island_of]
+        i_total = i_noise = drive.at(k)[island_of]
 
         if synapses is not None:
-            i_total = i_total + synapses.step(k)
+            i_syn = synapses.step(k)
+            i_total = i_noise + i_syn
 
         v_m, v_n, spiking, onsets = neurons.step(v_m, v_n, i_total)
 
@@ -668,7 +684,9 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
         if not (math.isfinite(v_m.sum()) and math.isfinite(v_n.sum())):
             bad = np.nonzero(~(np.isfinite(v_m) & np.isfinite(v_n)))[0]
             if bad.size:
-                raise SimulationError(int(bad[0]), int(island_of[bad[0]]), k, (k + 1) * dt)
+                b = int(bad[0])
+                phase = _phase_at_fault(i_noise[b], i_syn[b] if synapses is not None else 0.0)
+                raise SimulationError(b, int(island_of[b]), k, (k + 1) * dt, phase)
 
         if spiking.size:
             acc_steps.append((k + 1, spiking))
@@ -833,7 +851,7 @@ def _run_scalar_single(params, drive: _Drive, sim: SimConfig, island_of, meta, f
             for j, i_in in enumerate(chunk, k):
                 v_m, v_n = neuron.take([i_in], j, v_m, v_n)
                 if not (math.isfinite(v_m) and math.isfinite(v_n)):
-                    raise SimulationError(0, 0, j, (j + 1) * dt)
+                    raise SimulationError(0, 0, j, (j + 1) * dt, _phase_at_fault(i_in, 0.0))
         del chunk  # hold one chunk of Python floats at a time
 
     times = [np.array(neuron.spikes, dtype=np.int64) * dt]

@@ -143,8 +143,10 @@ class TestZeroDriveAndBlowup:
         assert err.value.neuron in (0, 1, 2)
         assert err.value.island == 0 and err.value.step == 5
         assert err.value.t == pytest.approx(6 * DT)
+        assert err.value.phase == "noise"
         assert "neuron" in str(err.value)
         assert "island 0" in str(err.value) and "step 5" in str(err.value)
+        assert "phase: noise" in str(err.value)
 
     def test_blowup_names_the_island_of_the_neuron(self, monkeypatch):
         # a NaN in the second island's noise alone names a neuron of that
@@ -157,7 +159,7 @@ class TestZeroDriveAndBlowup:
         )
         with pytest.raises(SimulationError) as err:
             run(net, SimConfig(duration=1e-5, dt=DT, master_seed=0))
-        assert (err.value.neuron, err.value.island, err.value.step) == (2, 1, 7)
+        assert (err.value.neuron, err.value.island, err.value.step, err.value.phase) == (2, 1, 7, "noise")
         assert "neuron 2 (island 1) after step 7" in str(err.value)
 
     @pytest.mark.parametrize("at", [500, DRIVE_CHUNK + 500])
@@ -170,12 +172,13 @@ class TestZeroDriveAndBlowup:
         with pytest.raises(SimulationError) as err:
             run(net, sim)
         assert err.value.neuron == 0 and err.value.t == pytest.approx((at + 1) * DT)
-        assert (err.value.island, err.value.step) == (0, at)
+        assert (err.value.island, err.value.step, err.value.phase) == (0, at, "noise")
         noise = NoiseSpec("white", 2e-10, (10.0, 5e6))
         with pytest.raises(SimulationError) as single_err:
             run_single_neuron(noise, P, sim)
         assert single_err.value.t == pytest.approx((at + 1) * DT)
         assert (single_err.value.neuron, single_err.value.island, single_err.value.step) == (0, 0, at)
+        assert single_err.value.phase == "noise"
         assert f"step {at}," in str(single_err.value)
 
     def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, monkeypatch):
@@ -208,10 +211,37 @@ class TestZeroDriveAndBlowup:
         monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)
         with pytest.raises(SimulationError) as general_err:
             run(net, sim)
-        fields = ("neuron", "island", "step", "t")
+        fields = ("neuron", "island", "step", "t", "phase")
         assert [getattr(quiet_err.value, f) for f in fields] == [getattr(general_err.value, f) for f in fields]
         assert quiet_err.value.neuron == 0 and quiet_err.value.t == pytest.approx(501 * DT)
-        assert (quiet_err.value.island, quiet_err.value.step) == (0, 500)
+        assert (quiet_err.value.island, quiet_err.value.step, quiet_err.value.phase) == (0, 500, "noise")
+
+    def test_non_finite_synaptic_current_names_the_synapse_step(self, monkeypatch):
+        # with finite noise, a synaptic current that is not finite is the
+        # phase at fault
+        import spikeislands.engine as engine_mod
+
+        real_step = engine_mod._SynapseStates.step
+
+        def poisoned(self, k):
+            current = real_step(self, k)
+            if k == 300:
+                current = current.copy()
+                current[5] = float("nan")
+            return current
+
+        monkeypatch.setattr(engine_mod._SynapseStates, "step", poisoned)
+        monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)
+        crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
+        net = NetworkSpec(
+            islands=(IslandSpec(4, tuple(crossbar)), IslandSpec(4, tuple(crossbar))),
+            noise=(NoiseSpec("white", 2e-10, (10.0, 5e6), seed=0, stream_id=0),
+                   NoiseSpec("white", 2e-10, (10.0, 5e6), seed=0, stream_id=1)),
+        )
+        with pytest.raises(SimulationError) as err:
+            run(net, SimConfig(duration=1e-5, dt=DT, master_seed=0))
+        assert (err.value.neuron, err.value.island, err.value.step) == (5, 1, 300)
+        assert err.value.phase == "synapse step" and "phase: synapse step" in str(err.value)
 
 
 class TestSharedNoiseSemantics:
