@@ -235,6 +235,8 @@ def _sweep_network(network, axis: str, value: float, args):
             "fanout": args.ring_fanout,
             "multiplicity": args.ring_multiplicity,
         }
+        if not float(value).is_integer():
+            raise ValueError(f"expected an integer {axis} value")
         ring[axis] = int(value)
         if ring["links"] > 0:
             network = build_ring(

@@ -178,7 +178,7 @@ class TestSweep:
                   "--values", "1,2", "--out", str(tmp_path / "s"))
         assert res.returncode == 2
 
-    @pytest.mark.parametrize("axis,values", [("links", "1,17"), ("multiplicity", "0")])
+    @pytest.mark.parametrize("axis,values", [("links", "1,17"), ("multiplicity", "0"), ("links", "1,1.5")])
     def test_bad_value_exit_2_before_any_run(self, tmp_path, axis, values):
         out = tmp_path / "s"
         res = cli("sweep", "--config", "fig6E", "--axis", axis, "--values", values,
