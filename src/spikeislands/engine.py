@@ -3,8 +3,10 @@
 Update order within one step (t -> t + dt), fixed and part of the output
 contract since it affects exact trajectories:
 
-1. the per-island noise sample for this step is looked up (one shared
-   sample per island, added to every neuron of that island);
+1. the per-island noise sample for this step is read (one shared sample
+   per island, added to every neuron of that island).  Each island's
+   stream is read forward a chunk at a time (``_Drive``), so a step's
+   sample does not depend on how long the run is;
 2. all synapses advance over the step by the exact DPI flow map, driven by
    the rectangular pulses of earlier spikes, each starting at its spike's
    exact onset.  Each pulse was solved once, at its onset, for every step
@@ -240,10 +242,11 @@ class _Drive:
             return
         keep = self.held[:, min(lo, end) - self.first:].copy()
         self.held = None  # not held next to its successor
-        held = np.empty((len(self.streams), keep.shape[1] + max(NOISE_CHUNK, hi - end)))
+        n_new = max(NOISE_CHUNK, hi - end)
+        held = np.empty((len(self.streams), keep.shape[1] + n_new))
         held[:, :keep.shape[1]] = keep
-        for row, stream in zip(held[:, keep.shape[1]:], self.streams):
-            stream.read(row.size, out=row)
+        for row, stream in zip(held, self.streams):
+            row[keep.shape[1]:] = stream.read(n_new)
         self.first, self.held = end - keep.shape[1], held
 
     def at(self, k: int) -> np.ndarray:

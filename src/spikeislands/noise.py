@@ -241,11 +241,9 @@ class NoiseStream:
             self._sos = np.asarray(sos_t)
             self._gain = spec.density * scale
 
-    def read(self, n: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The next ``n`` samples, written into ``out`` (a contiguous
-        length-``n`` array) when one is given."""
-        if out is None:
-            out = np.empty(n)
+    def read(self, n: int) -> np.ndarray:
+        """The next ``n`` samples."""
+        out = np.empty(n)
         for k in range(0, n, NOISE_CHUNK):
             part = out[k:k + NOISE_CHUNK]
             if self._sos is None:

@@ -83,8 +83,8 @@ def poison_stream(monkeypatch, at, island=0):
         stream = self.streams[island]
         real_read, start = stream.read, [0]
 
-        def read(n, out=None):
-            out = real_read(n, out)
+        def read(n):
+            out = real_read(n)
             if start[0] <= at < start[0] + n:
                 out[at - start[0]] = float("nan")
             start[0] += n

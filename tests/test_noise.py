@@ -48,24 +48,18 @@ class TestDeterminism:
 
 class TestStream:
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(["white", "pink"]),
-           st.lists(st.tuples(st.integers(1, 2 * NOISE_CHUNK), st.booleans()), min_size=1, max_size=5),
+    @given(st.sampled_from(["white", "pink"]), st.lists(st.integers(1, 2 * NOISE_CHUNK), min_size=1, max_size=5),
            st.integers(0, 2**64 - 1))
-    @example("pink", [(NOISE_CHUNK - 1, False), (2, True), (NOISE_CHUNK, False)], 0)  # reads across draws
-    @example("white", [(1, True), (NOISE_CHUNK + 1, False), (1, False)], 1)
-    def test_reads_in_any_chunks_are_one_generate_call(self, kind, reads, seed):
-        # the series does not depend on how it is split into reads, nor on
-        # whether a read fills a given array: Philox normals do not depend
-        # on how the draws are chunked, and the pink filter carries zi
+    @example("pink", [NOISE_CHUNK - 1, 2, NOISE_CHUNK], 0)  # reads across draws
+    @example("white", [1, NOISE_CHUNK + 1, 1], 1)
+    def test_reads_in_any_chunks_are_one_generate_call(self, kind, sizes, seed):
+        # the series does not depend on how it is split into reads: Philox
+        # normals do not depend on how the draws are chunked, and the pink
+        # filter carries zi
         spec = NoiseSpec(kind, 2e-10, (100.0, 5e5), seed=seed, stream_id=1)
         stream = NoiseStream(spec, 1e-6)
-        parts = []
-        for n, into in reads:
-            part = np.empty(n) if into else None
-            parts.append(stream.read(n, out=part))
-            assert part is None or parts[-1] is part
-        n_total = sum(n for n, _ in reads)
-        assert np.concatenate(parts).tobytes() == generate(spec, n_total, 1e-6).tobytes()
+        parts = [stream.read(n) for n in sizes]
+        assert np.concatenate(parts).tobytes() == generate(spec, sum(sizes), 1e-6).tobytes()
 
 
 class TestWhite:
