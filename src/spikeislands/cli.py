@@ -91,9 +91,12 @@ def _sim_from_args(args, hints: dict) -> SimConfig:
     seed = args.seed if args.seed is not None else hints.get("seed", 0)
     traces = "all" if getattr(args, "traces", False) else None
     decim = getattr(args, "trace_decimation", 10)
-    return SimConfig(
-        duration=duration, dt=dt, master_seed=seed, record_traces=traces, trace_decimation=decim
-    )
+    try:
+        return SimConfig(
+            duration=duration, dt=dt, master_seed=seed, record_traces=traces, trace_decimation=decim
+        )
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _write_manifest(out_dir: Path, config_text: str, source: str, sim: SimConfig, extra: dict | None = None) -> None:

@@ -37,9 +37,12 @@ membrane increments of a bounded chunk of steps are computed in one array
 expression, and each step costs an add, the lower clamp, the gate decay
 and a crossing check.  The expressions and their order are those of the
 general step, so the result is bit-identical to taking every step in
-full.  The first step in which a membrane would reach v_th (or the
-detection level) is handed back to the general step from its saved state,
-as is a step whose input is not finite.
+full.  The first step in which a membrane would not stay below v_th and
+the detection level is handed back to the general step from its saved
+state; so is a NaN or +inf increment, which the general step reports.  A
+-inf increment takes the membrane to its lower clamp, as the general step
+does.  A network without synapses has an empty synapse block, whose input
+is zero and which is always at its floor.
 
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
@@ -70,7 +73,7 @@ import numpy as np
 
 from . import __version__
 from .configio import serialize_config
-from .neuron import DETECT_THRESHOLD_V, advance
+from .neuron import DETECT_THRESHOLD_V, advance, stability_dt_max
 from .noise import NOISE_CHUNK, NoiseSpec, NoiseStream
 from .presets import neuron_preset, synapse_preset
 from .synapse import FLOOR_RATIO, dpi_decay, dpi_flow, dpi_rise, time_constant
@@ -184,13 +187,14 @@ class SpikeRecord:
     ``times[i]`` is a strictly increasing float array of spike times
     (seconds) of global neuron i; ``island_of[i]`` is its island index.
     ``traces`` is None or ``(t, {neuron_id: v})`` with decimated samples.
-    ``stats`` holds deterministic counters of the run: ``steps`` taken,
-    ``quiet_steps`` of them taken as a quiet stretch (see the module
-    docstring; the single-neuron scalar path takes none), ``pulse_steps``
-    with a synaptic pulse in flight, ``rising_solves``, the number of times
-    the pulse-driven DPI flow was solved (one call over an array of
-    outputs counts once), and ``spikes_per_island``.  They are
-    kept out of ``meta``, so they never reach ``meta.json`` or a manifest.
+    ``stats`` holds deterministic counters of the run: ``steps`` taken
+    (``sim.n_steps``), ``quiet_steps`` of them taken as a quiet stretch
+    (see the module docstring; the scalar path of one neuron without
+    synapses takes none), ``pulse_steps`` with a synaptic pulse in flight,
+    ``rising_solves``, the number of times the pulse-driven DPI flow was
+    solved (one call over an array of outputs counts once; both are 0
+    without synapses), and ``spikes_per_island``.  They are kept out of
+    ``meta``, so they never reach ``meta.json`` or a manifest.
     """
 
     times: list
@@ -290,31 +294,28 @@ def _trace_selector(sel, n: int) -> list[int]:
     for i in ids:
         if not 0 <= i < n:
             raise ValueError(f"trace selector id {i} out of range")
-    return ids
+    return list(dict.fromkeys(ids))  # a trace each, in selector order
 
 
 class _Traces:
     """Membrane samples of the selected neurons at t = 0 and after every
-    ``decim``-th step."""
+    ``decim``-th step: the sample after step k (0-based) is row
+    ``(k + 1) // decim`` of ``v``, a column per neuron."""
 
     def __init__(self, ids: list, n_steps: int, decim: int, dt: float, v_m):
-        self.ids, self.decim, self.dt = ids, decim, dt
+        self.ids, self.decim = ids, decim
         n_samp = n_steps // decim + 1
+        self.t = np.arange(n_samp) * decim * dt
         self.v = np.empty((n_samp, len(ids)))
-        self.t = np.empty(n_samp)
         self.v[0] = v_m[ids]
-        self.t[0] = 0.0
-        self.w = 1
 
     def after(self, k: int, v_m) -> None:
         """Sample after step k if its end is on the decimated grid."""
         if (k + 1) % self.decim == 0:
-            self.v[self.w] = v_m[self.ids]
-            self.t[self.w] = (k + 1) * self.dt
-            self.w += 1
+            self.v[(k + 1) // self.decim] = v_m[self.ids]
 
     def result(self) -> tuple:
-        return self.t[:self.w], {nid: self.v[:self.w, col].copy() for col, nid in enumerate(self.ids)}
+        return self.t, {nid: np.ascontiguousarray(self.v[:, col]) for col, nid in enumerate(self.ids)}
 
 
 _NO_ONSETS = np.empty(0)
@@ -405,14 +406,17 @@ class _SynapseStates:
     output sits exactly at its floor; such a step then delivers the floor
     charge without further work.  The pulse drive of every output is
     constant, so its fixed point ``a = i_pulse - i_tau`` and
-    ``c = i_tau / a`` are computed once.
+    ``c = i_tau / a`` are computed once.  A network without synapses has
+    an empty block, which delivers its zero ``floor_input`` on every step.
     """
 
     def __init__(self, keys: list, n_neurons: int, dt: float, post, signw, state_of):
         sps = [synapse_preset(name) for _, name in keys]
         self.dt = dt
         self.n_neurons = n_neurons
-        self.post, self.signw, self.state_of = post, signw, state_of
+        self.post = np.asarray(post, dtype=np.int64)
+        self.signw = np.asarray(signw, dtype=float)
+        self.state_of = np.asarray(state_of, dtype=np.int64)
         self.pre = np.array([pre for pre, _ in keys], dtype=np.int64)
         self.of_pre = [np.nonzero(self.pre == i)[0] for i in range(n_neurons)]
         tau = np.array([time_constant(sp) for sp in sps])
@@ -427,7 +431,7 @@ class _SynapseStates:
         self.i = self.floor.copy()
         # A pulse is in flight over at most ceil(width / dt) steps after its
         # onset step (one more is kept for the rounding of the quotient).
-        cols = int(math.ceil(self.width.max() / dt)) + 1
+        cols = int(math.ceil(self.width.max(initial=0.0) / dt)) + 1
         self.ends = np.arange(1, cols + 2) * dt  # step ends from the onset step's start
         self.ring = cols + 1
         # Ring rows of the steps k+1 .. k+cols, by k % ring.
@@ -548,13 +552,12 @@ class _QuietStretch:
         # may flip a switch or start a spike: it goes to the general step.
         self.stop = np.minimum(neurons.v_th, DETECT_THRESHOLD_V)
         # With one level for all neurons a step tests them with one
-        # max-reduce; the increments taken are finite, so it agrees.
+        # max-reduce, which is NaN when any membrane is, so it agrees.
         if (self.stop == self.stop[0]).all():
             self.stop = float(self.stop[0])
         self.floor_input = floor_input
         self.start = self.end = 0  # steps whose increments are in self.inc
         self.inc = None
-        self.bad = None  # steps of the batch with a non-finite increment
         self.steps = 0
 
     def holds(self, v_m, v_n) -> bool:
@@ -563,12 +566,9 @@ class _QuietStretch:
 
     def _batch(self, k: int) -> None:
         end = min(k + QUIET_CHUNK, self.n_steps)
-        i_total = self.drive.steps(k, end).T[:, self.island_of]
-        if self.floor_input is not None:
-            i_total = i_total + self.floor_input
+        i_total = self.drive.steps(k, end).T[:, self.island_of] + self.floor_input
         self.inc = ((i_total + 0.0) - 0.0) * self.k_dt
         self.start, self.end = k, end
-        self.bad = k + np.flatnonzero(~np.isfinite(self.inc).all(axis=1))
 
     def take(self, k: int, v_m, v_n, traces):
         """Take quiet steps from step k while they stay quiet; returns the
@@ -578,14 +578,12 @@ class _QuietStretch:
         while k < self.n_steps:
             if not self.start <= k < self.end:
                 self._batch(k)
-            ahead = self.bad[np.searchsorted(self.bad, k):]
-            limit = int(ahead[0]) if ahead.size else self.end
             inc, lo, stop, decay, base = self.inc, self.lo, self.stop, self.decay, self.start
             one_level = isinstance(stop, float)
-            while k < limit:
+            while k < self.end:
                 v = v_m + inc[k - base]
-                crossed = v.max() >= stop if one_level else (v >= stop).any()
-                if crossed:
+                # Not below the level: crossed, or not a number.
+                if not (v.max() < stop if one_level else (v < stop).all()):
                     self.steps += k - k0
                     return k, v_m, v_n
                 np.maximum(v, lo, out=v)  # the clip of the general step: v < v_th < hi
@@ -595,8 +593,6 @@ class _QuietStretch:
                 if traces is not None:
                     traces.after(k, v_m)
                 k += 1
-            if k < self.end:  # a non-finite increment: the general step reports it
-                break
         self.steps += k - k0
         return k, v_m, v_n
 
@@ -608,18 +604,11 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
     Raises SimulationError on numerical blow-up.
     """
     network.validate()
-    n_steps = sim.n_steps
-    dt = sim.dt
-
     sizes = [isl.n_neurons for isl in network.islands]
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     n = int(offsets[-1])
     island_of = np.concatenate([np.full(s, i, dtype=np.int32) for i, s in enumerate(sizes)])
-
     nps = [neuron_preset(isl.neuron_preset) for isl in network.islands]
-    for p in nps:
-        if dt > p.tau_n / 10.0:
-            raise ValueError(f"dt={dt:g} exceeds neuron stability bound tau_n/10 = {p.tau_n / 10:g}")
 
     # Synapses: island crossbars, then inter-island links.  A synapse sits in
     # its destination island and uses that island's preset; links are
@@ -645,74 +634,74 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
             add_synapse(int(offsets[link.src_island]) + link.src_neuron,
                         int(offsets[link.dst_island]) + tgt, float(link.multiplicity), preset)
 
-    n_syn = len(post_l)
-    meta = _meta(hashlib.sha256(serialize_config(network).encode()).hexdigest(), sim, n, n_syn)
+    meta = _meta(hashlib.sha256(serialize_config(network).encode()).hexdigest(), sim, n, len(post_l))
+    synapses = _SynapseStates(list(state_index), n, sim.dt, post_l, signw_l, state_l)
+    return _simulate([nps[i] for i in island_of], island_of, network.noise, synapses, sim, meta)
 
-    drive = _Drive(network.noise, sim)
-    if n == 1 and n_syn == 0:
-        return _run_scalar_single(
-            nps[0], drive, sim, island_of, meta, force_trace=False
-        )
 
-    synapses = None
-    if n_syn:
-        synapses = _SynapseStates(list(state_index), n, dt, np.array(post_l, dtype=np.int64),
-                                  np.array(signw_l), np.array(state_l, dtype=np.int64))
-
-    neurons = _NeuronBlock([nps[i] for i in island_of], dt)
-    quiet = _QuietStretch(drive, island_of, n_steps, neurons,
-                          synapses.floor_input if synapses is not None else None)
-    v_m = np.array([p.v_rest for p in neurons.params])
-    v_n = np.zeros(n)
+def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: SimConfig,
+              meta: dict) -> SpikeRecord:
+    """The run of neurons with parameters ``params``, neuron i in island
+    ``island_of[i]`` under noise source ``noise[island_of[i]]``, coupled
+    by ``synapses``.  One neuron without synapses takes the scalar path
+    (``_run_scalar_single``), any other network the general step."""
+    n, n_steps, dt = len(params), sim.n_steps, sim.dt
+    for p in params:
+        if dt > stability_dt_max(p):
+            raise ValueError(f"dt={dt:g} exceeds stability bound tau_n/10 = {stability_dt_max(p):g}")
+    drive = _Drive(noise, sim)
+    v_m = np.array([p.v_rest for p in params])
     trace_ids = _trace_selector(sim.record_traces, n)
     traces = _Traces(trace_ids, n_steps, sim.trace_decimation, dt, v_m) if trace_ids else None
-    acc_steps: list[tuple[int, np.ndarray]] = []
 
-    k = general_steps = 0
-    while k < n_steps:
-        if (synapses is None or synapses.idle_at_floor(k)) and quiet.holds(v_m, v_n):
-            k, v_m, v_n = quiet.take(k, v_m, v_n, traces)
-            if k == n_steps:
-                break
-        general_steps += 1
-        i_total = i_noise = drive.at(k)[island_of]
-
-        if synapses is not None:
+    if n == 1 and not synapses.post.size:
+        spikes = [_run_scalar_single(params[0], drive, sim, traces)]
+        quiet_steps = 0
+    else:
+        neurons = _NeuronBlock(params, dt)
+        quiet = _QuietStretch(drive, island_of, n_steps, neurons, synapses.floor_input)
+        v_n = np.zeros(n)
+        acc_steps: list[tuple[int, np.ndarray]] = []
+        k = 0
+        while k < n_steps:
+            if synapses.idle_at_floor(k) and quiet.holds(v_m, v_n):
+                k, v_m, v_n = quiet.take(k, v_m, v_n, traces)
+                if k == n_steps:
+                    break
+            i_noise = drive.at(k)[island_of]
             i_syn = synapses.step(k)
-            i_total = i_noise + i_syn
+            v_m, v_n, spiking, onsets = neurons.step(v_m, v_n, i_noise + i_syn)
 
-        v_m, v_n, spiking, onsets = neurons.step(v_m, v_n, i_total)
+            # A finite sum has finite terms; the exact test runs only otherwise.
+            if not (math.isfinite(v_m.sum()) and math.isfinite(v_n.sum())):
+                bad = np.nonzero(~(np.isfinite(v_m) & np.isfinite(v_n)))[0]
+                if bad.size:
+                    b = int(bad[0])
+                    raise SimulationError(b, int(island_of[b]), k, (k + 1) * dt,
+                                          _phase_at_fault(i_noise[b], i_syn[b]))
 
-        # A finite sum has finite terms; the exact test runs only otherwise.
-        if not (math.isfinite(v_m.sum()) and math.isfinite(v_n.sum())):
-            bad = np.nonzero(~(np.isfinite(v_m) & np.isfinite(v_n)))[0]
-            if bad.size:
-                b = int(bad[0])
-                phase = _phase_at_fault(i_noise[b], i_syn[b] if synapses is not None else 0.0)
-                raise SimulationError(b, int(island_of[b]), k, (k + 1) * dt, phase)
-
-        if spiking.size:
-            acc_steps.append((k + 1, spiking))
-            if synapses is not None:
+            if spiking.size:
+                acc_steps.append((k + 1, spiking))
                 synapses.start_pulses(k, spiking, onsets)
 
-        if traces is not None:
-            traces.after(k, v_m)
-        k += 1
+            if traces is not None:
+                traces.after(k, v_m)
+            k += 1
 
-    per_neuron: list[list[int]] = [[] for _ in range(n)]
-    for step, idxs in acc_steps:
-        for i in idxs:
-            per_neuron[int(i)].append(step)
-    times = [np.array(s, dtype=np.int64) * dt for s in per_neuron]
+        spikes = [[] for _ in range(n)]
+        for step, idxs in acc_steps:
+            for i in idxs:
+                spikes[int(i)].append(step)
+        quiet_steps = quiet.steps
 
+    times = [np.array(s, dtype=np.int64) * dt for s in spikes]
     stats = {
-        "steps": general_steps + quiet.steps,
-        "quiet_steps": quiet.steps,
-        "pulse_steps": synapses.pulse_steps if synapses is not None else 0,
-        "rising_solves": synapses.rising_solves if synapses is not None else 0,
+        "steps": n_steps,
+        "quiet_steps": quiet_steps,
+        "pulse_steps": synapses.pulse_steps,
+        "rising_solves": synapses.rising_solves,
         "spikes_per_island": [
-            int(c) for c in np.bincount(island_of, weights=[len(t) for t in times], minlength=len(sizes))
+            int(c) for c in np.bincount(island_of, weights=[len(t) for t in times], minlength=len(noise))
         ],
     }
     return SpikeRecord(
@@ -725,28 +714,19 @@ class _ScalarNeuron:
     """One neuron with no synapses, stepped in plain floats: a step in which
     no switch flips is taken inline with the expressions of the vectorized
     path, any other step goes through ``neuron.advance``.  ``spikes`` holds
-    the (1-based) steps at whose end a spike is reported; with ``decim``
-    set, the membrane is sampled at t = 0 and after every ``decim``-th
-    step."""
+    the (1-based) steps at whose end a spike is reported; ``traces`` (the
+    ``_Traces`` of this neuron, or None) takes its membrane samples."""
 
-    def __init__(self, params, dt: float, n_steps: int, decim: int | None):
-        self.params, self.dt, self.decim = params, dt, decim
+    def __init__(self, params, dt: float, traces: _Traces | None):
+        self.params, self.dt, self.traces = params, dt, traces
         self.k_dt = dt / params.c_m
         self.decay = math.exp(-dt / params.tau_n)
         self.spikes: list[int] = []
-        self.w = 0  # trace samples written
-        if decim is not None:
-            n_samp = n_steps // decim + 1
-            self.trace_v = np.empty(n_samp)
-            self.trace_t = np.empty(n_samp)
-            self.trace_v[0] = params.v_rest
-            self.trace_t[0] = 0.0
-            self.w = 1
 
     def take(self, drive: list, k: int, v_m: float, v_n: float) -> tuple[float, float]:
         """Steps k+1 .. k+len(drive) under the input currents ``drive``;
         returns the state after them."""
-        params, dt, decim = self.params, self.dt, self.decim
+        params, dt, traces = self.params, self.dt, self.traces
         v_th = params.v_th
         v_gate = params.v_gate_th
         i_na_max = params.i_na_max
@@ -763,9 +743,9 @@ class _ScalarNeuron:
         steps = self.spikes
         # With no trace to sample, quiet steps run on in a loop of their own:
         # v <= stop keeps v_m <= v_th, and v_n * decay <= v_gate for v_gate >= 0.
-        stay = decim is None and v_gate >= 0.0
-        if decim is not None:
-            trace_v, trace_t, w = self.trace_v, self.trace_t, self.w
+        stay = traces is None and v_gate >= 0.0
+        if traces is not None:
+            trace_v, decim = traces.v[:, 0], traces.decim
         drive = iter(drive)
         for i_in in drive:
             k += 1
@@ -819,52 +799,40 @@ class _ScalarNeuron:
                         steps.append(k)
                     v_m = lo if v < lo else hi if v > hi else v
                     v_n = vn
-            if decim is not None and k % decim == 0:
-                trace_v[w] = v_m
-                trace_t[w] = k * dt
-                w += 1
-        if decim is not None:
-            self.w = w
+            if traces is not None and k % decim == 0:
+                trace_v[k // decim] = v_m
         return v_m, v_n
 
 
-def _run_scalar_single(params, drive: _Drive, sim: SimConfig, island_of, meta, force_trace: bool) -> SpikeRecord:
-    """Tight scalar loop for one neuron with no synapses (``_ScalarNeuron``).
+def _run_scalar_single(params, drive: _Drive, sim: SimConfig, traces: _Traces | None) -> list[int]:
+    """Tight scalar loop for one neuron with no synapses (``_ScalarNeuron``);
+    returns the (1-based) steps at whose end it spikes.
 
     Takes the same steps as the vectorized path, in plain floats, reading
     the drive DRIVE_CHUNK steps at a time; ~50x faster for long
     single-neuron transients.  The state is tested after each chunk: a
     non-finite state stays non-finite, so a chunk that ends in one is taken
     again step by step from its start, from the drive already read, to
-    report the first non-finite step, as the vectorized path does.
+    report the first non-finite step, as the vectorized path does.  The
+    replay always ends in that error, so what it records again is dropped.
     """
     dt = sim.dt
     n_steps = sim.n_steps
-    record_trace = force_trace or sim.record_traces is not None
-    neuron = _ScalarNeuron(params, dt, n_steps, sim.trace_decimation if record_trace else None)
+    neuron = _ScalarNeuron(params, dt, traces)
     v_m = params.v_rest
     v_n = 0.0
     for k in range(0, n_steps, DRIVE_CHUNK):
         chunk = drive.steps(k, min(k + DRIVE_CHUNK, n_steps))[0].tolist()
-        before = (v_m, v_n, len(neuron.spikes), neuron.w)
+        before = (v_m, v_n)
         v_m, v_n = neuron.take(chunk, k, v_m, v_n)
         if not (math.isfinite(v_m) and math.isfinite(v_n)):
-            v_m, v_n, n_spikes, neuron.w = before
-            del neuron.spikes[n_spikes:]
+            v_m, v_n = before
             for j, i_in in enumerate(chunk, k):
                 v_m, v_n = neuron.take([i_in], j, v_m, v_n)
                 if not (math.isfinite(v_m) and math.isfinite(v_n)):
                     raise SimulationError(0, 0, j, (j + 1) * dt, _phase_at_fault(i_in, 0.0))
         del chunk  # hold one chunk of Python floats at a time
-
-    times = [np.array(neuron.spikes, dtype=np.int64) * dt]
-    traces = (neuron.trace_t[:neuron.w], {0: neuron.trace_v[:neuron.w]}) if record_trace else None
-    stats = {"steps": n_steps, "quiet_steps": 0, "pulse_steps": 0, "rising_solves": 0,
-             "spikes_per_island": [len(neuron.spikes)]}
-    return SpikeRecord(
-        times=times, island_of=island_of, dt=dt, duration=sim.duration, meta=meta, traces=traces,
-        stats=stats,
-    )
+    return neuron.spikes
 
 
 def run_single_neuron(noise: NoiseSpec, params, sim: SimConfig) -> SpikeRecord:
@@ -874,10 +842,7 @@ def run_single_neuron(noise: NoiseSpec, params, sim: SimConfig) -> SpikeRecord:
     membrane trace is always recorded (decimated by
     ``sim.trace_decimation``).
     """
-    if sim.dt > params.tau_n / 10.0:
-        raise ValueError("dt exceeds neuron stability bound tau_n/10")
     config = {"single_neuron": True, "noise": [noise.kind, noise.density, noise.band]}
     meta = _meta(hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(), sim, 1, 0)
-    return _run_scalar_single(
-        params, _Drive([noise], sim), sim, np.zeros(1, dtype=np.int32), meta, force_trace=True
-    )
+    return _simulate([params], np.zeros(1, dtype=np.int32), (noise,),
+                     _SynapseStates([], 1, sim.dt, [], [], []), replace(sim, record_traces="all"), meta)

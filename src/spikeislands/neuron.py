@@ -252,7 +252,7 @@ def natural_period(
     if not math.isfinite(i_const) or i_const <= 0.0:
         raise NoFiringError(f"constant drive {i_const!r} cannot cause firing")
     if dt > stability_dt_max(params):
-        raise ValueError("dt exceeds stability bound tau_n/10")
+        raise ValueError(f"dt={dt:g} exceeds stability bound tau_n/10 = {stability_dt_max(params):g}")
 
     t_expect = params.c_m * (params.v_th - params.v_rest) / i_const + 1e-6
     max_steps = int(math.ceil(100.0 * t_expect * (n_discard + n_average + 1) / dt))

@@ -2,9 +2,12 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import spikeislands
+from spikeislands.cli import main
 from spikeislands.configio import load_builtin
 
 
@@ -82,6 +85,17 @@ class TestSimulate:
             assert res.returncode == 0, res.stderr
         assert (a / "spikes.csv").read_bytes() == (b / "spikes.csv").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("flags", [["--dt", "0"], ["--traces", "--trace-decimation", "0"],
+                                       ["--duration", "1e-9"]])
+    def test_bad_run_parameter_exit_2(self, tmp_path, flags, capsys):
+        # a run parameter that SimConfig rejects is a usage error, not a
+        # runtime one
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", "fig3_single_neuron", "--duration", "1e-5",
+                     *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_env_var_output_root(self, tmp_path):
         import os
@@ -186,6 +200,13 @@ class TestSweep:
         assert res.returncode == 2, res.stderr
         assert not out.exists()
 
+    def test_bad_dt_exit_2_before_any_run(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", "fig3_single_neuron", "--axis", "noise-density",
+                     "--values", "4e-10", "--duration", "1e-5", "--dt", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: dt must be positive\n"
+        assert not out.exists()
+
     def test_empty_values_exit_2(self, tmp_path):
         res = cli("sweep", "--config", "fig3_single_neuron", "--axis", "noise-density",
                   "--values", "", "--out", str(tmp_path / "s"))
@@ -235,8 +256,6 @@ class TestSweep:
         # of the data the same inputs give, and not with --jobs; without
         # --seed the config's seed hint is the base seed
         import spikeislands.cli as cli_mod
-        from spikeislands.cli import main
-        from spikeislands.configio import load_builtin
 
         config = tmp_path / "ring.cfg"
         config.write_text("sim seed=3\n" + load_builtin("fig5A_nobond"))
@@ -266,6 +285,14 @@ class TestSweep:
         assert variants["version"]["version"] == "0.1.0"
         hashes = [base["content_hash"]] + [m["content_hash"] for m in variants.values()]
         assert len(set(hashes)) == len(hashes)
+
+
+def test_package_version_matches_pyproject():
+    # a manifest's content_hash covers __version__ alone, so a release that
+    # changes the data bumps both together
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["version"] == spikeislands.__version__
 
 
 class TestNoiseCheck:

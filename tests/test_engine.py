@@ -14,13 +14,14 @@ from spikeislands.engine import (
     _NeuronBlock,
     _ScalarNeuron,
     _SynapseStates,
+    _Traces,
     SimulationError,
     derive_seed,
     run,
     run_single_neuron,
 )
 from spikeislands.io import spikes_to_csv
-from spikeislands.neuron import NeuronState, advance, neuron_step
+from spikeislands.neuron import NeuronState, advance, neuron_step, stability_dt_max
 from spikeislands.noise import NOISE_CHUNK, NoiseSpec, density_for_rms, generate
 from spikeislands.presets import neuron_preset, synapse_preset
 from spikeislands.synapse import dpi_decay, dpi_flow, presynaptic_pulse, time_constant
@@ -104,6 +105,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(duration=1e-5, dt=1e-8, noise_dt=1.5e-8)
         assert SimConfig(duration=1e-5, dt=1e-8, noise_dt=3e-8).hold == 3
+
+    def test_runs_reject_a_step_above_the_stability_bound(self):
+        # both run paths and run_single_neuron check dt as neuron_step does
+        dt = 1.5 * stability_dt_max(P)
+        sim = SimConfig(duration=20 * dt, dt=dt)
+        for n in (1, 2):
+            with pytest.raises(ValueError, match="exceeds stability bound"):
+                run(single_island(n, []), sim)
+        with pytest.raises(ValueError, match="exceeds stability bound"):
+            run_single_neuron(NoiseSpec("white", 2e-10, (10.0, 1e6)), P, sim)
 
 
 class TestDeterminismAndSeeds:
@@ -311,6 +322,30 @@ class TestEngineMatchesLibrary:
         assert plain.times[0].tobytes() == traced.times[0].tobytes()
         assert plain.stats == traced.stats
 
+    @pytest.mark.parametrize("selector,keys", [(None, None), ([], None), ([0], [0]), ([0, 0], [0]),
+                                               ("all", "all"), ([5], ValueError), ("bogus", ValueError)])
+    def test_single_neuron_network_selects_traces_as_any_network(self, selector, keys):
+        # the scalar path of one neuron without synapses takes its traces
+        # through the selector of every other network: an unknown id or name
+        # is rejected and an empty selector records none
+        single, _ = parse_document(load_builtin("fig3_single_neuron"))
+        for net in (single, single_island(2, [])):
+            sim = SimConfig(duration=1e-6, dt=DT, record_traces=selector, trace_decimation=5)
+            if keys is ValueError:
+                with pytest.raises(ValueError):
+                    run(net, sim)
+                continue
+            rec = run(net, sim)
+            if keys is None:
+                assert rec.traces is None
+                continue
+            t, v = rec.traces
+            assert list(v) == (list(range(net.n_neurons_total)) if keys == "all" else keys)
+            assert np.array_equal(t, np.arange(21) * 5 * DT)
+            full = run(net, replace(sim, record_traces="all")).traces[1]
+            assert all(trace.tobytes() == full[nid].tobytes() and trace.shape == t.shape
+                       for nid, trace in v.items())
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.3, 1.999), st.floats(0.2, 0.95), st.floats(0.5, 2.0), st.floats(1e-7, 1e-6),
            st.floats(0.5e-6, 3e-6), st.floats(0.0, 4e-6), st.integers(0, 2**32 - 1))
@@ -330,8 +365,8 @@ class TestEngineMatchesLibrary:
             v_m, v_n, spiking, _ = block.step(v_m, v_n, np.array([i_in]))
             if spiking.size:
                 expected.append(k)
-        for decim in (None, 1):
-            scalar = _ScalarNeuron(params, DT, len(drive), decim)
+        for traces in (None, _Traces([0], len(drive), 1, DT, np.array([params.v_rest]))):
+            scalar = _ScalarNeuron(params, DT, traces)
             end = scalar.take(drive, 0, params.v_rest, 0.0)
             assert scalar.spikes == expected
             assert end == (v_m[0], v_n[0])
@@ -557,11 +592,17 @@ class TestQuietStretches:
         ("fig6F", dict(master_seed=2, record_traces="all", trace_decimation=7)),
         ("fig6H", dict(master_seed=0, record_traces=[0, 17, 40])),
         ("fig5A_nobond", dict(master_seed=1, dt=DT / 2, noise_dt=DT)),
+        ("no_synapses", dict(master_seed=3, record_traces="all", trace_decimation=3)),
     ])
     def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, monkeypatch):
         import spikeislands.engine as engine_mod
 
-        net, _ = parse_document(load_builtin(name))
+        # Every shipped config has synapses; a network without any has an
+        # empty synapse block.
+        if name == "no_synapses":
+            net = single_island(5, [], density=4e-10)
+        else:
+            net, _ = parse_document(load_builtin(name))
         sim = SimConfig(**{"duration": 3e-5, "dt": DT, **sim_kw})
         fast = run(net, sim)
         monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)

@@ -98,6 +98,10 @@ class TestStep:
 
 
 class TestNaturalPeriod:
+    def test_rejects_unstable_dt(self):
+        with pytest.raises(ValueError, match="exceeds stability bound"):
+            natural_period(P, 1.5e-6, 1.5 * stability_dt_max(P))
+
     def test_one_mhz_at_calibrated_drive(self):
         # the preset operates at ~1 MHz: period within 10% of 1 us
         T = natural_period(P, FAST_MODE_1MHZ_DRIVE_A, DT)
