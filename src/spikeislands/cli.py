@@ -41,7 +41,7 @@ from .analysis import (
     trains,
 )
 from .configio import ConfigSyntaxError, builtin_names, load_builtin, parse_document
-from .engine import SimConfig, SimulationError, derive_seed, run
+from .engine import SimConfig, SimulationError, check_sim, derive_seed, run
 from .io import (
     read_events_csv,
     read_traces_csv,
@@ -52,6 +52,7 @@ from .io import (
     write_traces_csv,
 )
 from .noise import NoiseSpec, density_for_rms, generate, prepare, psd_estimate
+from .presets import neuron_preset
 from .topology import TopologyError, build_ring
 
 SWEEP_AXES = ("noise-density", "links", "fanout", "multiplicity")
@@ -83,7 +84,8 @@ def _load_config(spec_arg: str) -> tuple[str, str]:
     )
 
 
-def _sim_from_args(args, hints: dict) -> SimConfig:
+def _sim_from_args(args, hints: dict, network) -> SimConfig:
+    """The run parameters, checked against ``network`` (``engine.check_sim``)."""
     duration = args.duration if args.duration is not None else hints.get("duration")
     if duration is None:
         raise CliError("no duration: pass --duration or add a 'sim duration=...' line to the config")
@@ -92,9 +94,9 @@ def _sim_from_args(args, hints: dict) -> SimConfig:
     traces = "all" if getattr(args, "traces", False) else None
     decim = getattr(args, "trace_decimation", 10)
     try:
-        return SimConfig(
-            duration=duration, dt=dt, master_seed=seed, record_traces=traces, trace_decimation=decim
-        )
+        sim = SimConfig(duration=duration, dt=dt, master_seed=seed, record_traces=traces, trace_decimation=decim)
+        check_sim([neuron_preset(isl.neuron_preset) for isl in network.islands], network.noise, sim)
+        return sim
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
@@ -142,11 +144,13 @@ def _write_run(out_dir: Path, record, write_traces: bool) -> None:
 def cmd_simulate(args) -> int:
     config_text, source = _load_config(args.config)
     network, hints = parse_document(config_text)
-    sim = _sim_from_args(args, hints)
+    sim = _sim_from_args(args, hints, network)
     record = run(network, sim)
     out_dir = _resolve_out(args.out)
     _write_run(out_dir, record, write_traces=bool(args.traces))
-    _write_manifest(out_dir, config_text, source, sim)
+    # hashed only when traces are on, so an untraced run's content_hash does not move
+    extra = {"trace_decimation": sim.trace_decimation} if args.traces else None
+    _write_manifest(out_dir, config_text, source, sim, extra=extra)
     print(f"wrote {out_dir / 'spikes.csv'} ({record.total_spikes()} spikes)")
     return 0
 
@@ -285,7 +289,7 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise CliError(f"{args.axis}={v:g}: {exc}") from None
     # Run i uses master seed derive_seed(sim.master_seed, i).
-    sim = _sim_from_args(args, hints)
+    sim = _sim_from_args(args, hints, network)
 
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

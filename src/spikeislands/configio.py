@@ -3,7 +3,8 @@
 The format is a line-oriented, human-readable key-value text.  Grammar
 (EBNF; tokens are whitespace-separated, ``#`` starts a comment):
 
-    config       = { line } ;
+    config       = [ base_line ] { line } ;
+    base_line    = "base" name ;              (* a built-in config's name *)
     line         = blank | comment | sim_line | island_block | link_line | ring_line ;
     sim_line     = "sim" { kv } ;
     island_block = "island" int { island_stmt } "end" ;
@@ -19,24 +20,29 @@ The format is a line-oriented, human-readable key-value text.  Grammar
     intlist      = "[" int { "," int } "]" ;
     kv           = key "=" value ;
 
-Island indices must be declared in order 0, 1, 2, ...  Every island must
-declare exactly one ``noise`` source.  ``sim`` lines carry run defaults
-(``duration``, ``dt``, ``seed``) that the CLI may override.  ``ring`` lines
-are constructor shorthand: after parsing, ``build_ring`` is applied with the
-given ``links``/``fanout``/``multiplicity``/``seed``, producing explicit
-links.  An island's crossbar comes from either its ``edge`` lines or one
-``crossbar`` line, never both: at the island's ``end``, ``crossbar`` becomes
-``random_crossbar(n, edges, inh, seed, allow_self=True)`` for the island's
-final neuron count ``n``.  Canonical serialization therefore emits explicit
-``link`` and ``edge`` lines and never ``ring`` or ``crossbar`` lines;
-parse(serialize(spec)) reproduces the spec exactly.
+``base`` may only be a config's first statement: the statements of the named
+built-in config (``builtin_names``) come first, then the config's own, so a
+ring config is its base plus one ``ring`` line.  A built-in used as a base
+has no base itself.  Island indices must be declared in order 0, 1, 2, ...
+Every island must declare exactly one ``noise`` source.  ``sim`` lines carry
+run defaults (``duration``, ``dt``, ``seed``) that the CLI may override.
+``ring`` lines are constructor shorthand: after parsing, ``build_ring`` is
+applied with the given ``links``/``fanout``/``multiplicity``/``seed``,
+producing explicit links.  An island's crossbar comes from either its
+``edge`` lines or one ``crossbar`` line, never both: at the island's
+``end``, ``crossbar`` becomes ``random_crossbar(n, edges, inh, seed,
+allow_self=True)`` for the island's final neuron count ``n``.  Canonical
+serialization therefore emits explicit ``link`` and ``edge`` lines and never
+``base``, ``ring`` or ``crossbar`` lines; parse(serialize(spec)) reproduces
+the spec exactly.
 
-Recognized kv keys: sim: duration, dt, seed; noise: density, rms, band
-(``lo:hi``), seed, stream; link: multiplicity; ring: links, fanout,
-multiplicity, seed; crossbar: edges, inh, seed (all three required).
-Values of ``ring`` and ``crossbar`` keys are integers; values that
-``build_ring`` or ``random_crossbar`` rejects are a ConfigSyntaxError at
-their line.
+Recognized kv keys: sim: duration, dt, seed; noise: density or rms (one of
+them), band (``lo:hi``), seed, stream; link: multiplicity; ring: links,
+fanout, multiplicity, seed; crossbar: edges, inh, seed (all three required).
+Every ``seed``, ``stream`` and ``multiplicity`` value and every ring and
+crossbar value must be written as an integer (``seed=1.0`` is an error).  A
+value that is malformed, or that ``NoiseSpec``, ``build_ring`` or
+``random_crossbar`` rejects, is a ConfigSyntaxError at its line.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .noise import NoiseSpec, density_for_rms
+from .noise import DEFAULT_BAND, NoiseSpec, density_for_rms
 from .topology import (
     InterIslandLink,
     IslandSpec,
@@ -97,40 +103,61 @@ def _tokenize_line(raw: str, lineno: int) -> list[_Tok]:
     return toks
 
 
-def _parse_int(tok: _Tok, what: str) -> int:
+def _statements(text: str) -> list[list[_Tok]]:
+    """The tokens of each non-blank line of ``text``."""
+    return [toks for lineno, raw in enumerate(text.splitlines(), start=1) if (toks := _tokenize_line(raw, lineno))]
+
+
+def _base(toks: list[_Tok]) -> list[list[_Tok]]:
+    """The statements of the built-in config named by ``base <name>``; a
+    built-in that starts with a base cannot be one."""
+    if len(toks) != 2:
+        raise ConfigSyntaxError(toks[0].line, toks[0].col, "usage: base <built-in name>")
+    name = toks[1]
+    if name.text not in builtin_names():
+        raise ConfigSyntaxError(name.line, name.col, f"no built-in config {name.text!r}; available: {builtin_names()}")
+    statements = _statements(load_builtin(name.text))
+    if statements and statements[0][0].text == "base":
+        raise ConfigSyntaxError(name.line, name.col, f"built-in config {name.text!r} has a base of its own")
+    return statements
+
+
+def _band(text: str) -> tuple[float, float]:
+    lo, hi = text.split(":")
+    return float(lo), float(hi)
+
+
+_REQUIRED = object()
+_KINDS = {int: "an integer", float: "a number", _band: "lo:hi"}
+
+
+def _value(kind, tok: _Tok, what: str, text: str | None = None):
+    """``kind(text)`` for ``kind`` int, float or _band, ``text`` defaulting
+    to the token's; a text that ``kind`` rejects is a ConfigSyntaxError at ``tok``."""
+    text = tok.text if text is None else text
     try:
-        return int(tok.text)
+        return kind(text)
     except ValueError:
-        raise ConfigSyntaxError(tok.line, tok.col, f"expected integer {what}, got {tok.text!r}") from None
+        raise ConfigSyntaxError(tok.line, tok.col, f"{what} must be {_KINDS[kind]}, got {text!r}") from None
 
 
-def _parse_float(text: str, tok: _Tok, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigSyntaxError(tok.line, tok.col, f"expected number for {what}, got {text!r}") from None
-
-
-def _parse_kvs(toks: list[_Tok], allowed: set[str]) -> dict[str, tuple[str, _Tok]]:
-    out: dict[str, tuple[str, _Tok]] = {}
+def _parse_kvs(head: _Tok, toks: list[_Tok], keys: dict[str, tuple]) -> dict:
+    """``key=value`` pairs of the statement ``head``: ``keys`` maps each allowed
+    key to its ``(type, default)``, type int, float or _band, and a default of
+    _REQUIRED marks a key the statement needs."""
+    out = {key: default for key, (_, default) in keys.items()}
+    seen: set[str] = set()
     for tok in toks:
-        if "=" not in tok.text:
+        key, eq, text = tok.text.partition("=")
+        if not eq:
             raise ConfigSyntaxError(tok.line, tok.col, f"expected key=value, got {tok.text!r}")
-        key, val = tok.text.split("=", 1)
-        if key not in allowed:
-            raise ConfigSyntaxError(tok.line, tok.col, f"unknown key {key!r} (allowed: {sorted(allowed)})")
-        if key in out:
+        if key not in keys:
+            raise ConfigSyntaxError(tok.line, tok.col, f"unknown key {key!r} (allowed: {sorted(keys)})")
+        if key in seen:
             raise ConfigSyntaxError(tok.line, tok.col, f"duplicate key {key!r}")
-        out[key] = (val, tok)
-    return out
-
-
-def _parse_int_kvs(head: _Tok, toks: list[_Tok], defaults: dict[str, int | None]) -> dict[str, int]:
-    """Integer ``key=value`` pairs over the keys of ``defaults``; a None default marks a required key."""
-    out = dict(defaults)
-    for key, (val, tok) in _parse_kvs(toks, set(defaults)).items():
-        out[key] = _parse_int(_Tok(val, tok.line, tok.col), key)
-    missing = [key for key, val in out.items() if val is None]
+        seen.add(key)
+        out[key] = _value(keys[key][0], tok, key, text)
+    missing = [key for key, val in out.items() if val is _REQUIRED]
     if missing:
         raise ConfigSyntaxError(head.line, head.col, f"{head.text} requires {', '.join(missing)}")
     return out
@@ -143,49 +170,23 @@ def _parse_intlist(tok: _Tok) -> list[int]:
     body = text[1:-1]
     if not body:
         raise ConfigSyntaxError(tok.line, tok.col, "target list must be non-empty")
-    out = []
-    for part in body.split(","):
-        try:
-            out.append(int(part))
-        except ValueError:
-            raise ConfigSyntaxError(tok.line, tok.col, f"bad target index {part!r}") from None
-    return out
+    return [_value(int, tok, "target index", part) for part in body.split(",")]
 
 
 def _parse_noise(toks: list[_Tok], island_idx: int) -> NoiseSpec:
-    if not toks:
-        raise ConfigSyntaxError(0, 0, "noise requires a kind")
-    kind_tok = toks[0]
-    if kind_tok.text not in ("white", "pink"):
-        raise ConfigSyntaxError(kind_tok.line, kind_tok.col, f"noise kind must be white|pink, got {kind_tok.text!r}")
-    kvs = _parse_kvs(toks[1:], {"density", "rms", "band", "seed", "stream"})
-    band = (10.0, 5e6)
-    if "band" in kvs:
-        val, tok = kvs["band"]
-        parts = val.split(":")
-        if len(parts) != 2:
-            raise ConfigSyntaxError(tok.line, tok.col, f"band must be lo:hi, got {val!r}")
-        band = (_parse_float(parts[0], tok, "band lo"), _parse_float(parts[1], tok, "band hi"))
-    if "density" in kvs and "rms" in kvs:
-        _, tok = kvs["rms"]
-        raise ConfigSyntaxError(tok.line, tok.col, "give density or rms, not both")
-    if "density" in kvs:
-        val, tok = kvs["density"]
-        density = _parse_float(val, tok, "density")
-    elif "rms" in kvs:
-        val, tok = kvs["rms"]
-        density = density_for_rms(_parse_float(val, tok, "rms"), band)
-    else:
-        raise ConfigSyntaxError(kind_tok.line, kind_tok.col, "noise requires density= or rms=")
-    seed = 0
-    stream = island_idx
-    if "seed" in kvs:
-        val, tok = kvs["seed"]
-        seed = int(_parse_float(val, tok, "seed"))
-    if "stream" in kvs:
-        val, tok = kvs["stream"]
-        stream = int(_parse_float(val, tok, "stream"))
-    return NoiseSpec(kind=kind_tok.text, density=density, band=band, seed=seed, stream_id=stream)
+    head = toks[0]
+    if len(toks) < 2:
+        raise ConfigSyntaxError(head.line, head.col, "usage: noise white|pink density=|rms= ...")
+    kvs = _parse_kvs(head, toks[2:], {"density": (float, None), "rms": (float, None), "band": (_band, DEFAULT_BAND),
+                                      "seed": (int, 0), "stream": (int, island_idx)})
+    if (kvs["density"] is None) == (kvs["rms"] is None):
+        raise ConfigSyntaxError(head.line, head.col, "noise takes one of density= and rms=")
+    try:
+        density = kvs["density"] if kvs["rms"] is None else density_for_rms(kvs["rms"], kvs["band"])
+        return NoiseSpec(kind=toks[1].text, density=density, band=kvs["band"], seed=kvs["seed"],
+                         stream_id=kvs["stream"])
+    except ValueError as exc:
+        raise ConfigSyntaxError(head.line, head.col, str(exc)) from None
 
 
 def parse_document(text: str) -> tuple[NetworkSpec, dict]:
@@ -202,14 +203,13 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
     rings: list[tuple[_Tok, dict]] = []
     hints: dict = {}
 
-    lines = text.splitlines()
+    statements = _statements(text)
+    if statements and statements[0][0].text == "base":
+        statements[:1] = _base(statements[0])
     in_island = False
     cur: dict = {}
 
-    for lineno, raw in enumerate(lines, start=1):
-        toks = _tokenize_line(raw, lineno)
-        if not toks:
-            continue
+    for toks in statements:
         head = toks[0]
 
         if in_island:
@@ -236,7 +236,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
             elif head.text == "neurons":
                 if len(toks) != 2:
                     raise ConfigSyntaxError(head.line, head.col, "usage: neurons <count>")
-                cur["n_neurons"] = _parse_int(toks[1], "neuron count")
+                cur["n_neurons"] = _value(int, toks[1], "neuron count")
             elif head.text in ("neuron_preset", "synapse_preset"):
                 if len(toks) != 2:
                     raise ConfigSyntaxError(head.line, head.col, f"usage: {head.text} <name>")
@@ -244,16 +244,17 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
             elif head.text == "noise":
                 if cur["noise"] is not None:
                     raise TopologyError(f"island[{cur['index']}].noise", "island declares more than one noise source")
-                cur["noise"] = _parse_noise(toks[1:], cur["index"])
+                cur["noise"] = _parse_noise(toks, cur["index"])
             elif cur["crossbar"] and head.text in ("edge", "crossbar") or cur["edges"] and head.text == "crossbar":
                 raise ConfigSyntaxError(head.line, head.col, "an island's crossbar comes from edge lines or one crossbar line")
             elif head.text == "crossbar":
-                cur["crossbar"] = (head, _parse_int_kvs(head, toks[1:], {"edges": None, "inh": None, "seed": None}))
+                keys = dict.fromkeys(("edges", "inh", "seed"), (int, _REQUIRED))
+                cur["crossbar"] = (head, _parse_kvs(head, toks[1:], keys))
             elif head.text == "edge":
                 if len(toks) != 5 or toks[2].text != "->":
                     raise ConfigSyntaxError(head.line, head.col, "usage: edge <pre> -> <post> exc|inh")
-                pre = _parse_int(toks[1], "pre index")
-                post = _parse_int(toks[3], "post index")
+                pre = _value(int, toks[1], "pre index")
+                post = _value(int, toks[3], "post index")
                 pol = toks[4].text
                 if pol not in ("exc", "inh"):
                     raise ConfigSyntaxError(toks[4].line, toks[4].col, f"polarity must be exc|inh, got {pol!r}")
@@ -265,7 +266,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
         if head.text == "island":
             if len(toks) != 2:
                 raise ConfigSyntaxError(head.line, head.col, "usage: island <index>")
-            idx = _parse_int(toks[1], "island index")
+            idx = _value(int, toks[1], "island index")
             if idx != len(islands):
                 raise TopologyError(f"island[{idx}]", f"islands must be declared in order; expected index {len(islands)}")
             cur = {
@@ -279,10 +280,8 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
             }
             in_island = True
         elif head.text == "sim":
-            kvs = _parse_kvs(toks[1:], {"duration", "dt", "seed"})
-            for key, (val, tok) in kvs.items():
-                num = _parse_float(val, tok, key)
-                hints[key] = int(num) if key == "seed" else num
+            kvs = _parse_kvs(head, toks[1:], {"duration": (float, None), "dt": (float, None), "seed": (int, None)})
+            hints.update((key, val) for key, val in kvs.items() if val is not None)
         elif head.text == "link":
             # link S.N -> D.[t1,t2,...] [multiplicity=m]
             if len(toks) < 4 or toks[2].text != "->":
@@ -293,15 +292,11 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
             dst_part = toks[3].text.split(".", 1)
             if len(dst_part) != 2:
                 raise ConfigSyntaxError(toks[3].line, toks[3].col, f"expected <island>.[targets], got {toks[3].text!r}")
-            src_isl = _parse_int(_Tok(src_part[0], toks[1].line, toks[1].col), "src island")
-            src_neu = _parse_int(_Tok(src_part[1], toks[1].line, toks[1].col), "src neuron")
-            dst_isl = _parse_int(_Tok(dst_part[0], toks[3].line, toks[3].col), "dst island")
+            src_isl = _value(int, toks[1], "src island", src_part[0])
+            src_neu = _value(int, toks[1], "src neuron", src_part[1])
+            dst_isl = _value(int, toks[3], "dst island", dst_part[0])
             targets = _parse_intlist(_Tok(dst_part[1], toks[3].line, toks[3].col))
-            kvs = _parse_kvs(toks[4:], {"multiplicity"})
-            mult = 1
-            if "multiplicity" in kvs:
-                val, tok = kvs["multiplicity"]
-                mult = int(_parse_float(val, tok, "multiplicity"))
+            mult = _parse_kvs(head, toks[4:], {"multiplicity": (int, 1)})["multiplicity"]
             links.append(
                 InterIslandLink(
                     src_island=src_isl,
@@ -312,12 +307,15 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
                 )
             )
         elif head.text == "ring":
-            rings.append((head, _parse_int_kvs(head, toks[1:], {"links": 0, "fanout": 1, "multiplicity": 1, "seed": 0})))
+            rings.append((head, _parse_kvs(head, toks[1:], {"links": (int, 0), "fanout": (int, 1),
+                                                             "multiplicity": (int, 1), "seed": (int, 0)})))
+        elif head.text == "base":
+            raise ConfigSyntaxError(head.line, head.col, "base must be a config's first statement")
         else:
             raise ConfigSyntaxError(head.line, head.col, f"unknown statement {head.text!r}")
 
     if in_island:
-        raise ConfigSyntaxError(len(lines), 1, "unterminated island block (missing 'end')")
+        raise ConfigSyntaxError(len(text.splitlines()), 1, "unterminated island block (missing 'end')")
     if not islands:
         raise TopologyError("network", "config declares no islands")
     for i, ns in enumerate(noises):

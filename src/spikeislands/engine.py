@@ -73,8 +73,8 @@ import numpy as np
 
 from . import __version__
 from .configio import serialize_config
-from .neuron import DETECT_THRESHOLD_V, advance, stability_dt_max
-from .noise import NOISE_CHUNK, NoiseSpec, NoiseStream
+from .neuron import DETECT_THRESHOLD_V, advance, check_dt
+from .noise import NOISE_CHUNK, NoiseSpec, NoiseStream, check_grid
 from .presets import neuron_preset, synapse_preset
 from .synapse import FLOOR_RATIO, dpi_decay, dpi_flow, dpi_rise, time_constant
 from .topology import NetworkSpec
@@ -85,6 +85,7 @@ __all__ = [
     "SimulationError",
     "run",
     "run_single_neuron",
+    "check_sim",
     "DETECT_THRESHOLD_V",
     "derive_seed",
 ]
@@ -639,16 +640,25 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
     return _simulate([nps[i] for i in island_of], island_of, network.noise, synapses, sim, meta)
 
 
+def check_sim(params, noise, sim: SimConfig) -> None:
+    """Raise ValueError when ``sim`` cannot run neurons with parameters
+    ``params`` under the noise sources ``noise``: a step above a neuron's
+    stability bound, or a band above the Nyquist frequency of the noise grid.
+    Every run checks this before its first step."""
+    for p in params:
+        check_dt(p, sim.dt)
+    for spec in noise:
+        check_grid(spec.band, sim.dt * sim.hold)
+
+
 def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: SimConfig,
               meta: dict) -> SpikeRecord:
     """The run of neurons with parameters ``params``, neuron i in island
     ``island_of[i]`` under noise source ``noise[island_of[i]]``, coupled
     by ``synapses``.  One neuron without synapses takes the scalar path
     (``_run_scalar_single``), any other network the general step."""
+    check_sim(params, noise, sim)
     n, n_steps, dt = len(params), sim.n_steps, sim.dt
-    for p in params:
-        if dt > stability_dt_max(p):
-            raise ValueError(f"dt={dt:g} exceeds stability bound tau_n/10 = {stability_dt_max(p):g}")
     drive = _Drive(noise, sim)
     v_m = np.array([p.v_rest for p in params])
     trace_ids = _trace_selector(sim.record_traces, n)

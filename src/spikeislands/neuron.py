@@ -38,6 +38,7 @@ __all__ = [
     "CLAMP_MARGIN_V",
     "DETECT_THRESHOLD_V",
     "advance",
+    "check_dt",
     "NeuronParams",
     "NeuronState",
     "NoFiringError",
@@ -149,6 +150,14 @@ def stability_dt_max(params: NeuronParams) -> float:
     return params.tau_n / 10.0
 
 
+def check_dt(params: NeuronParams, dt: float) -> None:
+    """Raise ValueError unless ``0 < dt <= stability_dt_max(params)``."""
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if dt > stability_dt_max(params):
+        raise ValueError(f"dt={dt:g} exceeds stability bound tau_n/10 = {stability_dt_max(params):g}")
+
+
 def advance(v_m: float, v_n: float, i_in: float, dt: float, p: NeuronParams) -> tuple[float, float, float | None]:
     """Advance (v_m, v_n) by ``dt`` under constant input ``i_in``, exactly.
 
@@ -218,12 +227,7 @@ def neuron_step(state: NeuronState, params: NeuronParams, i_in: float, dt: float
     """
     if not math.isfinite(i_in):
         raise ValueError(f"i_in must be finite, got {i_in!r}")
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if dt > stability_dt_max(params):
-        raise ValueError(
-            f"dt={dt:g} exceeds stability bound tau_n/10 = {stability_dt_max(params):g}"
-        )
+    check_dt(params, dt)
     v_m, v_n, _ = advance(state.v_m, state.v_n, i_in, dt, params)
     return NeuronState(v_m=v_m, v_n=v_n, refractory=v_n >= params.v_gate_th)
 
@@ -251,8 +255,7 @@ def natural_period(
     """
     if not math.isfinite(i_const) or i_const <= 0.0:
         raise NoFiringError(f"constant drive {i_const!r} cannot cause firing")
-    if dt > stability_dt_max(params):
-        raise ValueError(f"dt={dt:g} exceeds stability bound tau_n/10 = {stability_dt_max(params):g}")
+    check_dt(params, dt)
 
     t_expect = params.c_m * (params.v_th - params.v_rest) / i_const + 1e-6
     max_steps = int(math.ceil(100.0 * t_expect * (n_discard + n_average + 1) / dt))

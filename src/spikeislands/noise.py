@@ -42,6 +42,7 @@ import numpy as np
 __all__ = [
     "NoiseSpec",
     "NoiseStream",
+    "check_grid",
     "generate",
     "prepare",
     "psd_estimate",
@@ -203,7 +204,9 @@ def _stationary_chol(f_lo: float, f_hi: float, dt: float) -> np.ndarray:
     return np.linalg.cholesky(sigma + jitter * np.eye(m))
 
 
-def _check_grid(band: tuple[float, float], dt: float) -> None:
+def check_grid(band: tuple[float, float], dt: float) -> None:
+    """Raise ValueError unless samples at interval ``dt`` can carry ``band``:
+    ``dt`` positive and ``band``'s upper edge at most the Nyquist frequency."""
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     nyquist = 0.5 / dt
@@ -216,7 +219,7 @@ def prepare(spec: NoiseSpec, dt: float) -> None:
     ``generate`` (importing scipy), so that processes forked afterwards
     inherit both; a white source needs neither."""
     if spec.kind == "pink":
-        _check_grid(spec.band, dt)
+        check_grid(spec.band, dt)
         _stationary_chol(*spec.band, dt)
 
 
@@ -228,7 +231,7 @@ class NoiseStream:
     """
 
     def __init__(self, spec: NoiseSpec, dt: float):
-        _check_grid(spec.band, dt)
+        check_grid(spec.band, dt)
         self._rng = make_rng(spec.seed, spec.stream_id)
         if spec.kind == "white":
             self._sos = None

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import NoiseSpec, make_rng
+from .presets import NEURON_PRESETS, SYNAPSE_PRESETS
 
 __all__ = [
     "IslandSpec",
@@ -54,6 +55,10 @@ class IslandSpec:
             raise TopologyError(path, "n_neurons must be >= 1")
         if len(self.crossbar) > self.n_neurons**2:
             raise TopologyError(path, "crossbar larger than n_neurons^2")
+        for field, known in (("neuron_preset", NEURON_PRESETS), ("synapse_preset", SYNAPSE_PRESETS)):
+            if getattr(self, field) not in known:
+                raise TopologyError(f"{path}.{field}",
+                                    f"unknown preset {getattr(self, field)!r}; available: {sorted(known)}")
         seen: set[Edge] = set()
         for i, (pre, post, pol) in enumerate(self.crossbar):
             epath = f"{path}.edge[{i}]"

@@ -46,10 +46,19 @@ class TestValidateConfig:
 
     def test_ring_out_of_range_exit_2(self, tmp_path):
         bad = tmp_path / "ring17.cfg"
-        bad.write_text(load_builtin("fig6E").replace("ring links=0", "ring links=17"))
+        text = load_builtin("fig6E").replace("ring links=0", "ring links=17")
+        bad.write_text(text)
         res = cli("validate-config", "--config", str(bad))
         assert res.returncode == 2
-        assert "line 35" in res.stderr and "links_per_pair 17" in res.stderr
+        line = next(i for i, raw in enumerate(text.splitlines(), start=1) if raw.startswith("ring "))
+        assert f"line {line}" in res.stderr and "links_per_pair 17" in res.stderr
+
+    @pytest.mark.parametrize("field", ["neuron_preset", "synapse_preset"])
+    def test_unknown_preset_exit_2(self, tmp_path, field, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"island 0\n  neurons 2\n  {field} bogus\n  noise white density=1e-10\nend\n")
+        assert main(["validate-config", "--config", str(bad)]) == 2
+        assert f"island[0].{field}: unknown preset 'bogus'" in capsys.readouterr().err
 
     def test_syntax_error_line_col(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -87,15 +96,43 @@ class TestSimulate:
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--traces", "--trace-decimation", "0"],
-                                       ["--duration", "1e-9"]])
+                                       ["--duration", "1e-9"],
+                                       ["--dt", "2e-7"],  # above the neuron's stability bound
+                                       ["--dt", "2e-8"]])  # the 50 MHz noise band above Nyquist
     def test_bad_run_parameter_exit_2(self, tmp_path, flags, capsys):
-        # a run parameter that SimConfig rejects is a usage error, not a
-        # runtime one
+        # a run parameter that SimConfig or the network rejects is a usage
+        # error, not a runtime one
         out = tmp_path / "o"
         assert main(["simulate", "--config", "fig3_single_neuron", "--duration", "1e-5",
                      *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_manifest_hash_covers_every_data_flag(self, tmp_path, monkeypatch):
+        # the simulate manifest's content_hash changes with every flag that
+        # can change the data, traces included, and with the tool version
+        import spikeislands.cli as cli_mod
+
+        def simulate(tag, *flags):
+            out = tmp_path / tag
+            assert main(["simulate", "--config", "fig3_single_neuron", "--duration", "2e-6",
+                         "--out", str(out), *flags]) == 0
+            return json.loads((out / "manifest.json").read_text())
+
+        base = simulate("base")
+        assert simulate("again")["content_hash"] == base["content_hash"]
+        variants = [
+            simulate("duration", "--duration", "3e-6"),
+            simulate("dt", "--dt", "5e-9"),
+            simulate("seed", "--seed", "4"),
+            simulate("traces", "--traces"),
+            simulate("decimation", "--traces", "--trace-decimation", "1"),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_mod, "__version__", "0.1.0")
+            variants.append(simulate("version"))
+        hashes = [base["content_hash"]] + [m["content_hash"] for m in variants]
+        assert len(set(hashes)) == len(hashes)
 
     def test_env_var_output_root(self, tmp_path):
         import os

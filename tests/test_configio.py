@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikeislands.cli import main
 from spikeislands.configio import (
     ConfigSyntaxError,
     builtin_names,
@@ -110,6 +111,36 @@ class TestParse:
     def test_islands_must_be_in_order(self):
         with pytest.raises(TopologyError):
             parse_config("island 1\n  neurons 2\n  noise white density=1e-10\nend\n")
+
+
+LINKED = (
+    "island 0\n  neurons 4\n  noise white density=1e-10\nend\n"
+    "island 1\n  neurons 4\n  noise white density=1e-10\nend\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("island 0\n  neurons 2\n  noise\nend\n", 3),
+        ("island 0\n  neurons 2\n  noise white density=-1e-10\nend\n", 3),
+        ("island 0\n  neurons 2\n  noise white density=1e-10 stream=1.5\nend\n", 3),
+        ("island 0\n  neurons 2\n  noise white density=1e-10 seed=0.9\nend\n", 3),
+        (LINKED + "link 0.1 -> 1.[0,2] multiplicity=2.7\n", 9),
+        ("sim seed=3.9\n" + MINIMAL, 1),
+        ("base fig9Z\n", 1),
+        ("# a comment\nsim seed=1\nbase fig5A_nobond\n", 3),
+        ("base fig6G\n", 1),  # fig6G has a base of its own
+    ],
+)
+def test_config_error_names_its_line(text, line, tmp_path, capsys):
+    with pytest.raises(ConfigSyntaxError) as err:
+        parse_document(text)
+    assert err.value.line == line
+    config = tmp_path / "bad.cfg"
+    config.write_text(text)
+    assert main(["validate-config", "--config", str(config)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}, ")
 
 
 ISLAND_HEAD = "island 0\n  neurons 4\n  noise white density=1e-10\n"
