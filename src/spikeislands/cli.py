@@ -51,7 +51,7 @@ from .io import (
     write_spikes_csv,
     write_traces_csv,
 )
-from .noise import NoiseSpec, density_for_rms, generate, prepare, psd_estimate
+from .noise import NoiseSpec, check_grid, density_for_rms, generate, psd_estimate
 from .presets import neuron_preset
 from .topology import TopologyError, build_ring
 
@@ -298,9 +298,6 @@ def cmd_sweep(args) -> int:
         for i, (net, v) in enumerate(zip(networks, values))
     ]
     if args.jobs > 1:
-        # Forked workers inherit scipy and the filter design of pink sources.
-        for spec in network.noise:
-            prepare(spec, sim.dt * sim.hold)
         with multiprocessing.Pool(args.jobs) as pool:
             rows = pool.map(_sweep_one, jobs)
     else:
@@ -324,19 +321,28 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_noise_check(args) -> int:
-    band = tuple(float(x) for x in args.band.split(":"))
-    if len(band) != 2:
-        raise CliError("--band must be lo:hi")
-    if args.rms is not None:
-        density = density_for_rms(args.rms, band)
-    elif args.density is not None:
-        density = args.density
-    else:
+    # Every parameter is checked before the first series is drawn.
+    try:
+        lo, hi = (float(x) for x in args.band.split(":"))
+    except ValueError:
+        raise CliError(f"--band must be lo:hi in Hz, got {args.band!r}") from None
+    band = (lo, hi)
+    if args.rms is None and args.density is None:
         raise CliError("pass --density or --rms")
+    if args.seeds < 1:
+        raise CliError("--seeds must be >= 1")
+    if args.segments < 1 or args.n < 8 * args.segments:
+        raise CliError("--segments must be >= 1 and --n at least 8 samples per segment")
+    try:
+        density = density_for_rms(args.rms, band) if args.rms is not None else args.density
+        specs = [NoiseSpec(kind=args.kind, density=density, band=band, seed=args.seed, stream_id=k)
+                 for k in range(args.seeds)]
+        check_grid(band, args.dt)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     acc = None
     freqs = None
-    for k in range(args.seeds):
-        spec = NoiseSpec(kind=args.kind, density=density, band=band, seed=args.seed or 0, stream_id=k)
+    for spec in specs:
         series = generate(spec, args.n, args.dt)
         freqs, psd = psd_estimate(series, args.dt, args.segments)
         acc = psd if acc is None else acc + psd
@@ -400,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("white", "pink"), default="white")
     p.add_argument("--density", type=float, default=None, help="A/sqrt(Hz)")
     p.add_argument("--rms", type=float, default=None, help="in-band rms, A")
-    p.add_argument("--band", default="10:5e6", help="lo:hi in Hz")
-    p.add_argument("--dt", type=float, default=1e-6)
+    p.add_argument("--band", default="10:5e5", help="lo:hi in Hz, hi at most the Nyquist frequency 1/(2 dt)")
+    p.add_argument("--dt", type=float, default=1e-6, help="sample interval, s")
     p.add_argument("--n", type=int, default=1 << 16, help="samples per seed")
     p.add_argument("--seeds", type=int, default=20, help="periodograms to average")
     p.add_argument("--seed", type=int, default=0)

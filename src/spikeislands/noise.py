@@ -11,7 +11,11 @@ above it.  The output is scaled so the in-band rms matches a white source of
 the same density over the same band: rms = density * sqrt(f_hi - f_lo).
 The filter state is initialized from its stationary distribution (via the
 discrete Lyapunov equation of the cascade), so the series is statistically
-stationary from the first sample with no warm-up.
+stationary from the first sample with no warm-up.  The filter is designed
+and run with numpy alone (``_pink_filter``): the output of each block of
+PINK_BLOCK samples is one matmul of its input by the impulse response plus
+the free response of its start state, and the state is handed on from
+each frame of PINK_FRAME blocks to the next.
 
 Reproducibility: each source is a counter-based Philox stream keyed by
 ``(seed, stream_id)``.  For a pink source the generator first draws the
@@ -20,20 +24,18 @@ stream contract and is stable within a major release.  No sample mean is
 subtracted: a series is zero-mean in expectation, and its first ``n``
 samples do not depend on how many follow.
 
-A source is read forward through a ``NoiseStream``, which draws at most
-NOISE_CHUNK samples at a time and carries the generator and, for a pink
-source, the filter state ``zi`` from draw to draw.  How a series is split
-into reads changes none of its bits: Philox normals do not depend on how
-the draws are chunked, and ``sosfilt`` carrying ``zi`` filters sample by
-sample.  So ``generate(spec, n, dt)`` is the stream's first ``n`` samples,
-and a simulation holds one chunk of each source whatever its length.
-scipy designs and runs the pink filter and is imported on first use, so a
-process that only needs white sources never loads it.
+A source is read forward through a ``NoiseStream``, which draws NOISE_CHUNK
+samples at a time and carries the generator and, for a pink source, the
+filter state from draw to draw.  How a series is split into reads changes
+none of its bits: Philox normals do not depend on how the draws are
+chunked, and a pink stream filters whole NOISE_CHUNK draws at fixed
+positions from the start of the stream, keeping the samples not yet read.
+So ``generate(spec, n, dt)`` is the stream's first ``n`` samples, and a
+simulation holds one chunk of each source whatever its length.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -44,7 +46,6 @@ __all__ = [
     "NoiseStream",
     "check_grid",
     "generate",
-    "prepare",
     "psd_estimate",
     "density_for_rms",
     "make_rng",
@@ -60,6 +61,19 @@ DEFAULT_BAND = (10.0, 5e6)
 # Samples a stream draws at a time; bounds its scratch memory at a few
 # times NOISE_CHUNK doubles.
 NOISE_CHUNK = 1 << 14
+
+# The pink filter (``_pink_filter``) takes samples in blocks of PINK_BLOCK
+# and hands its state on from frame to frame of PINK_FRAME blocks; a
+# NOISE_CHUNK draw is a whole number of frames.
+PINK_BLOCK = 1 << 6
+PINK_FRAME = 1 << 4
+assert NOISE_CHUNK % (PINK_BLOCK * PINK_FRAME) == 0
+# Rows per matmul by the block Toeplitz matrix.  OpenBLAS runs a product
+# of at most 64 x 64 x 64 multiply-adds on the calling thread; a threaded
+# one in each of two worker processes on two cores waits for time slices,
+# which made filtering 3 to 9 times slower.  The other products of a
+# NOISE_CHUNK draw are smaller.
+_TOEPLITZ_ROWS = 64
 
 
 def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -130,78 +144,157 @@ class NoiseSpec:
         return cls(kind=kind, density=density_for_rms(rms, band), band=band, seed=seed, stream_id=stream_id)
 
 
-@lru_cache(maxsize=32)
-def _pink_filter(f_lo: float, f_hi: float, dt: float) -> tuple[tuple, float]:
-    """Digital SOS cascade and output scale for a unit-density pink source.
+def _pink_design(f_lo: float, f_hi: float, dt: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Digital zeros, poles and gain of the unit-density pink cascade, and
+    its output scale.
 
-    Returns (sos_as_nested_tuple, scale) where scale converts the response
-    to unit-variance white input into a series whose in-band rms equals
-    sqrt(f_hi - f_lo), i.e. that of a unit-density white source over the band.
+    Six first-order analog sections have their poles log-spaced over the
+    band and zeros at the geometric means of neighbouring poles; the
+    bilinear transform maps each pole and zero and gives the last pole,
+    which has no analog zero, a zero at z = -1.  ``scale`` converts the
+    response to unit-variance white input into a series whose in-band rms
+    equals sqrt(f_hi - f_lo), i.e. that of a unit-density white source over
+    the band.
     """
-    from scipy import signal
-
+    fs2 = 2.0 / dt
     f_poles = np.logspace(np.log10(f_lo), np.log10(f_hi), PINK_SECTIONS)
-    f_zeros = np.sqrt(f_poles[1:] * f_poles[:-1])
-    z, p, k = signal.bilinear_zpk(-2 * np.pi * f_zeros, -2 * np.pi * f_poles, 1.0, fs=1.0 / dt)
-    sos = signal.zpk2sos(z, p, k)
+    s_poles = -2 * np.pi * f_poles
+    s_zeros = -2 * np.pi * np.sqrt(f_poles[1:] * f_poles[:-1])
+    zeros = np.append((fs2 + s_zeros) / (fs2 - s_zeros), -1.0)
+    poles = (fs2 + s_poles) / (fs2 - s_poles)
+    gain = float(np.prod(fs2 - s_zeros) / np.prod(fs2 - s_poles))
 
     # In-band output power for unit-variance white input (one-sided PSD 2*dt).
     freqs = np.logspace(np.log10(f_lo), np.log10(f_hi), 4096)
-    _, h = signal.sosfreqz(sos, worN=freqs, fs=1.0 / dt)
+    q = np.exp(2j * np.pi * dt * freqs)[:, None]
+    h = gain * np.prod((q - zeros) / (q - poles), axis=1)
     p_band = np.trapezoid(2.0 * dt * np.abs(h) ** 2, freqs)
-    scale = float(np.sqrt((f_hi - f_lo) / p_band))
-    return tuple(map(tuple, sos)), scale
+    return zeros, poles, gain, float(np.sqrt((f_hi - f_lo) / p_band))
+
+
+def _state_space(zeros, poles, gain: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """State-space model (A, B, C, D) of the cascade, x' = A x + B u and
+    y = C x + D u.
+
+    Section k is (1 - zeros[k] / z) / (1 - poles[k] / z) in direct form II
+    transposed, with one state x[k].  Its input is the output of section
+    k - 1, gain*u + x[0] + ... + x[k-1]; its output is its input plus x[k];
+    and x[k]' = poles[k]*output - zeros[k]*input.
+    """
+    lead = poles - zeros
+    a_mat = np.tril(lead[:, None] * np.ones(len(poles)), -1) + np.diag(poles)
+    return a_mat, gain * lead, np.ones(len(poles)), gain
+
+
+def _stationary_cov(a_mat: np.ndarray, b_vec: np.ndarray) -> np.ndarray:
+    """Stationary covariance of the state under unit-variance white input:
+    the solution of the discrete Lyapunov equation Sigma = A Sigma A' + B B'.
+
+    Sigma is the series sum over k of A^k B B' A'^k, summed by doubling:
+    each step adds the sum so far mapped by A^(2^i), and the series ends
+    once that power underflows to zero (about 30 steps for a 10 Hz pole at
+    10 ns).  On that band the sum is within 6e-13 of the same sum taken in
+    extended precision; solving (I - A (x) A) vec(Sigma) = vec(B B')
+    instead erred by 4e-9.
+    """
+    sigma = np.outer(b_vec, b_vec)
+    q = sigma
+    power = a_mat
+    for _ in range(64):
+        sigma = sigma + power @ sigma @ power.T
+        power = power @ power
+        if not power.any():
+            break
+    resid = np.linalg.norm(a_mat @ sigma @ a_mat.T + q - sigma) / np.linalg.norm(sigma)
+    if power.any() or not np.isfinite(resid) or resid > 1e-9:
+        raise RuntimeError(f"stationary covariance solve failed (residual {resid:.2e})")
+    return 0.5 * (sigma + sigma.T)
+
+
+@dataclass(frozen=True)
+class _PinkModel:
+    """The unit-density pink cascade for one (band, dt), as ``_pink_filter``
+    runs it.
+
+    States are rows of PINK_SECTIONS values and blocks rows of PINK_BLOCK
+    samples.  A block u with start state x gives the output
+    ``u @ toeplitz + x @ free`` and ends in the state ``x @ m + u @ drive``,
+    where m is the state map over a block, (A^PINK_BLOCK)'.  For a frame of
+    PINK_FRAME blocks with start state x, in which the blocks' ``u @ drive``
+    make the row f, the blocks start in ``x @ spread + f @ carry`` and the
+    frame ends in ``x @ hand + f @ push``.
+    """
+
+    scale: float
+    chol: np.ndarray  # Cholesky factor of the stationary state covariance
+    toeplitz: np.ndarray  # h[j - i] at row i, column j >= i; h the impulse response
+    free: np.ndarray  # C A^j in column j
+    drive: np.ndarray  # A^(PINK_BLOCK-1-i) B in row i
+    spread: np.ndarray  # m^j in block column j
+    carry: np.ndarray  # m^(j-1-i) in block row i, block column j > i
+    push: np.ndarray  # m^(PINK_FRAME-1-i) in block row i
+    hand: np.ndarray  # m^PINK_FRAME
+
+    def __post_init__(self) -> None:
+        # one model serves every stream of its (band, dt) through the cache
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 @lru_cache(maxsize=32)
-def _stationary_chol(f_lo: float, f_hi: float, dt: float) -> np.ndarray:
-    """Cholesky factor of the stationary state covariance of the cascade.
+def _pink_model(f_lo: float, f_hi: float, dt: float) -> _PinkModel:
+    """The pink cascade for band (f_lo, f_hi) at sample interval ``dt``."""
+    zeros, poles, gain, scale = _pink_design(f_lo, f_hi, dt)
+    a_mat, b_vec, c_vec, d = _state_space(zeros, poles, gain)
+    n = b_vec.size
+    sigma = _stationary_cov(a_mat, b_vec)
+    jitter = 1e-12 * np.trace(sigma) / n
+    chol = np.linalg.cholesky(sigma + jitter * np.eye(n))
 
-    The cascade is run in direct form II transposed; the joint state of all
-    sections is linear in the white input, so its stationary covariance
-    solves the discrete Lyapunov equation Sigma = A Sigma A' + B B'.
+    free = np.empty((n, PINK_BLOCK))
+    drive = np.empty((PINK_BLOCK, n))
+    row, col = c_vec, b_vec
+    for j in range(PINK_BLOCK):
+        free[:, j] = row
+        drive[PINK_BLOCK - 1 - j] = col
+        row, col = row @ a_mat, a_mat @ col
+    h = np.concatenate(([d], b_vec @ free[:, :-1]))
+    lag = np.arange(PINK_BLOCK) - np.arange(PINK_BLOCK)[:, None]
+    toeplitz = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0)
+
+    m = np.linalg.matrix_power(a_mat, PINK_BLOCK).T
+    powers = [np.eye(n)]
+    for _ in range(PINK_FRAME):
+        powers.append(powers[-1] @ m)
+    carry = np.zeros((PINK_FRAME * n, PINK_FRAME * n))
+    for i in range(PINK_FRAME):
+        for j in range(i + 1, PINK_FRAME):
+            carry[i * n:(i + 1) * n, j * n:(j + 1) * n] = powers[j - 1 - i]
+    return _PinkModel(scale, chol, toeplitz, free, drive, spread=np.hstack(powers[:PINK_FRAME]), carry=carry,
+                      push=np.vstack(powers[PINK_FRAME - 1::-1]), hand=powers[PINK_FRAME])
+
+
+def _pink_filter(model: _PinkModel, u: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Filter ``u``, whole frames, from the cascade state ``state``; return
+    the output and the end state.
+
+    The state is handed on from each frame to the next in order; within a
+    frame, the blocks' start states follow from the frame's by one matmul,
+    and each block's output is its input times the impulse response plus
+    the free response of its start state.
     """
-    from scipy import linalg
-
-    sos_t, _ = _pink_filter(f_lo, f_hi, dt)
-    sos = np.asarray(sos_t)
-    n_sec = sos.shape[0]
-    m = 2 * n_sec
-    a_mat = np.zeros((m, m))
-    b_vec = np.zeros(m)
-
-    # Linear form of the current section input: x_k = c*x + d @ s.
-    c = 1.0
-    d = np.zeros(m)
-    for k in range(n_sec):
-        b0, b1, b2, _, a1, a2 = sos[k]
-        i1, i2 = 2 * k, 2 * k + 1
-        # y = b0*x_k + s1
-        cy = b0 * c
-        dy = b0 * d.copy()
-        dy[i1] += 1.0
-        # s1' = b1*x_k - a1*y + s2
-        b_vec[i1] = b1 * c - a1 * cy
-        a_mat[i1] = b1 * d - a1 * dy
-        a_mat[i1, i2] += 1.0
-        # s2' = b2*x_k - a2*y
-        b_vec[i2] = b2 * c - a2 * cy
-        a_mat[i2] = b2 * d - a2 * dy
-        # next section input is y
-        c, d = cy, dy
-
-    q = np.outer(b_vec, b_vec)
-    with warnings.catch_warnings():
-        # near-unit poles (slow band edges on fine grids) trip scipy's
-        # conditioning heuristic; the residual check below is what matters
-        warnings.simplefilter("ignore", linalg.LinAlgWarning)
-        sigma = linalg.solve_discrete_lyapunov(a_mat, q)
-    resid = np.linalg.norm(a_mat @ sigma @ a_mat.T + q - sigma) / np.linalg.norm(sigma)
-    if not np.isfinite(resid) or resid > 1e-9:
-        raise RuntimeError(f"stationary covariance solve failed (residual {resid:.2e})")
-    sigma = 0.5 * (sigma + sigma.T)
-    jitter = 1e-12 * np.trace(sigma) / m
-    return np.linalg.cholesky(sigma + jitter * np.eye(m))
+    blocks = u.reshape(-1, PINK_BLOCK)
+    forced = (blocks @ model.drive).reshape(-1, PINK_FRAME * state.size)
+    starts = np.empty((forced.shape[0], state.size))
+    for k, push in enumerate(forced @ model.push):
+        starts[k] = state
+        state = state @ model.hand + push
+    block_starts = starts @ model.spread + forced @ model.carry
+    y = block_starts.reshape(-1, state.size) @ model.free
+    for r in range(0, blocks.shape[0], _TOEPLITZ_ROWS):
+        y[r:r + _TOEPLITZ_ROWS] += blocks[r:r + _TOEPLITZ_ROWS] @ model.toeplitz
+    return y.reshape(-1), state
 
 
 def check_grid(band: tuple[float, float], dt: float) -> None:
@@ -212,15 +305,6 @@ def check_grid(band: tuple[float, float], dt: float) -> None:
     nyquist = 0.5 / dt
     if band[1] > nyquist * (1.0 + 1e-12):
         raise ValueError(f"band upper edge {band[1]:g} Hz exceeds Nyquist {nyquist:g} Hz at dt={dt:g}")
-
-
-def prepare(spec: NoiseSpec, dt: float) -> None:
-    """Design a pink source's filter for sample interval ``dt`` ahead of
-    ``generate`` (importing scipy), so that processes forked afterwards
-    inherit both; a white source needs neither."""
-    if spec.kind == "pink":
-        check_grid(spec.band, dt)
-        _stationary_chol(*spec.band, dt)
 
 
 class NoiseStream:
@@ -234,29 +318,32 @@ class NoiseStream:
         check_grid(spec.band, dt)
         self._rng = make_rng(spec.seed, spec.stream_id)
         if spec.kind == "white":
-            self._sos = None
+            self._pink = None
             self._gain = spec.density * np.sqrt(0.5 / dt)
         else:
-            f_lo, f_hi = spec.band
-            chol = _stationary_chol(f_lo, f_hi, dt)
-            self._zi = (chol @ self._rng.standard_normal(chol.shape[0])).reshape(-1, 2)
-            sos_t, scale = _pink_filter(f_lo, f_hi, dt)
-            self._sos = np.asarray(sos_t)
-            self._gain = spec.density * scale
+            self._pink = _pink_model(*spec.band, dt)
+            self._state = self._pink.chol @ self._rng.standard_normal(PINK_SECTIONS)
+            self._gain = spec.density * self._pink.scale
+            self._unread = np.empty(0)
 
     def read(self, n: int) -> np.ndarray:
         """The next ``n`` samples."""
         out = np.empty(n)
-        for k in range(0, n, NOISE_CHUNK):
-            part = out[k:k + NOISE_CHUNK]
-            if self._sos is None:
+        if self._pink is None:
+            for k in range(0, n, NOISE_CHUNK):
+                part = out[k:k + NOISE_CHUNK]
                 self._rng.standard_normal(out=part)
                 part *= self._gain
-            else:
-                from scipy import signal
-
-                y, self._zi = signal.sosfilt(self._sos, self._rng.standard_normal(part.size), zi=self._zi)
-                np.multiply(y, self._gain, out=part)
+            return out
+        k = 0
+        while k < n:
+            if not self._unread.size:
+                self._unread, self._state = _pink_filter(self._pink, self._rng.standard_normal(NOISE_CHUNK),
+                                                         self._state)
+            m = min(n - k, self._unread.size)
+            np.multiply(self._unread[:m], self._gain, out=out[k:k + m])
+            self._unread = self._unread[m:]
+            k += m
         return out
 
 

@@ -29,3 +29,18 @@ def eq3_oracle(series):
                 acc += ((rows[i][k] - mus[i]) / sds[i]) * ((rows[j][k] - mus[j]) / sds[j])
             out[i, j] = acc / (n - 1)
     return np.asarray(out, dtype=float)
+
+
+def first_order_cascade_oracle(u, zeros, poles, gain, state):
+    """Cascade of first-order sections (1 - zeros[k]/z) / (1 - poles[k]/z),
+    ``gain`` on the first, run sample by sample in direct form II transposed
+    in extended precision from the section states ``state``."""
+    cur = np.asarray(u, dtype=np.longdouble) * np.longdouble(gain)
+    for zero, pole, x in zip(zeros, poles, state):
+        zero, pole, x = np.longdouble(zero), np.longdouble(pole), np.longdouble(x)
+        out = np.empty_like(cur)
+        for t, v in enumerate(cur):
+            out[t] = v + x
+            x = pole * out[t] - zero * v
+        cur = out
+    return np.asarray(cur, dtype=float)

@@ -342,3 +342,19 @@ class TestNoiseCheck:
         rows = list(csv.reader(open(out)))
         assert rows[0] == ["f_hz", "psd_a2_per_hz"]
         assert len(rows) > 100
+
+    def test_defaults_fit_the_default_dt(self, tmp_path):
+        out = tmp_path / "psd.csv"
+        assert main(["noise-check", "--density", "2e-10", "--out", str(out)]) == 0
+        rows = list(csv.reader(open(out)))
+        assert float(rows[-1][0]) <= 0.5 / 1e-6
+
+    @pytest.mark.parametrize("flags", [["--band", "10:abc"], ["--band", "10"], ["--band", "5e5:10"],
+                                       ["--band", "10:5e6"],  # above Nyquist at the default dt
+                                       ["--density", "-1"], ["--rms", "-1"], ["--dt", "0"],
+                                       ["--seeds", "0"], ["--segments", "0"], ["--n", "63"]])
+    def test_bad_parameter_exit_2_before_writing(self, tmp_path, flags, capsys):
+        out = tmp_path / "psd" / "psd.csv"
+        assert main(["noise-check", "--density", "2e-10", *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.parent.exists()

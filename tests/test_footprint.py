@@ -1,16 +1,18 @@
 """What a process loads and holds for a run.
 
-scipy is needed only to design and run the pink filter, so importing the
-package, parsing and validating configs and running under white noise
-never load it.  A run reads its noise forward and holds about one chunk of
-each island's stream (``noise.NOISE_CHUNK`` samples), and the
+The package needs numpy alone at run time: importing it, parsing and
+validating configs, generating white or pink noise, running under either
+and sweeping in worker processes never load scipy, which only the tests
+use, as a reference.  A run reads its noise forward and holds about one
+chunk of each island's stream (``noise.NOISE_CHUNK`` samples), and the
 single-neuron loop one chunk of drive as Python floats, so a run's peak
 memory does not grow with its duration: a run 10 times longer peaks within
 GROWTH_ALLOWANCE (256 KiB) of the shorter one, which covers its longer
 spike lists.  Holding the whole noise instead would add 8 bytes per island
 per step: 1.4 MB for the 180 000 extra steps of the single neuron, 0.6 MB
 for the 18 000 extra steps of the four-island network.  ``generate`` still
-returns the whole series, filtering a pink one in chunks straight into it.
+returns the whole series, scaling a pink one into it a filtered chunk at a
+time.
 Peak memory is measured with ``tracemalloc``, which sees numpy's array
 buffers.
 """
@@ -30,7 +32,8 @@ SRC = Path(spikeislands.__file__).resolve().parent.parent
 N = 200_000
 DT = 1e-8
 GROWTH_ALLOWANCE = 1 << 18
-# Scratch of pink generation: a chunk of input and a chunk of filter output.
+# Scratch of pink generation: a chunk of input, a chunk of filter output
+# and the filter's block-sized temporaries.
 CHUNK_ALLOWANCE = 1 << 20
 PINK = NoiseSpec("pink", 200e-12, band=(10.0, 5e6), seed=7, stream_id=3)
 
@@ -79,10 +82,12 @@ def test_pink_generate_filters_into_one_array():
     assert peak_bytes(generate, PINK, N, DT) <= 8 * N + CHUNK_ALLOWANCE
 
 
-def test_white_runs_never_load_scipy():
+def test_runs_never_load_scipy(tmp_path):
     pink_cfg = load_builtin("fig3_single_neuron").replace(
         "noise white rms=1.5e-06 band=10.0:5e7", "noise pink rms=1.5e-06 band=10000.0:5000000.0"
     )
+    cfg_path = tmp_path / "pink.cfg"
+    cfg_path.write_text(pink_cfg, encoding="utf-8")
     script = textwrap.dedent(
         f"""
         import sys
@@ -97,17 +102,19 @@ def test_white_runs_never_load_scipy():
         for text in [load_builtin(name) for name in builtin_names()] + [{pink_cfg!r}]:
             network, _ = parse_document(text)
             network.validate()
-        for name in ("fig3_single_neuron", "fig5A_nobond"):
-            network, _ = parse_document(load_builtin(name))
+        for text in (load_builtin("fig3_single_neuron"), load_builtin("fig5A_nobond"), {pink_cfg!r}):
+            network, _ = parse_document(text)
             spikeislands.run(network, spikeislands.SimConfig(duration=1e-5, dt=1e-8))
-        assert not scipy_modules(), scipy_modules()[:5]
         spec = spikeislands.NoiseSpec("pink", 200e-12, band=(10.0, 5e6))
         series = spikeislands.generate(spec, 4096, 1e-8)
         assert np.isfinite(series).all() and series.std() > 0.0
-        assert "scipy.signal" in scipy_modules()
+        assert spikeislands.cli.main(["sweep", "--config", {str(cfg_path)!r}, "--axis", "noise-density",
+                                      "--values", "5e-10,9e-10", "--duration", "1e-5", "--jobs", "2",
+                                      "--out", {str(tmp_path / "sweep")!r}]) == 0
+        assert not scipy_modules(), scipy_modules()[:5]
         print("ok")
         """
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+    assert proc.stdout.splitlines()[-1] == "ok"

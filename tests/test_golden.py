@@ -22,15 +22,21 @@ give other hashes.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spikeislands
 from spikeislands.configio import builtin_names, load_builtin, parse_document, serialize_config
 from spikeislands.engine import SimConfig, run
 from spikeislands.io import write_spikes_csv
 from spikeislands.noise import NoiseSpec, generate
 
+SRC = Path(spikeislands.__file__).resolve().parent.parent
 DURATION = 40e-6
 
 # sha256 of serialize_config(parse_document(load_builtin(name))[0]).
@@ -84,8 +90,8 @@ SINGLE_SHA256 = {
     ("white", 1): "5de4a30fb8403d1e6f9ab23691cd3632e89002d5f063390e7df022b004e31f19",
     ("held", 0): "017181c5166a42335cdfa42a795f45e3f5deea89945c25468be5df099b8437be",
     ("held", 1): "cfe5ae17e0356174f66734c7fca7523cca659363fcc5c916bb56902d7955751d",
-    ("pink", 0): "2502e98ff5aec1e898fcf104205f0d10001ed980b463dc92bf30f04406214046",
-    ("pink", 1): "7848b67b952505eed73e7492abb6d8339131d5ccd46f12f4748777c8f683429e",
+    ("pink", 0): "13946d611125bddd932e01ae52032b0ce99289e2f62f4a10dc3313b6609986d9",
+    ("pink", 1): "5b97de151f8be17b7ad060d408f6563ca3ea78e1ae44451d67e52964928d0a23",
 }
 
 # fig6G and fig5B_ring8 over 120 us: the spikes CSV and the run's stats.
@@ -107,7 +113,7 @@ BUSY_STATS = {
                          "spikes_per_island": [1352, 1161, 1146, 915]},
 }
 
-PINK_SERIES_SHA256 = "e85b06977ba64639b35686f37308698ac7fadbd156cddb4379034e0deb467012"
+PINK_SERIES_SHA256 = "3ba441310141ce42929c9be35c305f37984f95f9adfa3fe9af8ade9d826887bb"
 
 
 def spikes_sha256(record, tmp_path) -> str:
@@ -191,6 +197,17 @@ def test_pink_series_matches_golden_hash():
     assert pink_series_sha256() == PINK_SERIES_SHA256
 
 
+def test_pink_series_does_not_depend_on_blas_threads():
+    # the pink filter is a chain of matmuls; on one BLAS thread it gives
+    # the same bits as on the default number
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, "-c", "import test_golden; print(test_golden.pink_series_sha256())"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == PINK_SERIES_SHA256
+
+
 def _print_dict(name: str, entries: dict, pinned: dict, literal=lambda key, value: f'"{value}"') -> None:
     """Print ``entries`` as the file writes ``name``; an entry that differs
     from the file's ``pinned`` one ends in a ``# was`` comment with the old
@@ -218,7 +235,6 @@ def main() -> None:
     Each value that differs from the one pinned here is followed by
     ``# was <old value>``, which gives a re-baseline its old -> new list."""
     import tempfile
-    from pathlib import Path
 
     _print_dict("CONFIG_SHA256", {name: config_sha256(name) for name in CONFIG_SHA256}, CONFIG_SHA256)
     with tempfile.TemporaryDirectory() as tmp:

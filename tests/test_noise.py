@@ -2,9 +2,23 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import signal, stats
+from oracles import first_order_cascade_oracle
+from scipy import linalg, signal, stats
 
-from spikeislands.noise import NOISE_CHUNK, NoiseSpec, NoiseStream, generate, make_rng, psd_estimate
+from spikeislands.noise import (
+    NOISE_CHUNK,
+    PINK_SECTIONS,
+    NoiseSpec,
+    NoiseStream,
+    _pink_design,
+    _pink_filter,
+    _pink_model,
+    _stationary_cov,
+    _state_space,
+    generate,
+    make_rng,
+    psd_estimate,
+)
 
 
 class TestSpec:
@@ -168,6 +182,82 @@ class TestPink:
             rms.append(np.sqrt(np.mean(y**2)))
         target = 6.7e-10 * np.sqrt(5e6 - 10.0)
         assert np.mean(rms) == pytest.approx(target, rel=0.15)
+
+
+def pink_filtered(band, dt, u, state):
+    """``u`` through the unit-density pink cascade from ``state``, a
+    NOISE_CHUNK at a time as a stream filters it."""
+    model = _pink_model(*band, dt)
+    out = np.empty(u.size)
+    for k in range(0, u.size, NOISE_CHUNK):
+        out[k:k + NOISE_CHUNK], state = _pink_filter(model, u[k:k + NOISE_CHUNK], state)
+    return out
+
+
+class TestPinkOracles:
+    """The numpy design, stationary start and block filter of the pink
+    cascade against scipy and against an extended-precision recursion."""
+
+    BANDS = [((1e4, 5e6), 1e-8), ((10.0, 5e6), 1e-8), ((100.0, 5e5), 1e-6), ((10.0, 1e7), 3e-8)]
+
+    @pytest.mark.parametrize("band,dt", BANDS)
+    def test_design_matches_scipy(self, band, dt):
+        zeros, poles, gain, scale = _pink_design(*band, dt)
+        f_poles = np.logspace(np.log10(band[0]), np.log10(band[1]), PINK_SECTIONS)
+        f_zeros = np.sqrt(f_poles[1:] * f_poles[:-1])
+        z, p, k = signal.bilinear_zpk(-2 * np.pi * f_zeros, -2 * np.pi * f_poles, 1.0, fs=1.0 / dt)
+        np.testing.assert_allclose(np.sort(zeros), np.sort(z), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(np.sort(poles), np.sort(p), rtol=1e-12, atol=0.0)
+        assert gain == pytest.approx(k, rel=1e-12)
+
+        freqs = np.logspace(np.log10(band[0]), np.log10(band[1]), 4096)
+        _, h = signal.freqz_zpk(z, p, k, worN=freqs, fs=1.0 / dt)
+        p_band = np.trapezoid(2.0 * dt * np.abs(h) ** 2, freqs)
+        assert scale == pytest.approx(np.sqrt((band[1] - band[0]) / p_band), rel=1e-12)
+
+    def test_scale_matches_the_sos_response_on_the_benchmark_band(self):
+        # sosfreqz evaluates second-order polynomials whose roots sit near
+        # z = 1, which costs it digits at the band's low edge: on the 10 Hz
+        # band at 10 ns its scale is 3e-7 off the pole-zero one above.  On
+        # the benchmark's band the two agree.
+        band, dt = (1e4, 5e6), 1e-8
+        z, p, k, scale = _pink_design(*band, dt)
+        freqs = np.logspace(np.log10(band[0]), np.log10(band[1]), 4096)
+        _, h = signal.sosfreqz(signal.zpk2sos(z, p, k), worN=freqs, fs=1.0 / dt)
+        p_band = np.trapezoid(2.0 * dt * np.abs(h) ** 2, freqs)
+        assert scale == pytest.approx(np.sqrt((band[1] - band[0]) / p_band), rel=1e-12)
+
+    @pytest.mark.parametrize("band,dt", BANDS)
+    def test_stationary_cov_matches_scipy(self, band, dt):
+        a_mat, b_vec, _, _ = _state_space(*_pink_design(*band, dt)[:3])
+        sigma = _stationary_cov(a_mat, b_vec)
+        ref = linalg.solve_discrete_lyapunov(a_mat, np.outer(b_vec, b_vec))
+        assert np.linalg.norm(sigma - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("band,tol", [((1e4, 5e6), 1e-9), ((10.0, 5e6), 1e-5)])
+    def test_filter_matches_sosfilt(self, band, tol):
+        # 2^20 samples at 10 ns from the zero state; on the 10 Hz band most
+        # of the difference is sosfilt's own rounding (next test)
+        dt = 1e-8
+        u = make_rng(2024, 1).standard_normal(1 << 20)
+        y = pink_filtered(band, dt, u, np.zeros(PINK_SECTIONS))
+        z, p, k, _ = _pink_design(*band, dt)
+        ref = signal.sosfilt(signal.zpk2sos(z, p, k), u)
+        assert np.abs(y - ref).max() <= tol * np.sqrt(np.mean(ref**2))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is double here")
+    @pytest.mark.parametrize("band", [(1e4, 5e6), (10.0, 5e6)])
+    def test_filter_matches_extended_precision(self, band):
+        # from a stationary state, over two chunks: the frame-to-frame
+        # hand-off and the block start states carry no drift
+        dt = 1e-8
+        rng = make_rng(2025, 2)
+        state = _pink_model(*band, dt).chol @ rng.standard_normal(PINK_SECTIONS)
+        u = rng.standard_normal(2 * NOISE_CHUNK)
+        y = pink_filtered(band, dt, u, state)
+        zeros, poles, gain, _ = _pink_design(*band, dt)
+        ref = first_order_cascade_oracle(u, zeros, poles, gain, state)
+        assert np.abs(y - ref).max() <= 1e-11 * np.sqrt(np.mean(ref**2))
 
 
 class TestPsdEstimate:
