@@ -53,7 +53,7 @@ from .io import (
 )
 from .noise import NoiseSpec, check_grid, density_for_rms, generate, psd_estimate
 from .presets import neuron_preset
-from .topology import TopologyError, build_ring
+from .topology import TopologyError
 
 SWEEP_AXES = ("noise-density", "links", "fanout", "multiplicity")
 
@@ -70,6 +70,30 @@ def _out_root() -> Path:
 def _resolve_out(path_str: str) -> Path:
     p = Path(path_str)
     return p if p.is_absolute() else _out_root() / p
+
+
+def _above(kind, bound):
+    """An argparse type: a ``kind`` (int or float) number above ``bound``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not value > bound:
+            raise argparse.ArgumentTypeError(f"must be above {bound}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid float value"
+    return parse
+
+
+def _numbers(text: str) -> list[float]:
+    """An argparse type: a non-empty comma-separated list of numbers."""
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
 
 
 def _load_config(spec_arg: str) -> tuple[str, str]:
@@ -176,15 +200,15 @@ def _load_events(path: str):
 
 
 def cmd_analyze(args) -> int:
+    if args.threshold_sweep is not None and not args.traces:
+        raise CliError("--threshold-sweep needs --traces traces.csv")
+    if args.threshold_sweep is None and args.spikes is None:
+        raise CliError("pass --spikes, or --threshold-sweep with --traces")
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     if args.threshold_sweep is not None:
-        if not args.traces:
-            raise CliError("--threshold-sweep needs --traces traces.csv")
-        thresholds = [float(x) for x in args.threshold_sweep.split(",") if x.strip()]
-        if not thresholds:
-            raise CliError("--threshold-sweep needs a non-empty threshold list")
+        thresholds = args.threshold_sweep
         t, by_id = read_traces_csv(args.traces)
         if len(t) < 2:
             print("warning: empty traces file; writing empty output", file=sys.stderr)
@@ -231,29 +255,14 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _sweep_network(network, axis: str, value: float, args):
+def _sweep_network(network, config_text: str, axis: str, value: float):
+    """The network of one sweep value: ``network`` with every noise source at
+    ``value``, or the config with its ``ring`` line's ``axis`` key set to ``value``."""
     if axis == "noise-density":
-        noises = tuple(replace(ns, density=float(value)) for ns in network.noise)
-        network = replace(network, noise=noises)
-    else:
-        network = replace(network, links=())
-        ring = {
-            "links": args.ring_links,
-            "fanout": args.ring_fanout,
-            "multiplicity": args.ring_multiplicity,
-        }
-        if not float(value).is_integer():
-            raise ValueError(f"expected an integer {axis} value")
-        ring[axis] = int(value)
-        if ring["links"] > 0:
-            network = build_ring(
-                network,
-                links_per_pair=ring["links"],
-                fanout=ring["fanout"],
-                multiplicity=ring["multiplicity"],
-                seed=args.ring_seed,
-            )
-    return network
+        return replace(network, noise=tuple(replace(ns, density=value) for ns in network.noise))
+    if not value.is_integer():
+        raise ValueError(f"expected an integer {axis} value")
+    return parse_document(f"{config_text}\nring {axis}={int(value)}\n")[0]
 
 
 def _sweep_one(job) -> dict:
@@ -274,29 +283,28 @@ def _sweep_one(job) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    if args.axis not in SWEEP_AXES:
-        raise CliError(f"unknown sweep axis {args.axis!r}; choose from {SWEEP_AXES}")
-    values = [float(x) for x in args.values.split(",") if x.strip()]
-    if not values:
-        raise CliError("empty sweep value list")
+    values = args.values
+    names = [f"{args.axis}={v:g}" for v in values]
+    if len(set(names)) < len(names):
+        raise CliError(f"sweep values {names} share an output directory")
     config_text, source = _load_config(args.config)
     network, hints = parse_document(config_text)
     # Every swept network is built before any run starts, so a bad value writes nothing.
     networks = []
-    for v in values:
+    for name, v in zip(names, values):
         try:
-            networks.append(_sweep_network(network, args.axis, v, args))
+            networks.append(_sweep_network(network, config_text, args.axis, v))
         except ValueError as exc:
-            raise CliError(f"{args.axis}={v:g}: {exc}") from None
+            raise CliError(f"{name}: {exc}") from None
+    # a ring with no links is the same network at every fanout and multiplicity
+    if args.axis in ("fanout", "multiplicity") and networks[0] == _sweep_network(network, config_text, "links", 0.0):
+        raise CliError(f"the config's ring has no links, so a {args.axis} sweep varies nothing")
     # Run i uses master seed derive_seed(sim.master_seed, i).
     sim = _sim_from_args(args, hints, network)
 
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        (net, v, i, sim, str(out_dir / f"{args.axis}={v:g}"))
-        for i, (net, v) in enumerate(zip(networks, values))
-    ]
+    jobs = [(net, v, i, sim, str(out_dir / name)) for i, (net, v, name) in enumerate(zip(networks, values, names))]
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
             rows = pool.map(_sweep_one, jobs)
@@ -311,10 +319,6 @@ def cmd_sweep(args) -> int:
     (out_dir / "summary.csv").write_text("\n".join(lines) + "\n")
 
     extra = {"sweep_axis": args.axis, "sweep_values": values, "analyze": True}
-    if args.axis != "noise-density":
-        # the ring built around the swept parameter
-        extra["ring"] = {key: getattr(args, f"ring_{key}")
-                         for key in ("links", "fanout", "multiplicity", "seed") if key != args.axis}
     _write_manifest(out_dir, config_text, source, sim, extra=extra)
     print(f"wrote {out_dir / 'summary.csv'} ({len(values)} runs)")
     return 0
@@ -376,30 +380,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="statistics over a spikes.csv (or traces.csv)")
     p.add_argument("--spikes", help="spike CSV (neuron_id,t_seconds)")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--bin", type=float, default=DEFAULT_BIN_S, help="bin width for the correlation matrix, s")
-    p.add_argument("--isi", action="store_true", help="emit pooled ISI histogram instead of a matrix")
-    p.add_argument("--iti", action="store_true", help="emit pooled ITI histogram instead of a matrix")
-    p.add_argument("--gap-factor", type=float, default=DEFAULT_GAP_FACTOR, help="train split factor for --iti")
-    p.add_argument("--hist-bin", type=float, default=1e-6, help="histogram bin width, s")
-    p.add_argument("--threshold-sweep", default=None,
-                   help="comma list of thresholds (V); needs --traces (record them full-rate: "
-                        "simulate --traces --trace-decimation 1)")
+    p.add_argument("--bin", type=_above(float, 0), default=DEFAULT_BIN_S,
+                   help="bin width for the correlation matrix, s")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--isi", action="store_true", help="emit pooled ISI histogram instead of a matrix")
+    mode.add_argument("--iti", action="store_true", help="emit pooled ITI histogram instead of a matrix")
+    mode.add_argument("--threshold-sweep", type=_numbers, default=None,
+                      help="comma list of thresholds (V); needs --traces (record them full-rate: "
+                           "simulate --traces --trace-decimation 1)")
+    p.add_argument("--gap-factor", type=_above(float, 1), default=DEFAULT_GAP_FACTOR,
+                   help="train split factor for --iti")
+    p.add_argument("--hist-bin", type=_above(float, 0), default=1e-6, help="histogram bin width, s")
     p.add_argument("--traces", default=None, help="traces CSV for --threshold-sweep")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("sweep", help="one run per value along an axis, with summary.csv")
     p.add_argument("--config", required=True)
-    p.add_argument("--axis", required=True, help="|".join(SWEEP_AXES))
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--axis", required=True, choices=SWEEP_AXES,
+                   help="noise-density sets every noise source's density; a ring axis sets that key "
+                        "of the config's ring line")
+    p.add_argument("--values", required=True, type=_numbers, help="comma-separated values")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--duration", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
-    p.add_argument("--ring-links", type=int, default=8, help="base ring links when sweeping other axes")
-    p.add_argument("--ring-fanout", type=int, default=1)
-    p.add_argument("--ring-multiplicity", type=int, default=1)
-    p.add_argument("--ring-seed", type=int, default=101)
+    p.add_argument("--jobs", type=_above(int, 0), default=1, help="concurrent runs")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("noise-check", help="emit averaged-periodogram PSD CSV for a noise source")

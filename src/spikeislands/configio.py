@@ -26,9 +26,12 @@ ring config is its base plus one ``ring`` line.  A built-in used as a base
 has no base itself.  Island indices must be declared in order 0, 1, 2, ...
 Every island must declare exactly one ``noise`` source.  ``sim`` lines carry
 run defaults (``duration``, ``dt``, ``seed``) that the CLI may override.
-``ring`` lines are constructor shorthand: after parsing, ``build_ring`` is
-applied with the given ``links``/``fanout``/``multiplicity``/``seed``,
-producing explicit links.  An island's crossbar comes from either its
+A network has one ring, and ``ring`` lines merge the way ``sim`` lines do:
+a later ``ring`` line sets only the keys it names, and a key no line names
+takes its default (links 0, fanout 1, multiplicity 1, seed 0), so
+``ring links=3`` appended to a ring config changes just its links.  After
+parsing, ``build_ring`` adds the ring's links once, after those of the
+``link`` lines.  An island's crossbar comes from either its
 ``edge`` lines or one ``crossbar`` line, never both: at the island's
 ``end``, ``crossbar`` becomes ``random_crossbar(n, edges, inh, seed,
 allow_self=True)`` for the island's final neuron count ``n``.  Canonical
@@ -41,8 +44,9 @@ them), band (``lo:hi``), seed, stream; link: multiplicity; ring: links,
 fanout, multiplicity, seed; crossbar: edges, inh, seed (all three required).
 Every ``seed``, ``stream`` and ``multiplicity`` value and every ring and
 crossbar value must be written as an integer (``seed=1.0`` is an error).  A
-value that is malformed, or that ``NoiseSpec``, ``build_ring`` or
-``random_crossbar`` rejects, is a ConfigSyntaxError at its line.
+value that is malformed, or that ``NoiseSpec`` or ``random_crossbar``
+rejects, is a ConfigSyntaxError at its line; a ring that ``build_ring``
+rejects is one at the last ``ring`` line.
 """
 
 from __future__ import annotations
@@ -200,7 +204,8 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
     islands: list[IslandSpec] = []
     noises: list[NoiseSpec | None] = []
     links: list[InterIslandLink] = []
-    rings: list[tuple[_Tok, dict]] = []
+    ring = {"links": 0, "fanout": 1, "multiplicity": 1, "seed": 0}
+    ring_head: _Tok | None = None
     hints: dict = {}
 
     statements = _statements(text)
@@ -307,8 +312,9 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
                 )
             )
         elif head.text == "ring":
-            rings.append((head, _parse_kvs(head, toks[1:], {"links": (int, 0), "fanout": (int, 1),
-                                                             "multiplicity": (int, 1), "seed": (int, 0)})))
+            kvs = _parse_kvs(head, toks[1:], dict.fromkeys(ring, (int, None)))
+            ring.update((key, val) for key, val in kvs.items() if val is not None)
+            ring_head = head
         elif head.text == "base":
             raise ConfigSyntaxError(head.line, head.col, "base must be a config's first statement")
         else:
@@ -324,7 +330,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
 
     network = NetworkSpec(islands=tuple(islands), noise=tuple(noises), links=tuple(links))
     network.validate()
-    for head, ring in rings:
+    if ring_head is not None:
         try:
             network = build_ring(
                 network,
@@ -334,7 +340,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
                 seed=ring["seed"],
             )
         except ValueError as exc:
-            raise ConfigSyntaxError(head.line, head.col, str(exc)) from None
+            raise ConfigSyntaxError(ring_head.line, ring_head.col, str(exc)) from None
     return network, hints
 
 

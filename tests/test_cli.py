@@ -265,12 +265,37 @@ class TestSweep:
 
     def test_links_sweep_raises_cross_island_rho(self, tmp_path):
         out = tmp_path / "links"
-        res = cli("sweep", "--config", "fig5A_nobond", "--axis", "links",
+        res = cli("sweep", "--config", "fig5B_ring8", "--axis", "links",
                   "--values", "0,8", "--out", str(out), "--seed", "2")
         assert res.returncode == 0, res.stderr
         rows = read_summary(out / "summary.csv")
         rho = {float(r["value"]): float(r["mean_cross_island_rho"]) for r in rows}
         assert rho[8.0] > rho[0.0]
+
+    def test_ring_sweep_varies_the_configs_own_ring(self, tmp_path):
+        # fig6G's ring is links=3 fanout=8 multiplicity=3, so its multiplicity=3
+        # sweep runs fig6G itself
+        assert main(["sweep", "--config", "fig6G", "--axis", "multiplicity", "--values", "3",
+                     "--duration", "2e-6", "--out", str(tmp_path / "s")]) == 0
+        assert main(["simulate", "--config", "fig6G", "--duration", "2e-6", "--out", str(tmp_path / "sim")]) == 0
+        swept = json.loads((tmp_path / "s" / "multiplicity=3" / "meta.json").read_text())
+        simulated = json.loads((tmp_path / "sim" / "meta.json").read_text())
+        assert swept["n_synapses"] == simulated["n_synapses"] == 421
+        assert swept["config_hash"] == simulated["config_hash"]
+
+    def test_ring_sweep_keeps_explicit_links(self, tmp_path):
+        link = "link 0.0 -> 1.[3] multiplicity=2\n"
+        ringed = tmp_path / "ringed.cfg"
+        ringed.write_text(load_builtin("fig5B_ring8") + link)
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(load_builtin("fig5A_nobond") + link)
+        assert main(["sweep", "--config", str(ringed), "--axis", "links", "--values", "0",
+                     "--duration", "2e-6", "--out", str(tmp_path / "s")]) == 0
+        assert main(["simulate", "--config", str(plain), "--duration", "2e-6", "--out", str(tmp_path / "sim")]) == 0
+        swept = json.loads((tmp_path / "s" / "links=0" / "meta.json").read_text())
+        simulated = json.loads((tmp_path / "sim" / "meta.json").read_text())
+        assert swept["config_hash"] == simulated["config_hash"]
+        assert swept["n_synapses"] == simulated["n_synapses"] > 0
 
     def test_jobs_do_not_change_artifacts(self, tmp_path):
         outs = {}
@@ -295,9 +320,11 @@ class TestSweep:
         import spikeislands.cli as cli_mod
 
         config = tmp_path / "ring.cfg"
-        config.write_text("sim seed=3\n" + load_builtin("fig5A_nobond"))
+        config.write_text(load_builtin("fig5B_ring8") + "sim seed=3\n")
+        other_ring = tmp_path / "other_ring.cfg"
+        other_ring.write_text(config.read_text().replace("seed=101", "seed=7"))
 
-        def sweep(tag, axis, *flags):
+        def sweep(tag, axis, *flags, config=config):
             out = tmp_path / tag
             assert main(["sweep", "--config", str(config), "--axis", axis, "--values", "1,2",
                          "--duration", "2e-6", "--out", str(out), *flags]) == 0
@@ -310,18 +337,48 @@ class TestSweep:
             "duration": sweep("duration", "fanout", "--duration", "3e-6"),
             "dt": sweep("dt", "fanout", "--dt", "5e-9"),
             "seed": sweep("seed", "fanout", "--seed", "4"),
-            "ring_links": sweep("ring_links", "fanout", "--ring-links", "3"),
-            "ring_multiplicity": sweep("ring_multiplicity", "fanout", "--ring-multiplicity", "2"),
-            "ring_seed": sweep("ring_seed", "fanout", "--ring-seed", "7"),
+            "ring": sweep("ring", "fanout", config=other_ring),
             "axis": sweep("axis", "links"),
         }
-        variants["ring_fanout"] = sweep("ring_fanout", "links", "--ring-fanout", "2")
         with monkeypatch.context() as patch:
             patch.setattr(cli_mod, "__version__", "0.1.0")
             variants["version"] = sweep("version", "fanout")
         assert variants["version"]["version"] == "0.1.0"
         hashes = [base["content_hash"]] + [m["content_hash"] for m in variants.values()]
         assert len(set(hashes)) == len(hashes)
+
+
+def exit_code(argv) -> int:
+    """``main(argv)``'s exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],  # neither --spikes nor --threshold-sweep
+    ["analyze", "--spikes", "{spikes}", "--bin", "0"],
+    ["analyze", "--spikes", "{spikes}", "--isi", "--hist-bin", "-1"],
+    ["analyze", "--spikes", "{spikes}", "--iti", "--gap-factor", "0.5"],
+    ["analyze", "--spikes", "{spikes}", "--isi", "--iti"],
+    ["analyze", "--threshold-sweep", "1,abc", "--traces", "{spikes}"],
+    ["sweep", "--config", "fig3_single_neuron", "--axis", "noise-density", "--values", "1e-10,abc"],
+    ["sweep", "--config", "fig3_single_neuron", "--axis", "noise-density", "--values", "1e-10", "--jobs", "0"],
+    # values whose output directories coincide
+    ["sweep", "--config", "fig3_single_neuron", "--axis", "noise-density", "--values", "2e-10,2e-10"],
+    ["sweep", "--config", "fig3_single_neuron", "--axis", "noise-density", "--values", "3.5e-10,3.500001e-10"],
+    # a config without a ring line has a ring with no links: nothing to vary
+    ["sweep", "--config", "fig5A_nobond", "--axis", "fanout", "--values", "1,2"],
+    ["sweep", "--config", "fig5A_nobond", "--axis", "multiplicity", "--values", "2"],
+])
+def test_bad_parameter_exit_2_before_writing(tmp_path, argv):
+    spikes = tmp_path / "spikes.csv"
+    spikes.write_text("neuron_id,t_seconds\n0,1e-6\n0,3e-6\n")
+    out = tmp_path / "o" / "x"
+    argv = [a.format(spikes=spikes) for a in argv] + ["--duration", "2e-6"] * (argv[0] == "sweep")
+    assert exit_code(argv + ["--out", str(out)]) == 2
+    assert not out.parent.exists()
 
 
 def test_package_version_matches_pyproject():

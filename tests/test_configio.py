@@ -186,6 +186,19 @@ class TestCrossbar:
             parse_config(two + "end\nring links=1.5\n")
         assert err.value.line == 9
 
+    def test_ring_lines_merge(self):
+        # a network has one ring: a later ring line sets only the keys it
+        # names, and the ring is built once, after the explicit links
+        text = load_builtin("fig5B_ring8") + "link 0.0 -> 1.[3] multiplicity=2\n"
+        merged = parse_config(text + "ring fanout=2\n")
+        assert merged == parse_config(load_builtin("fig5A_nobond") + "link 0.0 -> 1.[3] multiplicity=2\n"
+                                      "ring links=8 fanout=2 multiplicity=1 seed=101\n")
+        assert merged.links[0] == InterIslandLink(0, 1, 0, (3,), 2) and len(merged.links) == 1 + 4 * 8
+        assert parse_config(load_builtin("fig5A_nobond") + "ring seed=7\n") == parse_config(load_builtin("fig5A_nobond"))
+        with pytest.raises(ConfigSyntaxError) as err:
+            parse_config(text + "ring links=17\nring seed=3\n")
+        assert err.value.line == len(text.splitlines()) + 2
+
     @pytest.mark.parametrize("ring", ["ring links=17 fanout=1 multiplicity=1 seed=103",  # > 16 neurons
                                       "ring links=0 fanout=1 multiplicity=0 seed=103"])
     def test_ring_that_build_ring_rejects_names_its_line(self, ring):

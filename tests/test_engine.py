@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import spikeislands
 from spikeislands.analysis import EventSeries, bin_events
 from spikeislands.configio import load_builtin, parse_document
 from spikeislands.engine import (
@@ -690,7 +691,7 @@ class TestSingleNeuron:
         rec = run_single_neuron(spec, P, SimConfig(duration=2e-6, dt=DT, master_seed=5, noise_dt=2e-8))
         assert rec.meta == {
             "tool": "spikeislands",
-            "version": "0.3.0",
+            "version": spikeislands.__version__,
             "config_hash": "cda2a469fa92d7e7120cf7ed83d72a7fcb9c83009e3bb0b498bd5fe509cfb810",
             "master_seed": 5,
             "dt": 1e-08,
