@@ -204,6 +204,8 @@ def cmd_analyze(args) -> int:
         raise CliError("--threshold-sweep needs --traces traces.csv")
     if args.threshold_sweep is None and args.spikes is None:
         raise CliError("pass --spikes, or --threshold-sweep with --traces")
+    if args.threshold_sweep is not None and np.any(np.diff(args.threshold_sweep) <= 0.0):
+        raise CliError(f"--threshold-sweep must be ascending, got {args.threshold_sweep}")
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
@@ -231,13 +233,8 @@ def cmd_analyze(args) -> int:
         return 0
 
     if args.isi or args.iti:
-        values = []
-        for e in events:
-            if args.isi:
-                values.append(isi(e))
-            else:
-                values.append(iti(trains(e, gap_factor=args.gap_factor)))
-        pooled = np.concatenate([v for v in values if len(v)]) if any(len(v) for v in values) else np.empty(0)
+        pooled = np.concatenate([isi(e) if args.isi else iti(trains(e, gap_factor=args.gap_factor))
+                                 for e in events])
         if pooled.size == 0:
             print("warning: no intervals; writing empty output", file=sys.stderr)
             out_path.write_text("bin_left_seconds,count\n")
@@ -331,8 +328,8 @@ def cmd_noise_check(args) -> int:
     except ValueError:
         raise CliError(f"--band must be lo:hi in Hz, got {args.band!r}") from None
     band = (lo, hi)
-    if args.rms is None and args.density is None:
-        raise CliError("pass --density or --rms")
+    if (args.rms is None) == (args.density is None):
+        raise CliError("pass one of --density and --rms")
     if args.seeds < 1:
         raise CliError("--seeds must be >= 1")
     if args.segments < 1 or args.n < 8 * args.segments:

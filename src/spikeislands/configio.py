@@ -350,12 +350,10 @@ def parse_config(text: str) -> NetworkSpec:
     return network
 
 
-def serialize_config(network: NetworkSpec, hints: dict | None = None) -> str:
-    """Canonical text form; parse_config(serialize_config(s)) equals s."""
+def serialize_config(network: NetworkSpec) -> str:
+    """Canonical text form of a network (no ``sim`` line);
+    parse_config(serialize_config(s)) equals s."""
     out: list[str] = []
-    if hints:
-        parts = " ".join(f"{k}={hints[k]!r}" for k in ("duration", "dt", "seed") if k in hints)
-        out.append(f"sim {parts}")
     for idx, (isl, ns) in enumerate(zip(network.islands, network.noise)):
         out.append(f"island {idx}")
         out.append(f"  neurons {isl.n_neurons}")

@@ -721,9 +721,12 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
 
 
 class _ScalarNeuron:
-    """One neuron with no synapses, stepped in plain floats: a step in which
-    no switch flips is taken inline with the expressions of the vectorized
-    path, any other step goes through ``neuron.advance``.  ``spikes`` holds
+    """One neuron with no synapses, stepped in plain floats with the
+    expressions of the vectorized path.  A step that starts with both
+    switches off and keeps the membrane below v_th and the detection level
+    is quiet: one quiet update (an add, the lower clamp and the gate decay)
+    takes it.  Every other step takes the one general step, which goes
+    through ``neuron.advance`` when a switch flips.  ``spikes`` holds
     the (1-based) steps at whose end a spike is reported; ``traces`` (the
     ``_Traces`` of this neuron, or None) takes its membrane samples."""
 
@@ -747,68 +750,59 @@ class _ScalarNeuron:
         k_dt = self.k_dt
         decay = self.decay
         th = DETECT_THRESHOLD_V
-        # A step that ends above this level may flip the sodium switch or
-        # start a spike (v < 1 V is v <= the float just below it).
-        stop = min(v_th, math.nextafter(th, 0.0))
+        # A step that takes the membrane to v_th or to the detection level
+        # may flip the sodium switch or start a spike: it is not quiet.
+        stop = min(v_th, th)
         steps = self.spikes
-        # With no trace to sample, quiet steps run on in a loop of their own:
-        # v <= stop keeps v_m <= v_th, and v_n * decay <= v_gate for v_gate >= 0.
-        stay = traces is None and v_gate >= 0.0
         if traces is not None:
             trace_v, decim = traces.v[:, 0], traces.decim
         drive = iter(drive)
         for i_in in drive:
             k += 1
             if v_m <= v_th and v_n <= v_gate:
-                # Both switches off: the gate voltage only decays, so the sodium
-                # switch is the one that can flip, and a spike can start without
-                # a flip only when v_th is at or above the detection level.
+                # Both switches off: the gate voltage only decays, so a step
+                # that keeps the membrane below ``stop`` is quiet.
                 v = v_m + i_in * k_dt
-                if stay and v <= stop:
+                if v < stop:
                     v_m = lo if v < lo else v
                     v_n = v_n * decay
+                    if traces is not None:
+                        if k % decim == 0:
+                            trace_v[k // decim] = v_m
+                        continue
+                    # With no trace to sample, quiet steps run on in a loop of
+                    # their own (v_n * decay <= v_n <= v_gate, as v_n >= 0);
+                    # the first other step, NaN included, goes to the general step.
                     for i_in in drive:
                         k += 1
                         v = v_m + i_in * k_dt
-                        if v > stop:
+                        if not v < stop:
                             break
                         v_m = lo if v < lo else v
                         v_n = v_n * decay
                     else:
                         break
-                if v <= stop:
-                    v_m = lo if v < lo else v
-                    v_n = v_n * decay
-                elif v > v_th:
-                    v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
-                    if onset is not None:
-                        steps.append(k)
-                else:  # 1 V <= v <= v_th: no switch flips
-                    if v_m < th:
-                        steps.append(k)
-                    v_m = v
-                    v_n = v_n * decay
+            # The general step.
+            na = v_m > v_th
+            sk = v_n > v_gate
+            i_net = i_in
+            if na:
+                i_net += i_na_max
+                vn = v_n_inf + (v_n - v_n_inf) * decay
             else:
-                na = v_m > v_th
-                sk = v_n > v_gate
-                i_net = i_in
-                if na:
-                    i_net += i_na_max
-                    vn = v_n_inf + (v_n - v_n_inf) * decay
-                else:
-                    vn = v_n * decay
-                if sk:
-                    i_net -= i_sink
-                v = v_m + i_net * k_dt
-                if (v > v_th) != na or (vn > v_gate) != sk:
-                    v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
-                    if onset is not None:
-                        steps.append(k)
-                else:
-                    if v_m < th <= v:
-                        steps.append(k)
-                    v_m = lo if v < lo else hi if v > hi else v
-                    v_n = vn
+                vn = v_n * decay
+            if sk:
+                i_net -= i_sink
+            v = v_m + i_net * k_dt
+            if (v > v_th) != na or (vn > v_gate) != sk:
+                v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
+                if onset is not None:
+                    steps.append(k)
+            else:
+                if v_m < th <= v:
+                    steps.append(k)
+                v_m = lo if v < lo else hi if v > hi else v
+                v_n = vn
             if traces is not None and k % decim == 0:
                 trace_v[k // decim] = v_m
         return v_m, v_n

@@ -48,13 +48,12 @@ def write_spikes_csv(record: SpikeRecord, path) -> None:
     Path(path).write_text(spikes_to_csv(record), encoding="utf-8")
 
 
-def read_events_csv(path_or_text, origin: str = "external") -> list[EventSeries]:
-    """Event series grouped by source id from (source_id, t_seconds) CSV.
-
-    Accepts a path or raw CSV text.  Returns one series per distinct source
-    id, ordered by id; times are sorted.
+def read_events_csv(path, origin: str = "external") -> list[EventSeries]:
+    """Event series grouped by source id from a (source_id, t_seconds) CSV
+    file.  Returns one series per distinct source id, ordered by id; times
+    are sorted.
     """
-    text = path_or_text if "\n" in str(path_or_text) else Path(path_or_text).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8")
     by_source: dict[int, list[float]] = {}
     reader = csv.reader(_io.StringIO(text))
     header = next(reader, None)

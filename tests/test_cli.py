@@ -363,6 +363,7 @@ def exit_code(argv) -> int:
     ["analyze", "--spikes", "{spikes}", "--iti", "--gap-factor", "0.5"],
     ["analyze", "--spikes", "{spikes}", "--isi", "--iti"],
     ["analyze", "--threshold-sweep", "1,abc", "--traces", "{spikes}"],
+    ["analyze", "--threshold-sweep", "2,1", "--traces", "{spikes}"],  # not ascending
     ["sweep", "--config", "fig3_single_neuron", "--axis", "noise-density", "--values", "1e-10,abc"],
     ["sweep", "--config", "fig3_single_neuron", "--axis", "noise-density", "--values", "1e-10", "--jobs", "0"],
     # values whose output directories coincide
@@ -406,12 +407,17 @@ class TestNoiseCheck:
         rows = list(csv.reader(open(out)))
         assert float(rows[-1][0]) <= 0.5 / 1e-6
 
-    @pytest.mark.parametrize("flags", [["--band", "10:abc"], ["--band", "10"], ["--band", "5e5:10"],
-                                       ["--band", "10:5e6"],  # above Nyquist at the default dt
-                                       ["--density", "-1"], ["--rms", "-1"], ["--dt", "0"],
-                                       ["--seeds", "0"], ["--segments", "0"], ["--n", "63"]])
+    @pytest.mark.parametrize("flags", [
+        ["--density", "2e-10", "--band", "10:abc"], ["--density", "2e-10", "--band", "10"],
+        ["--density", "2e-10", "--band", "5e5:10"],
+        ["--density", "2e-10", "--band", "10:5e6"],  # above Nyquist at the default dt
+        ["--density", "-1"], ["--rms", "-1"], ["--density", "2e-10", "--dt", "0"],
+        ["--density", "2e-10", "--seeds", "0"], ["--density", "2e-10", "--segments", "0"],
+        ["--density", "2e-10", "--n", "63"],
+        [], ["--density", "2e-10", "--rms", "1e-6"],  # neither level, both levels
+    ])
     def test_bad_parameter_exit_2_before_writing(self, tmp_path, flags, capsys):
         out = tmp_path / "psd" / "psd.csv"
-        assert main(["noise-check", "--density", "2e-10", *flags, "--out", str(out)]) == 2
+        assert main(["noise-check", *flags, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.parent.exists()

@@ -356,21 +356,41 @@ class TestEngineMatchesLibrary:
                                                                   mean, rms, seed):
         # the single-neuron loop, traced or not, reports the spike steps and
         # ends in the state of the vectorized neuron update, for any
-        # threshold, v_th at or above the 1 V detection level included
+        # threshold, v_th at or above the 1 V detection level included; it
+        # calls neuron.advance in exactly the steps the block does, so a step
+        # in which no switch flips never reaches it
+        import spikeislands.engine as engine_mod
+
         params = replace(P, v_th=v_th, v_gate_th=gate * v_th, c_m=c_scale * P.c_m, tau_n=tau_n)
         drive = (mean + rms * np.random.default_rng(seed).standard_normal(3000)).tolist()
+        step, calls = [0], []  # the step being taken; the step of each advance call
+
+        def counted(*args):
+            calls.append(step[0])
+            return advance(*args)
+
+        def feed():
+            for k, i_in in enumerate(drive, 1):
+                step[0] = k
+                yield i_in
+
         block = _NeuronBlock([params], DT)
         v_m, v_n = np.array([params.v_rest]), np.zeros(1)
         expected = []
-        for k, i_in in enumerate(drive, 1):
-            v_m, v_n, spiking, _ = block.step(v_m, v_n, np.array([i_in]))
-            if spiking.size:
-                expected.append(k)
-        for traces in (None, _Traces([0], len(drive), 1, DT, np.array([params.v_rest]))):
-            scalar = _ScalarNeuron(params, DT, traces)
-            end = scalar.take(drive, 0, params.v_rest, 0.0)
-            assert scalar.spikes == expected
-            assert end == (v_m[0], v_n[0])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine_mod, "advance", counted)
+            for i_in in feed():
+                v_m, v_n, spiking, _ = block.step(v_m, v_n, np.array([i_in]))
+                if spiking.size:
+                    expected.append(step[0])
+            block_calls = calls[:]
+            for traces in (None, _Traces([0], len(drive), 1, DT, np.array([params.v_rest]))):
+                calls.clear()
+                scalar = _ScalarNeuron(params, DT, traces)
+                end = scalar.take(feed(), 0, params.v_rest, 0.0)
+                assert scalar.spikes == expected
+                assert end == (v_m[0], v_n[0])
+                assert calls == block_calls
 
     @pytest.mark.parametrize("level", [1.0, 1.7])
     def test_busy_step_at_or_above_the_fixed_point_falls_back_to_dpi_flow(self, level, monkeypatch):
