@@ -37,7 +37,7 @@ csv_path = OUT / "recording.csv"
 csv_path.write_text("\n".join(rows) + "\n")
 
 events = read_events_csv(csv_path)
-print(f"loaded {len(events)} sources, origin={events[0].origin!r}")
+print(f"loaded {len(events)} sources")
 
 binned = [bin_events(e, FRAME_S, DURATION_S) for e in events]
 matrix = pearson_matrix(binned, labels=[e.source_id for e in events], bin_width=FRAME_S)

@@ -49,7 +49,6 @@ class EventSeries:
 
     source_id: int
     times: np.ndarray
-    origin: str = "simulated"
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -57,9 +56,7 @@ class EventSeries:
         if t.ndim != 1:
             raise ValueError("times must be one-dimensional")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if self.origin not in ("simulated", "external"):
-            raise ValueError("origin must be 'simulated' or 'external'")
+            raise ValueError(f"source {self.source_id}: times must be strictly increasing")
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -84,14 +81,14 @@ class CorrelationMatrix:
         return self.values.shape[0]
 
 
-def detect_spikes(trace, dt: float, threshold: float = 1.0, source_id: int = 0) -> EventSeries:
+def detect_spikes(trace, dt: float, threshold: float = 1.0) -> EventSeries:
     """Spike events from a sampled voltage trace.
 
     An event is recorded at each rising crossing of ``threshold``; the
     detector re-arms only after the trace falls back below the threshold,
     so noisy plateaus above threshold produce a single count.  Event times
     are the sample times (index * dt) of the first sample at or above
-    threshold.
+    threshold; the series has source id 0.
     """
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
@@ -104,7 +101,7 @@ def detect_spikes(trace, dt: float, threshold: float = 1.0, source_id: int = 0) 
     armed[0] = True
     np.logical_not(above[:-1], out=armed[1:])
     idx = np.nonzero(above & armed)[0]
-    return EventSeries(source_id=source_id, times=idx * dt)
+    return EventSeries(source_id=0, times=idx * dt)
 
 
 def threshold_sweep(trace, dt: float, thresholds) -> list[tuple[float, int]]:

@@ -192,11 +192,14 @@ def cmd_validate_config(args) -> int:
     return 0
 
 
-def _load_events(path: str):
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(f"spike file not found: {path}")
-    return read_events_csv(p)
+def _read_input(read, path: str):
+    """``read(path)``; a missing or malformed file is a CliError."""
+    if not Path(path).is_file():
+        raise CliError(f"input file not found: {path}")
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from None
 
 
 def cmd_analyze(args) -> int:
@@ -206,12 +209,15 @@ def cmd_analyze(args) -> int:
         raise CliError("pass --spikes, or --threshold-sweep with --traces")
     if args.threshold_sweep is not None and np.any(np.diff(args.threshold_sweep) <= 0.0):
         raise CliError(f"--threshold-sweep must be ascending, got {args.threshold_sweep}")
+    if args.threshold_sweep is not None:
+        t, by_id = _read_input(read_traces_csv, args.traces)
+    else:
+        events = _read_input(read_events_csv, args.spikes)
     out_path = _resolve_out(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
 
     if args.threshold_sweep is not None:
         thresholds = args.threshold_sweep
-        t, by_id = read_traces_csv(args.traces)
         if len(t) < 2:
             print("warning: empty traces file; writing empty output", file=sys.stderr)
             out_path.write_text("threshold_v,count\n")
@@ -226,7 +232,6 @@ def cmd_analyze(args) -> int:
         print(f"wrote {out_path}")
         return 0
 
-    events = _load_events(args.spikes)
     if not events or all(len(e) == 0 for e in events):
         print("warning: no events in spike file; writing empty output", file=sys.stderr)
         out_path.write_text("")

@@ -33,8 +33,8 @@ takes its default (links 0, fanout 1, multiplicity 1, seed 0), so
 parsing, ``build_ring`` adds the ring's links once, after those of the
 ``link`` lines.  An island's crossbar comes from either its
 ``edge`` lines or one ``crossbar`` line, never both: at the island's
-``end``, ``crossbar`` becomes ``random_crossbar(n, edges, inh, seed,
-allow_self=True)`` for the island's final neuron count ``n``.  Canonical
+``end``, ``crossbar`` becomes ``random_crossbar(n, edges, inh, seed)``
+for the island's final neuron count ``n``.  Canonical
 serialization therefore emits explicit ``link`` and ``edge`` lines and never
 ``base``, ``ring`` or ``crossbar`` lines; parse(serialize(spec)) reproduces
 the spec exactly.
@@ -225,7 +225,7 @@ def parse_document(text: str) -> tuple[NetworkSpec, dict]:
                 if cur["crossbar"]:
                     xhead, xb = cur["crossbar"]
                     try:
-                        edges = random_crossbar(cur["n_neurons"], xb["edges"], xb["inh"], xb["seed"], allow_self=True)
+                        edges = random_crossbar(cur["n_neurons"], xb["edges"], xb["inh"], xb["seed"])
                     except ValueError as exc:
                         raise ConfigSyntaxError(xhead.line, xhead.col, str(exc)) from None
                 islands.append(

@@ -37,12 +37,12 @@ membrane increments of a bounded chunk of steps are computed in one array
 expression, and each step costs an add, the lower clamp, the gate decay
 and a crossing check.  The expressions and their order are those of the
 general step, so the result is bit-identical to taking every step in
-full.  The first step in which a membrane would not stay below v_th and
-the detection level is handed back to the general step from its saved
-state; so is a NaN or +inf increment, which the general step reports.  A
--inf increment takes the membrane to its lower clamp, as the general step
-does.  A network without synapses has an empty synapse block, whose input
-is zero and which is always at its floor.
+full.  The first step in which a membrane would not stay below the
+network's lowest v_th and the detection level is handed back to the
+general step from its saved state; so is a NaN or +inf increment, which
+the general step reports.  A -inf increment takes the membrane to its
+lower clamp, as the general step does.  A network without synapses has an
+empty synapse block, whose input is zero and which is always at its floor.
 
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
@@ -163,13 +163,13 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if not self.duration >= 10.0 * self.dt:
-            raise ValueError("duration must be at least 10 * dt")
+        if not (math.isfinite(self.duration) and self.duration >= 10.0 * self.dt):
+            raise ValueError("duration must be finite and at least 10 * dt")
         if self.trace_decimation < 1:
             raise ValueError("trace_decimation must be >= 1")
         if self.noise_dt is not None:
             hold = self.noise_dt / self.dt
-            if abs(hold - round(hold)) > 1e-9 or round(hold) < 1:
+            if not math.isfinite(hold) or abs(hold - round(hold)) > 1e-9 or round(hold) < 1:
                 raise ValueError("noise_dt must be a positive integer multiple of dt")
 
     @property
@@ -549,13 +549,10 @@ class _QuietStretch:
         self.drive, self.island_of, self.n_steps = drive, island_of, n_steps
         self.k_dt, self.lo, self.decay = neurons.k, neurons.lo, neurons.decay
         self.v_th, self.v_gate = neurons.v_th, neurons.v_gate
-        # A step that takes a membrane to v_th or to the detection level
-        # may flip a switch or start a spike: it goes to the general step.
-        self.stop = np.minimum(neurons.v_th, DETECT_THRESHOLD_V)
-        # With one level for all neurons a step tests them with one
-        # max-reduce, which is NaN when any membrane is, so it agrees.
-        if (self.stop == self.stop[0]).all():
-            self.stop = float(self.stop[0])
+        # A step that takes a membrane to the lowest v_th or to the detection
+        # level may flip a switch or start a spike: it goes to the general
+        # step (early, for a neuron whose own v_th is higher).
+        self.stop = min(float(neurons.v_th.min()), DETECT_THRESHOLD_V)
         self.floor_input = floor_input
         self.start = self.end = 0  # steps whose increments are in self.inc
         self.inc = None
@@ -580,11 +577,10 @@ class _QuietStretch:
             if not self.start <= k < self.end:
                 self._batch(k)
             inc, lo, stop, decay, base = self.inc, self.lo, self.stop, self.decay, self.start
-            one_level = isinstance(stop, float)
             while k < self.end:
                 v = v_m + inc[k - base]
-                # Not below the level: crossed, or not a number.
-                if not (v.max() < stop if one_level else (v < stop).all()):
+                # Not below the level: crossed, or a NaN (which max() passes on).
+                if not v.max() < stop:
                     self.steps += k - k0
                     return k, v_m, v_n
                 np.maximum(v, lo, out=v)  # the clip of the general step: v < v_th < hi

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,26 +49,33 @@ def write_spikes_csv(record: SpikeRecord, path) -> None:
     Path(path).write_text(spikes_to_csv(record), encoding="utf-8")
 
 
-def read_events_csv(path, origin: str = "external") -> list[EventSeries]:
+def read_events_csv(path) -> list[EventSeries]:
     """Event series grouped by source id from a (source_id, t_seconds) CSV
     file.  Returns one series per distinct source id, ordered by id; times
-    are sorted.
+    are sorted.  A malformed row is a ValueError naming its 1-based line.
     """
     text = Path(path).read_text(encoding="utf-8")
     by_source: dict[int, list[float]] = {}
     reader = csv.reader(_io.StringIO(text))
-    header = next(reader, None)
-    if header is None:
-        return []
-    for row in reader:
-        if not row or not row[0].strip():
-            continue
-        sid = int(row[0])
-        by_source.setdefault(sid, []).append(float(row[1]))
+    next(reader, None)  # the header
+    try:
+        for row in reader:
+            if row and row[0].strip():
+                by_source.setdefault(int(row[0]), []).append(_finite(row[1]))
+    except (IndexError, ValueError):
+        raise ValueError(f"line {reader.line_num}: expected an integer id and a finite time, got {row}") from None
     return [
-        EventSeries(source_id=sid, times=np.sort(np.asarray(ts)), origin=origin)
+        EventSeries(source_id=sid, times=np.sort(np.asarray(ts)))
         for sid, ts in sorted(by_source.items())
     ]
+
+
+def _finite(text: str) -> float:
+    """``float(text)``; ValueError unless it is finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def write_traces_csv(traces: tuple, path) -> None:
@@ -82,11 +90,21 @@ def write_traces_csv(traces: tuple, path) -> None:
 
 
 def read_traces_csv(path) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Traces as written by ``write_traces_csv`` (none from an empty file); a
+    malformed header or row is a ValueError naming its 1-based line."""
     text = Path(path).read_text(encoding="utf-8")
     reader = csv.reader(_io.StringIO(text))
-    header = next(reader)
-    ids = [int(name[2:]) for name in header[1:]]
-    rows = [list(map(float, row)) for row in reader if row]
+    header = next(reader, ["t_seconds"])
+    rows = []
+    try:
+        ids = [int(name[2:]) for name in header[1:]]
+        for row in reader:
+            if len(row) not in (0, len(header)):
+                raise ValueError
+            if row:
+                rows.append([_finite(x) for x in row])
+    except ValueError:
+        raise ValueError(f"line {reader.line_num}: expected t_seconds,v_<id>... columns of finite numbers") from None
     arr = np.asarray(rows)
     if arr.size == 0:
         return np.empty(0), {i: np.empty(0) for i in ids}

@@ -232,19 +232,13 @@ def neuron_step(state: NeuronState, params: NeuronParams, i_in: float, dt: float
     return NeuronState(v_m=v_m, v_n=v_n, refractory=v_n >= params.v_gate_th)
 
 
-def natural_period(
-    params: NeuronParams,
-    i_const: float,
-    dt: float,
-    n_discard: int = 3,
-    n_average: int = 8,
-) -> float:
+def natural_period(params: NeuronParams, i_const: float, dt: float) -> float:
     """Steady inter-spike period under a constant drive ``i_const``.
 
-    The neuron is simulated from rest; the first ``n_discard`` spikes are
-    discarded and the next ``n_average`` inter-spike intervals are averaged.
-    Spikes are rising crossings of ``DETECT_THRESHOLD_V``, timed exactly
-    within the step, so the period does not depend on ``dt``.
+    The neuron is simulated from rest; the first 3 spikes are discarded and
+    the next 8 inter-spike intervals are averaged.  Spikes are rising
+    crossings of ``DETECT_THRESHOLD_V``, timed exactly within the step, so
+    the period does not depend on ``dt``.
 
     Raises
     ------
@@ -258,11 +252,11 @@ def natural_period(
     check_dt(params, dt)
 
     t_expect = params.c_m * (params.v_th - params.v_rest) / i_const + 1e-6
-    max_steps = int(math.ceil(100.0 * t_expect * (n_discard + n_average + 1) / dt))
+    needed = 3 + 8 + 1  # 3 spikes discarded, then 8 intervals
+    max_steps = int(math.ceil(100.0 * t_expect * needed / dt))
 
     v_m = params.v_rest
     v_n = 0.0
-    needed = n_discard + n_average + 1
     spike_times: list[float] = []
     for k in range(max_steps):
         v_m, v_n, onset = advance(v_m, v_n, i_const, dt, params)
@@ -274,6 +268,4 @@ def natural_period(
         raise NoFiringError(
             f"only {len(spike_times)} spikes within {max_steps} steps at i_const={i_const:g}"
         )
-    first = spike_times[n_discard]
-    last = spike_times[n_discard + n_average]
-    return (last - first) / n_average
+    return (spike_times[-1] - spike_times[3]) / 8

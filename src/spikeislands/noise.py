@@ -24,18 +24,19 @@ stream contract and is stable within a major release.  No sample mean is
 subtracted: a series is zero-mean in expectation, and its first ``n``
 samples do not depend on how many follow.
 
-A source is read forward through a ``NoiseStream``, which draws NOISE_CHUNK
-samples at a time and carries the generator and, for a pink source, the
-filter state from draw to draw.  How a series is split into reads changes
-none of its bits: Philox normals do not depend on how the draws are
-chunked, and a pink stream filters whole NOISE_CHUNK draws at fixed
-positions from the start of the stream, keeping the samples not yet read.
-So ``generate(spec, n, dt)`` is the stream's first ``n`` samples, and a
-simulation holds one chunk of each source whatever its length.
+A source is read forward through a ``NoiseStream``, which draws a white
+read in one call and pink samples NOISE_CHUNK at a time, and carries the
+generator and the pink filter state from read to read.  How a series is
+split into reads changes none of its bits: Philox normals do not depend on
+how the draws are chunked, and a pink stream filters whole NOISE_CHUNK
+draws at fixed positions from the start of the stream, keeping the samples
+not yet read.  So ``generate(spec, n, dt)`` is the stream's first ``n``
+samples, and a simulation holds one chunk of each source whatever its length.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,8 +59,8 @@ PINK_SECTIONS = 6
 
 DEFAULT_BAND = (10.0, 5e6)
 
-# Samples a stream draws at a time; bounds its scratch memory at a few
-# times NOISE_CHUNK doubles.
+# Samples a pink stream draws, and a simulation reads from each stream, at
+# a time; bounds their scratch memory at a few times NOISE_CHUNK doubles.
 NOISE_CHUNK = 1 << 14
 
 # The pink filter (``_pink_filter``) takes samples in blocks of PINK_BLOCK
@@ -92,10 +93,10 @@ def density_for_rms(rms: float, band: tuple[float, float]) -> float:
     Uses the conversion rms = density * sqrt(f_hi - f_lo).
     """
     f_lo, f_hi = band
-    if not 0.0 < f_lo < f_hi:
-        raise ValueError("band must satisfy 0 < f_lo < f_hi")
-    if not rms > 0.0:
-        raise ValueError("rms must be strictly positive")
+    if not 0.0 < f_lo < f_hi < math.inf:
+        raise ValueError("band must satisfy 0 < f_lo < f_hi < inf")
+    if not 0.0 < rms < math.inf:
+        raise ValueError("rms must be strictly positive and finite")
     return rms / np.sqrt(f_hi - f_lo)
 
 
@@ -125,11 +126,11 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("white", "pink"):
             raise ValueError(f"kind must be 'white' or 'pink', got {self.kind!r}")
-        if not self.density > 0.0:
-            raise ValueError("density must be strictly positive")
+        if not 0.0 < self.density < math.inf:
+            raise ValueError("density must be strictly positive and finite")
         f_lo, f_hi = self.band
-        if not 0.0 < f_lo < f_hi:
-            raise ValueError("band must satisfy 0 < f_lo < f_hi")
+        if not 0.0 < f_lo < f_hi < math.inf:
+            raise ValueError("band must satisfy 0 < f_lo < f_hi < inf")
 
     @classmethod
     def from_rms(
@@ -330,10 +331,8 @@ class NoiseStream:
         """The next ``n`` samples."""
         out = np.empty(n)
         if self._pink is None:
-            for k in range(0, n, NOISE_CHUNK):
-                part = out[k:k + NOISE_CHUNK]
-                self._rng.standard_normal(out=part)
-                part *= self._gain
+            self._rng.standard_normal(out=out)
+            out *= self._gain
             return out
         k = 0
         while k < n:

@@ -66,7 +66,6 @@ SYNAPSE_PRESETS: dict[str, SynapseParams] = {
         i_pulse=5.2e-6,
         pulse_width=150e-9,
         kappa=0.7,
-        polarity="exc",
     ),
 }
 

@@ -69,6 +69,9 @@ NEWTON_BATCH = 3
 class SynapseParams:
     """DPI synapse component values and spike-to-current conversion.
 
+    A synapse's sign comes from its crossbar edge ("exc" or "inh"; links are
+    excitatory) and is applied where its current enters the target membrane.
+
     Parameters
     ----------
     c_s : float
@@ -79,9 +82,6 @@ class SynapseParams:
         Sub-threshold slope factor, dimensionless, in (0, 1].
     u_t : float
         Thermal voltage, volts (default 25.85 mV at 300 K).
-    polarity : str
-        "exc" or "inh"; the sign is applied where the output current is
-        injected into the target membrane, not inside the synapse.
     i_pulse : float
         Input current amplitude per presynaptic spike, amperes.
     pulse_width : float
@@ -94,7 +94,6 @@ class SynapseParams:
     pulse_width: float
     kappa: float = 0.7
     u_t: float = U_T_300K
-    polarity: str = "exc"
 
     def __post_init__(self) -> None:
         for name in ("c_s", "i_tau", "u_t", "i_pulse", "pulse_width"):
@@ -102,8 +101,6 @@ class SynapseParams:
                 raise ValueError(f"{name} must be strictly positive")
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError("kappa must be in (0, 1]")
-        if self.polarity not in ("exc", "inh"):
-            raise ValueError(f"polarity must be 'exc' or 'inh', got {self.polarity!r}")
 
     @property
     def i_floor(self) -> float:
@@ -112,7 +109,7 @@ class SynapseParams:
 
 @dataclass(frozen=True)
 class SynapseState:
-    """Output current magnitude, amperes (polarity applied at injection)."""
+    """Output current magnitude, amperes (sign applied at injection)."""
 
     i_out: float
 

@@ -138,16 +138,15 @@ def random_crossbar(
     n_edges: int,
     n_inhibitory: int,
     seed: int,
-    allow_self: bool = True,
 ) -> tuple[Edge, ...]:
     """Seeded random crossbar with exact edge and inhibitory counts.
 
-    Draws ``n_edges`` distinct (pre, post) pairs uniformly (optionally
-    excluding self-connections) and marks a random subset of
-    ``n_inhibitory`` of them inhibitory.  The same seed always yields the
-    same crossbar.
+    Draws ``n_edges`` distinct (pre, post) pairs uniformly from all
+    ``n_neurons**2``, self-connections included, and marks a random subset
+    of ``n_inhibitory`` of them inhibitory.  The same seed always yields
+    the same crossbar.
     """
-    n_slots = n_neurons * n_neurons if allow_self else n_neurons * (n_neurons - 1)
+    n_slots = n_neurons * n_neurons
     if not 0 <= n_edges <= n_slots:
         raise ValueError(f"n_edges must be in [0, {n_slots}]")
     if not 0 <= n_inhibitory <= n_edges:
@@ -157,11 +156,7 @@ def random_crossbar(
     inh_positions = set(rng.choice(n_edges, size=n_inhibitory, replace=False).tolist()) if n_edges else set()
     edges = []
     for i, slot in enumerate(sorted(flat.tolist())):
-        if allow_self:
-            pre, post = divmod(slot, n_neurons)
-        else:
-            pre, off = divmod(slot, n_neurons - 1)
-            post = off if off < pre else off + 1
+        pre, post = divmod(slot, n_neurons)
         edges.append((pre, post, "inh" if i in inh_positions else "exc"))
     return tuple(edges)
 

@@ -53,6 +53,13 @@ class TestValidateConfig:
         line = next(i for i, raw in enumerate(text.splitlines(), start=1) if raw.startswith("ring "))
         assert f"line {line}" in res.stderr and "links_per_pair 17" in res.stderr
 
+    @pytest.mark.parametrize("noise", ["density=inf", "rms=inf", "density=1e-10 band=10:inf"])
+    def test_non_finite_noise_exit_2(self, tmp_path, noise, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(f"island 0\n  neurons 2\n  noise white {noise}\nend\n")
+        assert main(["validate-config", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 3, ")
+
     @pytest.mark.parametrize("field", ["neuron_preset", "synapse_preset"])
     def test_unknown_preset_exit_2(self, tmp_path, field, capsys):
         bad = tmp_path / "bad.cfg"
@@ -356,7 +363,8 @@ def exit_code(argv) -> int:
         return exc.code
 
 
-@pytest.mark.parametrize("argv", [
+SPIKES = "neuron_id,t_seconds\n0,1e-6\n0,3e-6\n"
+BAD_ARGV = [
     ["analyze"],  # neither --spikes nor --threshold-sweep
     ["analyze", "--spikes", "{spikes}", "--bin", "0"],
     ["analyze", "--spikes", "{spikes}", "--isi", "--hist-bin", "-1"],
@@ -372,10 +380,27 @@ def exit_code(argv) -> int:
     # a config without a ring line has a ring with no links: nothing to vary
     ["sweep", "--config", "fig5A_nobond", "--axis", "fanout", "--values", "1,2"],
     ["sweep", "--config", "fig5A_nobond", "--axis", "multiplicity", "--values", "2"],
-])
-def test_bad_parameter_exit_2_before_writing(tmp_path, argv):
+    ["simulate", "--config", "fig5A_nobond", "--duration", "inf"],
+]
+# malformed input files
+BAD_INPUT = {
+    "too-few-fields": (["analyze", "--spikes", "{spikes}"], "neuron_id,t_seconds\n0\n"),
+    "id-not-an-integer": (["analyze", "--spikes", "{spikes}"], "neuron_id,t_seconds\nx,1\n"),
+    "time-not-a-number": (["analyze", "--spikes", "{spikes}"], "neuron_id,t_seconds\n0,abc\n"),
+    "time-not-finite": (["analyze", "--spikes", "{spikes}"], "neuron_id,t_seconds\n0,inf\n"),
+    "time-twice": (["analyze", "--spikes", "{spikes}"], "neuron_id,t_seconds\n0,1e-6\n0,1e-6\n"),
+    "trace-not-a-number": (["analyze", "--threshold-sweep", "1,2", "--traces", "{spikes}"], "t_seconds,v_0\n0,abc\n"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, spikes_text",
+    [pytest.param(argv, SPIKES, id=f"argv{i}") for i, argv in enumerate(BAD_ARGV)]
+    + [pytest.param(*case, id=name) for name, case in BAD_INPUT.items()],
+)
+def test_bad_parameter_exit_2_before_writing(tmp_path, argv, spikes_text):
     spikes = tmp_path / "spikes.csv"
-    spikes.write_text("neuron_id,t_seconds\n0,1e-6\n0,3e-6\n")
+    spikes.write_text(spikes_text)
     out = tmp_path / "o" / "x"
     argv = [a.format(spikes=spikes) for a in argv] + ["--duration", "2e-6"] * (argv[0] == "sweep")
     assert exit_code(argv + ["--out", str(out)]) == 2

@@ -150,7 +150,7 @@ class TestCrossbar:
     def test_crossbar_is_the_random_crossbar_of_the_final_neuron_count(self):
         net = parse_config("island 0\n  crossbar edges=20 inh=3 seed=5\n  neurons 6\n  noise white density=1e-10\nend\n")
         assert net.islands[0].n_neurons == 6
-        assert net.islands[0].crossbar == random_crossbar(6, 20, 3, 5, allow_self=True)
+        assert net.islands[0].crossbar == random_crossbar(6, 20, 3, 5)
 
     def test_crossbar_serializes_as_edge_lines(self):
         net = parse_config(ISLAND_HEAD + "  crossbar edges=5 inh=1 seed=3\nend\n")

@@ -1,12 +1,19 @@
-"""The demos compile and import only names that exist; no demo is run."""
+"""The demos compile and import only names that exist; the quick ones run."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
+import spikeislands
+
+DEMO_DIR = Path(__file__).parent.parent / "demos"
+DEMOS = sorted(DEMO_DIR.glob("*.py"))
+SRC = Path(spikeislands.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -23,3 +30,21 @@ def test_demo_imports_exist(path):
 
 def test_every_demo_is_checked():
     assert len(DEMOS) >= 6
+
+
+# The demos that run in about a second; each writes only these files.
+QUICK = {
+    "05_synapse_calibration.py": [],
+    "06_external_events.py": ["out/06_external_events/matrix.csv", "out/06_external_events/recording.csv"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUICK))
+def test_quick_demo_runs(tmp_path, name):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, str(DEMO_DIR / name)], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+    assert written == QUICK[name]
+    assert all((tmp_path / f).stat().st_size > 0 for f in written)

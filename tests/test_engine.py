@@ -102,6 +102,11 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(duration=5e-8, dt=1e-8)
 
+    @pytest.mark.parametrize("kw", [dict(duration=np.inf), dict(duration=1e-5, noise_dt=np.inf)])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValueError):
+            SimConfig(**kw)
+
     def test_noise_dt_multiple(self):
         with pytest.raises(ValueError):
             SimConfig(duration=1e-5, dt=1e-8, noise_dt=1.5e-8)
@@ -614,14 +619,20 @@ class TestQuietStretches:
         ("fig6H", dict(master_seed=0, record_traces=[0, 17, 40])),
         ("fig5A_nobond", dict(master_seed=1, dt=DT / 2, noise_dt=DT)),
         ("no_synapses", dict(master_seed=3, record_traces="all", trace_decimation=3)),
+        ("mixed_presets", dict(master_seed=2, duration=4e-5, record_traces="all", trace_decimation=1)),
     ])
     def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, monkeypatch):
         import spikeislands.engine as engine_mod
+        import spikeislands.presets as presets_mod
 
-        # Every shipped config has synapses; a network without any has an
-        # empty synapse block.
+        # Every shipped config has synapses and one neuron preset; a network
+        # without synapses has an empty synapse block, and one whose neurons
+        # differ in v_th stops its quiet stretches at the lowest.
         if name == "no_synapses":
             net = single_island(5, [], density=4e-10)
+        elif name == "mixed_presets":
+            monkeypatch.setitem(presets_mod.NEURON_PRESETS, "_observer", replace(P, v_th=2.2, v_gate_th=2.1))
+            net = two_islands_with_link(1, "_observer")
         else:
             net, _ = parse_document(load_builtin(name))
         sim = SimConfig(**{"duration": 3e-5, "dt": DT, **sim_kw})

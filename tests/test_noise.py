@@ -30,6 +30,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             NoiseSpec("white", 1e-10, band=(5e6, 10.0))
 
+    @pytest.mark.parametrize("kw", [dict(density=np.inf), dict(density=1e-10, band=(10.0, np.inf))])
+    def test_non_finite_rejected(self, kw):
+        with pytest.raises(ValueError):
+            NoiseSpec("white", **kw)
+
     def test_from_rms_round_trip(self):
         spec = NoiseSpec.from_rms("white", 1.5e-6, band=(10.0, 5e6))
         assert spec.density * np.sqrt(5e6 - 10.0) == pytest.approx(1.5e-6, rel=1e-12)

@@ -40,8 +40,6 @@ class TestTimeConstant:
             SynapseParams(c_s=0.0, i_tau=1e-8, i_pulse=1e-6, pulse_width=1e-7)
         with pytest.raises(ValueError):
             SynapseParams(c_s=1e-12, i_tau=1e-8, i_pulse=1e-6, pulse_width=1e-7, kappa=1.5)
-        with pytest.raises(ValueError):
-            SynapseParams(c_s=1e-12, i_tau=1e-8, i_pulse=1e-6, pulse_width=1e-7, polarity="both")
 
 
 def _run_dpi(i_start, i_in, t_total, dt, params=REF):

@@ -35,10 +35,6 @@ class TestRandomCrossbar:
         assert random_crossbar(16, 50, 4, seed=3) == random_crossbar(16, 50, 4, seed=3)
         assert random_crossbar(16, 50, 4, seed=3) != random_crossbar(16, 50, 4, seed=4)
 
-    def test_no_self_option(self):
-        cb = random_crossbar(8, 40, 0, seed=1, allow_self=False)
-        assert all(pre != post for (pre, post, _) in cb)
-
     def test_bounds(self):
         with pytest.raises(ValueError):
             random_crossbar(4, 17, 0, seed=0)
