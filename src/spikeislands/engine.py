@@ -67,6 +67,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -165,6 +166,10 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not (math.isfinite(self.duration) and self.duration >= 10.0 * self.dt):
             raise ValueError("duration must be finite and at least 10 * dt")
+        for name in ("master_seed", "trace_decimation"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trace_decimation < 1:
             raise ValueError("trace_decimation must be >= 1")
         if self.noise_dt is not None:
@@ -328,25 +333,20 @@ class _NeuronBlock:
     A neuron that flips no switch within the step is advanced in vector form
     with the expressions ``advance`` uses for a step without a switch; a
     neuron that does flip one goes through ``advance`` itself.  Both give the
-    same bits as ``neuron_step``.
+    same bits as ``neuron_step``.  Both read each neuron's constants from
+    its ``NeuronParams.advance_consts``: the vector form as per-neuron arrays
+    (a row per constant) gathered once here, ``advance`` as the tuple itself.
+    A switching neuron's inputs are read as Python floats (``ndarray.item``).
     """
 
     def __init__(self, params: list, dt: float):
-        def arr(f):
-            return np.array([f(p) for p in params], dtype=float)
-
         self.params = params
         self.dt = dt
-        self.c_m = arr(lambda p: p.c_m)
-        self.v_th = arr(lambda p: p.v_th)
-        self.v_gate = arr(lambda p: p.v_gate_th)
-        self.i_na_max = arr(lambda p: p.i_na_max)
-        self.i_sink = arr(lambda p: p.i_sink)
-        self.v_n_inf = arr(lambda p: p.v_n_inf)
-        self.lo = arr(lambda p: p.v_clamp_lo)
-        self.hi = arr(lambda p: p.v_clamp_hi)
+        consts = np.array([p.advance_consts for p in params], dtype=float).T.copy()
+        (self.v_th, self.v_gate, self.c_m, tau_n, self.i_na_max, self.i_sink, self.v_n_inf,
+         self.lo, self.hi) = consts
         self.k = dt / self.c_m
-        self.decay = arr(lambda p: math.exp(-dt / p.tau_n))
+        self.decay = np.array([math.exp(-dt / t) for t in tau_n.tolist()])
 
     def step(self, v_m, v_n, i_in):
         """Advance by dt.  Returns (v_m, v_n, spiking, onsets): the sorted
@@ -365,23 +365,24 @@ class _NeuronBlock:
         rising = ((v_m < DETECT_THRESHOLD_V) & (v_new >= DETECT_THRESHOLD_V)) > switching
         np.maximum(v_new, self.lo, out=v_new)
         np.minimum(v_new, self.hi, out=v_new)
-        spiking = np.nonzero(rising)[0]
+        spiking = rising.nonzero()[0]
         if spiking.size:
             onsets = (DETECT_THRESHOLD_V - v_m[spiking]) / (i_net[spiking] / self.c_m[spiking])
         else:
             onsets = _NO_ONSETS
-        if switching.any():
+        switched = switching.nonzero()[0]
+        if switched.size:
+            dt, params = self.dt, self.params
             extra, extra_on = [], []
-            for i in np.nonzero(switching)[0].tolist():
-                v_new[i], v_n_new[i], onset = advance(v_m[i].item(), v_n[i].item(), i_in[i].item(),
-                                                      self.dt, self.params[i])
+            for i in switched.tolist():
+                v_new[i], v_n_new[i], onset = advance(v_m.item(i), v_n.item(i), i_in.item(i), dt, params[i])
                 if onset is not None:
                     extra.append(i)
                     extra_on.append(onset)
             if extra:
                 spiking = np.concatenate((spiking, extra))
                 onsets = np.concatenate((onsets, extra_on))
-                order = np.argsort(spiking, kind="stable")
+                order = spiking.argsort(kind="stable")
                 spiking, onsets = spiking[order], onsets[order]
         return v_new, v_n_new, spiking, onsets
 
@@ -466,7 +467,7 @@ class _SynapseStates:
         output lies below its fixed point."""
         self.rising_solves += 1
         tau, i_tau, i_pulse, a, c, _, floor = consts
-        if (i < a).all():
+        if np.logical_and.reduce(i < a):
             return dpi_rise(i, i_pulse, h, a, c, tau)
         return dpi_flow(i, i_pulse, h, i_tau, tau, floor)
 
@@ -490,7 +491,7 @@ class _SynapseStates:
         if self.at_floor:
             return self.floor_input
         self.i, q = dpi_decay(self.i, dt, self.tau, self.floor)
-        self.at_floor = bool((self.i == self.floor).all())
+        self.at_floor = bool(np.logical_and.reduce(self.i == self.floor))
         return self.input_current(q)
 
     def start_pulses(self, k: int, spiking, onsets) -> None:
@@ -505,28 +506,28 @@ class _SynapseStates:
         if not hit.size:
             return
         dt = self.dt
-        theta = np.repeat(onsets, [len(g) for g in groups])
+        theta = onsets.repeat([len(g) for g in groups])
         consts = self.consts[:, hit]
         tau, width, floor = consts[0], consts[5], consts[6]
         # To the onset, from the start of the step, under an earlier pulse
         # while it lasts.
         first_off = np.minimum(self.on[hit], theta)
         i = self.i_start[hit]
-        if first_off.any():
+        if np.logical_or.reduce(first_off):
             i, _ = self._rise(i, consts, first_off)
         i = np.maximum(i * np.exp(-(theta - first_off) / tau), floor)  # dpi_decay's state
         # Offsets from the onset of the m step ends within the pulse, then of
         # its end (repeated where another pulse covers more step ends), all
         # solved together.
         h = np.minimum(self.ends - theta[:, None], width[:, None])
-        m = (h < width[:, None]).sum(axis=1)
-        n = int(m.max()) + 1
+        m = np.add.reduce(h < width[:, None], axis=1)
+        n = int(np.maximum.reduce(m)) + 1
         h = h[:, :n]
-        i_tab, q_tab = self._rise(np.repeat(i, n), np.repeat(consts, n, axis=1), h.ravel())
+        i_tab, q_tab = self._rise(i.repeat(n), consts.repeat(n, axis=1), h.ravel())
         i_tab, q_tab = i_tab.reshape(h.shape), q_tab.reshape(h.shape)
         # The onset step ends in its pulse, or (m = 0) after the pulse's end.
         end = i_tab[:, 0]
-        if not m.all():
+        if not np.logical_and.reduce(m):
             end, _ = dpi_decay(end, (dt - theta) - h[:, 0], tau, floor)
         self.i[hit] = end
         # Step k+j, j = 1 .. m, is driven from offset h[j-1] to the pulse's
@@ -560,7 +561,8 @@ class _QuietStretch:
 
     def holds(self, v_m, v_n) -> bool:
         """True when no neuron has a switch on."""
-        return not ((v_m > self.v_th).any() or (v_n > self.v_gate).any())
+        any_ = np.logical_or.reduce
+        return not (any_(v_m > self.v_th) or any_(v_n > self.v_gate))
 
     def _batch(self, k: int) -> None:
         end = min(k + QUIET_CHUNK, self.n_steps)
@@ -580,7 +582,7 @@ class _QuietStretch:
             while k < self.end:
                 v = v_m + inc[k - base]
                 # Not below the level: crossed, or a NaN (which max() passes on).
-                if not v.max() < stop:
+                if not np.maximum.reduce(v) < stop:
                     self.steps += k - k0
                     return k, v_m, v_n
                 np.maximum(v, lo, out=v)  # the clip of the general step: v < v_th < hi
@@ -679,7 +681,7 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
             v_m, v_n, spiking, onsets = neurons.step(v_m, v_n, i_noise + i_syn)
 
             # A finite sum has finite terms; the exact test runs only otherwise.
-            if not (math.isfinite(v_m.sum()) and math.isfinite(v_n.sum())):
+            if not (math.isfinite(np.add.reduce(v_m)) and math.isfinite(np.add.reduce(v_n))):
                 bad = np.nonzero(~(np.isfinite(v_m) & np.isfinite(v_n)))[0]
                 if bad.size:
                     b = int(bad[0])

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import exp, log
 
 __all__ = [
     "CLAMP_MARGIN_V",
@@ -111,6 +112,11 @@ class NeuronParams:
                 raise ValueError(f"{name} must be strictly positive")
         if not (self.v_rest < self.v_gate_th < self.v_th < self.v_spike):
             raise ValueError("require v_rest < v_gate_th < v_th < v_spike")
+        # The constants ``advance`` reads, computed once from the fields (a
+        # ``dataclasses.replace`` builds a new instance and so new ones).
+        object.__setattr__(self, "advance_consts", (
+            self.v_th, self.v_gate_th, self.c_m, self.tau_n, self.i_na_max,
+            self.i_sink, self.v_n_inf, self.v_clamp_lo, self.v_clamp_hi))
 
     @property
     def v_clamp_lo(self) -> float:
@@ -163,18 +169,13 @@ def advance(v_m: float, v_n: float, i_in: float, dt: float, p: NeuronParams) -> 
 
     Returns ``(v_m, v_n, onset)`` where ``onset`` is the offset into the
     step of the rising crossing of ``DETECT_THRESHOLD_V``, or None.  No
-    validation: this is the update every other entry point shares.
+    validation: this is the update every other entry point shares.  The
+    per-preset constants come from ``p.advance_consts``, computed once when
+    ``p`` is made, and the segment end and the clamp are the comparisons of
+    Python's ``min`` and ``max`` written out, ties and NaN included.
     """
+    v_th, v_gate, c_m, tau_n, i_na_max, i_sink, v_n_inf, lo, hi = p.advance_consts
     v_detect = DETECT_THRESHOLD_V
-    v_th = p.v_th
-    v_gate = p.v_gate_th
-    c_m = p.c_m
-    tau_n = p.tau_n
-    i_na_max = p.i_na_max
-    i_sink = p.i_sink
-    v_n_inf = p.v_n_inf
-    lo = p.v_clamp_lo
-    hi = p.v_clamp_hi
     na = v_m > v_th
     sk = v_n > v_gate
     onset = None
@@ -189,13 +190,15 @@ def advance(v_m: float, v_n: float, i_in: float, dt: float, p: NeuronParams) -> 
             if (i_net > 0.0 and not na) or (i_net < 0.0 and na):
                 t_na = (v_th - v_m) / (i_net / c_m)
             if (target > v_gate and not sk) or (target < v_gate and sk):
-                t_sk = tau_n * math.log((v_n - target) / (v_gate - target))
-        seg = min(t_na, t_sk, rem)
+                t_sk = tau_n * log((v_n - target) / (v_gate - target))
+        seg = t_sk if t_sk < t_na else t_na
+        if rem < seg:
+            seg = rem
         v_new = v_m + i_net * (seg / c_m)
         if onset is None and v_m < v_detect <= v_new:
             onset = t + (v_detect - v_m) / (i_net / c_m)
-        v_m = min(max(v_new, lo), hi)
-        v_n = target + (v_n - target) * math.exp(-seg / tau_n)
+        v_m = lo if v_new < lo else hi if v_new > hi else v_new
+        v_n = target + (v_n - target) * exp(-seg / tau_n)
         if not seg < rem:
             return v_m, v_n, onset
         if t_na == seg:

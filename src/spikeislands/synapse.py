@@ -135,7 +135,7 @@ def dpi_decay(i0, h, tau, i_floor):
     i1 = i0 * np.exp(-h / tau)
     charge = tau * (i0 - i1)
     low = i1 < i_floor
-    if low.any():
+    if np.logical_or.reduce(low, axis=None):
         t_floor = tau * np.log(i0 / i_floor)
         charge = np.where(low, tau * (i0 - i_floor) + i_floor * (h - t_floor), charge)
         i1 = np.maximum(i1, i_floor)  # i_floor exactly where low
@@ -180,7 +180,7 @@ def _newton(g, y, target):
     for j in range(NEWTON_BATCH - 2, -1, -1):
         y = np.where(going[j], y, ys[j])
         active = active & going[j]
-    if not active.any():
+    if not np.logical_or.reduce(active, axis=None):
         return y
     y = np.array(y)
     for _ in range(100 - NEWTON_BATCH):
@@ -188,7 +188,7 @@ def _newton(g, y, target):
         step = (val - target) / slope
         np.subtract(y, step, out=y, where=active)
         active &= np.abs(step) > 1e-14 * (1.0 + np.abs(y))
-        if not active.any():
+        if not np.logical_or.reduce(active, axis=None):
             break
     return y
 
@@ -206,7 +206,7 @@ def _rising_start(target, c):
     linear interpolation in the tabulated relation of each element's c,
     within about 1e-4 of the root (the end of the grid beyond it)."""
     first = float(np.ravel(c)[0]) if np.size(c) else 0.0
-    if (c == first).all():
+    if np.logical_and.reduce(c == first, axis=None):
         return np.interp(target, *_rising_relation(first))
     c = np.broadcast_to(c, np.shape(target))
     start = np.empty(c.shape)

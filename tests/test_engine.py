@@ -107,6 +107,19 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**kw)
 
+    @pytest.mark.parametrize("name, value", [("trace_decimation", 2.5), ("trace_decimation", True),
+                                             ("trace_decimation", "10"), ("master_seed", 1.5),
+                                             ("master_seed", False), ("master_seed", None)])
+    def test_integer_fields_reject_other_values(self, name, value):
+        # a non-integer (bool included) fails here, naming its field, not
+        # later in _Traces or derive_seed
+        with pytest.raises(ValueError, match=name):
+            SimConfig(duration=1e-5, **{name: value})
+
+    def test_integer_fields_take_numpy_integers(self):
+        sim = SimConfig(duration=1e-5, master_seed=np.int64(3), trace_decimation=np.int32(2))
+        assert (sim.master_seed, sim.trace_decimation) == (3, 2)
+
     def test_noise_dt_multiple(self):
         with pytest.raises(ValueError):
             SimConfig(duration=1e-5, dt=1e-8, noise_dt=1.5e-8)
