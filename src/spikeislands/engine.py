@@ -561,8 +561,7 @@ class _QuietStretch:
 
     def holds(self, v_m, v_n) -> bool:
         """True when no neuron has a switch on."""
-        any_ = np.logical_or.reduce
-        return not (any_(v_m > self.v_th) or any_(v_n > self.v_gate))
+        return not (np.logical_or.reduce(v_m > self.v_th) or np.logical_or.reduce(v_n > self.v_gate))
 
     def _batch(self, k: int) -> None:
         end = min(k + QUIET_CHUNK, self.n_steps)
@@ -738,13 +737,7 @@ class _ScalarNeuron:
         """Steps k+1 .. k+len(drive) under the input currents ``drive``;
         returns the state after them."""
         params, dt, traces = self.params, self.dt, self.traces
-        v_th = params.v_th
-        v_gate = params.v_gate_th
-        i_na_max = params.i_na_max
-        i_sink = params.i_sink
-        v_n_inf = params.v_n_inf
-        lo = params.v_clamp_lo
-        hi = params.v_clamp_hi
+        v_th, v_gate, _, _, i_na_max, i_sink, v_n_inf, lo, hi = params.advance_consts
         k_dt = self.k_dt
         decay = self.decay
         th = DETECT_THRESHOLD_V
