@@ -1,7 +1,7 @@
 """End-to-end timings of one checkout of spikeislands, merged into a BENCH json.
 
-    python bench/run_bench.py --label change --out BENCH_16.json
-    python bench/run_bench.py --label parent --repo ../parent --out BENCH_16.json
+    python bench/run_bench.py --label change --out BENCH_n.json
+    python bench/run_bench.py --label parent --repo ../parent --out BENCH_n.json
 
 Measures the checkout at ``--repo`` (default: the one this script sits in),
 importing the package from its ``src/``, and writes the result under
