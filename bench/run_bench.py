@@ -1,24 +1,31 @@
-"""End-to-end timings of one checkout of spikeislands, merged into a BENCH json.
+"""End-to-end timings of checkouts of spikeislands, taken in alternation.
 
-    python bench/run_bench.py --label change --out BENCH_n.json
-    python bench/run_bench.py --label parent --repo ../parent --out BENCH_n.json
+    python bench/run_bench.py --checkout parent=../parent --checkout change=. \\
+        --rounds 5 --out BENCH_n.json
 
-Measures the checkout at ``--repo`` (default: the one this script sits in),
-importing the package from its ``src/``, and writes the result under
+Measures each ``--checkout LABEL=PATH`` (default: ``change=`` the checkout
+this script sits in), importing the package from its ``src/`` in a fresh
+interpreter for every measurement, and writes the results under
 ``runs.<label>`` of ``--out``, keeping the other labels already there:
 
 - ``host``: Python, numpy, the CPU features numpy dispatches to, the BLAS
-  build and ``OPENBLAS_CORETYPE`` if it is set;
+  build, ``OPENBLAS_CORETYPE`` if it is set, and ``scalar_loop``: whether
+  the compiled single-neuron loop loaded and the compiler command that
+  built it (a version without one reports ``compiled: false``);
 - ``configs``: for each shipped config at master seed 1 (120 us, and 20 ms
-  for ``fig3_single_neuron``), CPU seconds and us/step, best of 3 in this
-  process, with the run's ``stats`` counters and spike count;
+  for ``fig3_single_neuron``), the CPU seconds of one run per round, their
+  median and the median's us/step, with the run's ``stats`` counters and
+  spike count.  Each run is the second of its process, after a 1 us run has
+  made the one-off costs (caches, the compiled loop's loading);
 - ``advance``: CPU us per ``neuron.advance`` call, best of 5, over the calls
-  that runs of fig3 and fig6G make (recorded, then replayed);
+  that runs of fig3 and fig6G make through Python (recorded, then replayed);
 - ``tier1``: the wall time of the checkout's Tier-1 suite
   (``python -m pytest -q``) and its summary line.
 
-The host's speed drifts, so compare two checkouts only with runs taken in
-alternation on one host.
+Within a round every config runs once in each checkout, the checkouts in
+turn, and the order of the checkouts is reversed from one round to the
+next, so that the host's drift falls on both alike.  ``order`` records the
+sequence of the runs.
 """
 
 from __future__ import annotations
@@ -27,15 +34,20 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
+HERE = Path(__file__).resolve()
 DEFAULT_DURATION = 120e-6
 DURATIONS = {"fig3_single_neuron": 20e-3}
 MASTER_SEED = 1
 ADVANCE_CONFIGS = ("fig3_single_neuron", "fig6G")
+
+
+# ------------------------------------------------- measured in a fresh process
 
 
 def host_info() -> dict:
@@ -54,40 +66,36 @@ def host_info() -> dict:
         info["blas"] = {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
     except (KeyError, TypeError):
         info["blas"] = None
+    try:
+        from spikeislands import _kernel
+    except ImportError:
+        info["scalar_loop"] = {"compiled": False, "command": None}
+    else:
+        kernel = _kernel.load()
+        info["scalar_loop"] = {"compiled": kernel is not None,
+                               "command": None if kernel is None else " ".join(kernel.command)}
     return info
 
 
-def _load(name: str):
+def _load(name: str, duration: float | None = None):
     from spikeislands.configio import load_builtin, parse_document
     from spikeislands.engine import SimConfig
 
     network, hints = parse_document(load_builtin(name))
-    duration = DURATIONS.get(name, DEFAULT_DURATION)
+    duration = duration or DURATIONS.get(name, DEFAULT_DURATION)
     return network, SimConfig(duration=duration, dt=hints.get("dt", 1e-8), master_seed=MASTER_SEED)
 
 
-def time_configs(repeats: int = 3) -> dict:
-    from spikeislands.configio import builtin_names
+def time_config(name: str) -> dict:
     from spikeislands.engine import run
 
-    out = {}
-    for name in builtin_names():
-        network, sim = _load(name)
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.process_time()
-            record = run(network, sim)
-            best = min(best, time.process_time() - t0)
-        out[name] = {
-            "duration_s": sim.duration,
-            "steps": sim.n_steps,
-            "cpu_s": round(best, 4),
-            "us_per_step": round(best / sim.n_steps * 1e6, 3),
-            "stats": record.stats,
-            "spikes": record.total_spikes(),
-        }
-        print(f"# {name}: {out[name]['us_per_step']} us/step", file=sys.stderr)
-    return out
+    run(*_load(name, 1e-6))
+    network, sim = _load(name)
+    t0 = time.process_time()
+    record = run(network, sim)
+    cpu = time.process_time() - t0
+    return {"duration_s": sim.duration, "steps": sim.n_steps, "cpu_s": cpu,
+            "stats": record.stats, "spikes": record.total_spikes()}
 
 
 def time_advance(repeats: int = 5) -> dict:
@@ -118,6 +126,30 @@ def time_advance(repeats: int = 5) -> dict:
             "us_per_call": round(best / len(calls) * 1e6, 3)}
 
 
+def measure(what: str) -> dict:
+    """One measurement in this process: ``host``, ``advance``, ``names`` or
+    ``config:<name>``."""
+    if what == "host":
+        return host_info()
+    if what == "advance":
+        return time_advance()
+    if what == "names":
+        from spikeislands.configio import builtin_names
+
+        return {"names": list(builtin_names())}
+    return time_config(what.removeprefix("config:"))
+
+
+# ----------------------------------------------------------------- the driver
+
+
+def in_fresh_process(repo: Path, what: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    proc = subprocess.run([sys.executable, str(HERE), "--measure", what], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
 def time_tier1(repo: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     t0 = time.perf_counter()
@@ -138,32 +170,71 @@ def _commit(repo: Path) -> str | None:
     return proc.stdout.strip()
 
 
+def _version(repo: Path) -> str:
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    return subprocess.run([sys.executable, "-c", "import spikeislands; print(spikeislands.__version__)"],
+                          env=env, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _checkout(text: str) -> tuple[str, Path]:
+    label, sep, path = text.partition("=")
+    if not (sep and label and path):
+        raise argparse.ArgumentTypeError(f"expected LABEL=PATH, got {text!r}")
+    return label, Path(path).resolve()
+
+
 def main(argv=None) -> int:
-    here = Path(__file__).resolve().parent.parent
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True, help="key of this checkout's results, e.g. parent or change")
-    ap.add_argument("--repo", type=Path, default=here, help="checkout to measure (default: this one)")
-    ap.add_argument("--out", type=Path, required=True, help="json file to merge the results into")
+    ap.add_argument("--checkout", type=_checkout, action="append", metavar="LABEL=PATH",
+                    help="a checkout to measure under runs.LABEL (repeat; default: change=this checkout)")
+    ap.add_argument("--rounds", type=int, default=3, help="runs of each config in each checkout (default 3)")
+    ap.add_argument("--out", type=Path, help="json file to merge the results into")
+    ap.add_argument("--measure", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
-    repo = args.repo.resolve()
-    sys.path.insert(0, str(repo / "src"))
-    import spikeislands
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    if args.out is None:
+        ap.error("--out is required")
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
+    checkouts = dict(args.checkout or [("change", HERE.parent.parent)])
 
-    result = {
-        "repo_commit": _commit(repo),
-        "version": spikeislands.__version__,
-        "taken": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "host": host_info(),
-        "master_seed": MASTER_SEED,
-        "configs": time_configs(),
-        "advance": time_advance(),
-        "tier1": time_tier1(repo),
-    }
+    results = {label: {"repo_commit": _commit(repo), "version": _version(repo),
+                       "taken": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+                       "host": in_fresh_process(repo, "host"), "master_seed": MASTER_SEED,
+                       "rounds": args.rounds, "configs": {}}
+               for label, repo in checkouts.items()}
+    names = in_fresh_process(next(iter(checkouts.values())), "names")["names"]
+    labels, order = list(checkouts), []
+    for r in range(args.rounds):
+        turn = labels if r % 2 == 0 else labels[::-1]
+        for name in names:
+            for label in turn:
+                res = in_fresh_process(checkouts[label], f"config:{name}")
+                entry = results[label]["configs"].setdefault(name, {
+                    "duration_s": res["duration_s"], "steps": res["steps"], "cpu_s": [],
+                    "stats": res["stats"], "spikes": res["spikes"]})
+                entry["cpu_s"].append(round(res["cpu_s"], 4))
+                if res["stats"] != entry["stats"]:
+                    raise SystemExit(f"{label} {name}: stats differ between rounds")
+                order.append(f"{label}:{name}")
+                print(f"# round {r + 1} {label} {name}: {res['cpu_s']:.4f} s", file=sys.stderr)
+    for label in labels:
+        for entry in results[label]["configs"].values():
+            entry["median_cpu_s"] = round(statistics.median(entry["cpu_s"]), 4)
+            entry["us_per_step"] = round(entry["median_cpu_s"] / entry["steps"] * 1e6, 3)
+    for label in labels:
+        results[label]["advance"] = in_fresh_process(checkouts[label], "advance")
+    for label in labels:
+        results[label]["tier1"] = time_tier1(checkouts[label])
+
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
-    data.setdefault("runs", {})[args.label] = result
+    data.setdefault("runs", {}).update(results)
+    data["order"] = order
     args.out.write_text(json.dumps(data, indent=1) + "\n")
-    print(f"wrote {args.out} [runs.{args.label}]")
+    print(f"wrote {args.out} [runs.{', runs.'.join(labels)}]")
     return 0
 
 

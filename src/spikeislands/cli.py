@@ -307,8 +307,9 @@ def cmd_sweep(args) -> int:
     out_dir = _resolve_out(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [(net, v, i, sim, str(out_dir / name)) for i, (net, v, name) in enumerate(zip(networks, values, names))]
-    if args.jobs > 1:
-        with multiprocessing.Pool(args.jobs) as pool:
+    n_workers = min(args.jobs, len(jobs))
+    if n_workers > 1:
+        with multiprocessing.Pool(n_workers) as pool:
             rows = pool.map(_sweep_one, jobs)
     else:
         rows = [_sweep_one(j) for j in jobs]

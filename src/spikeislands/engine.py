@@ -44,6 +44,15 @@ the general step reports.  A -inf increment takes the membrane to its
 lower clamp, as the general step does.  A network without synapses has an
 empty synapse block, whose input is zero and which is always at its floor.
 
+One neuron without synapses takes a scalar loop of its own
+(``_ScalarNeuron``), with the expressions of the general step.  It runs
+compiled from ``_scalar.c`` when a C compiler is found (``_kernel``): the
+first such run of a process builds the library into a per-user cache,
+``$XDG_CACHE_HOME/spikeislands/`` or ``~/.cache/spikeislands/``, which is
+safe to delete, and checks it against the Python loop.  The compiled loop
+gives the Python loop's bits; without a compiler, or when building,
+loading or that check fails, the Python loop runs.
+
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
 seed with the island's declared (seed, stream_id), so no thread count or
@@ -95,7 +104,8 @@ __all__ = [
 # bounds the batch at QUIET_CHUNK x n_neurons doubles.
 QUIET_CHUNK = 256
 
-# Steps of drive the single-neuron loop reads as Python floats at a time.
+# Steps of drive the single-neuron loop takes at a time (as Python floats,
+# in the Python loop).
 DRIVE_CHUNK = 1 << 14
 
 
@@ -805,28 +815,38 @@ def _run_scalar_single(params, drive: _Drive, sim: SimConfig, traces: _Traces | 
 
     Takes the same steps as the vectorized path, in plain floats, reading
     the drive DRIVE_CHUNK steps at a time; ~50x faster for long
-    single-neuron transients.  The state is tested after each chunk: a
-    non-finite state stays non-finite, so a chunk that ends in one is taken
-    again step by step from its start, from the drive already read, to
-    report the first non-finite step, as the vectorized path does.  The
-    replay always ends in that error, so what it records again is dropped.
+    single-neuron transients.  A chunk runs in the compiled loop
+    (``_kernel.load()``), which gives the bits of ``_ScalarNeuron.take``,
+    or when there is none in ``_ScalarNeuron.take`` itself.  The state is
+    tested after each chunk: a non-finite state stays non-finite, so a
+    chunk that ends in one is taken again step by step in Python from its
+    start, from the drive already read, to report the first non-finite
+    step, as the vectorized path does.  The replay always ends in that
+    error, so what it records again is dropped.
     """
     dt = sim.dt
     n_steps = sim.n_steps
     neuron = _ScalarNeuron(params, dt, traces)
+    from . import _kernel  # imported by the first run that needs it, not with the package
+
+    kernel = _kernel.load()
+    if kernel is not None:
+        take = kernel.stepper(neuron)
+    else:
+        def take(row, k, v_m, v_n):
+            return neuron.take(row.tolist(), k, v_m, v_n)
     v_m = params.v_rest
     v_n = 0.0
     for k in range(0, n_steps, DRIVE_CHUNK):
-        chunk = drive.steps(k, min(k + DRIVE_CHUNK, n_steps))[0].tolist()
+        row = drive.steps(k, min(k + DRIVE_CHUNK, n_steps))[0]
         before = (v_m, v_n)
-        v_m, v_n = neuron.take(chunk, k, v_m, v_n)
+        v_m, v_n = take(row, k, v_m, v_n)
         if not (math.isfinite(v_m) and math.isfinite(v_n)):
             v_m, v_n = before
-            for j, i_in in enumerate(chunk, k):
+            for j, i_in in enumerate(row.tolist(), k):
                 v_m, v_n = neuron.take([i_in], j, v_m, v_n)
                 if not (math.isfinite(v_m) and math.isfinite(v_n)):
                     raise SimulationError(0, 0, j, (j + 1) * dt, _phase_at_fault(i_in, 0.0))
-        del chunk  # hold one chunk of Python floats at a time
     return neuron.spikes
 
 

@@ -319,6 +319,33 @@ class TestSweep:
             assert a == b
         assert (outs["1"] / "summary.csv").read_bytes() == (outs["2"] / "summary.csv").read_bytes()
 
+    @pytest.mark.parametrize("jobs,values,pool", [("8", "1e-10,2e-10", 2), ("2", "1e-10,2e-10,3e-10", 2),
+                                                  ("8", "1e-10", None), ("1", "1e-10,2e-10", None)])
+    def test_pool_has_no_more_workers_than_runs(self, tmp_path, monkeypatch, jobs, values, pool):
+        # --jobs caps the workers at the number of runs; a single worker's
+        # run is taken in this process
+        import multiprocessing
+
+        sizes = []
+
+        class Pool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(multiprocessing, "Pool", Pool)
+        assert main(["sweep", "--config", "fig3_single_neuron", "--axis", "noise-density", "--values", values,
+                     "--duration", "1e-5", "--out", str(tmp_path / "s"), "--jobs", jobs]) == 0
+        assert sizes == ([] if pool is None else [pool])
+
     def test_manifest_hash_covers_every_data_flag(self, tmp_path, monkeypatch):
         # the sweep manifest's content_hash changes with every flag that can
         # change the data and with the tool version, whose bump marks a change

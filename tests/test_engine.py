@@ -193,9 +193,10 @@ class TestZeroDriveAndBlowup:
         assert "neuron 2 (island 1) after step 7" in str(err.value)
 
     @pytest.mark.parametrize("at", [500, DRIVE_CHUNK + 500])
-    def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, monkeypatch):
-        # the scalar single-neuron loop tests its state once per drive chunk
-        # and reports the first non-finite step, as the network path does
+    def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, scalar_loop, monkeypatch):
+        # the scalar single-neuron loop, compiled or not, tests its state
+        # once per drive chunk and reports the first non-finite step, as the
+        # network path does
         poison_stream(monkeypatch, at)
         net, _ = parse_document(load_builtin("fig3_single_neuron"))
         sim = SimConfig(duration=(at + 1500) * DT, dt=DT, master_seed=0)

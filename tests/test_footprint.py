@@ -5,7 +5,8 @@ validating configs, generating white or pink noise, running under either
 and sweeping in worker processes never load scipy, which only the tests
 use, as a reference.  A run reads its noise forward and holds about one
 chunk of each island's stream (``noise.NOISE_CHUNK`` samples), and the
-single-neuron loop one chunk of drive as Python floats, so a run's peak
+single-neuron loop one chunk of drive (as Python floats in the Python
+loop), so a run's peak
 memory does not grow with its duration: a run 10 times longer peaks within
 GROWTH_ALLOWANCE (256 KiB) of the shorter one, which covers its longer
 spike lists.  Holding the whole noise instead would add 8 bytes per island
