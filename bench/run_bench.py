@@ -9,16 +9,21 @@ interpreter for every measurement, and writes the results under
 ``runs.<label>`` of ``--out``, keeping the other labels already there:
 
 - ``host``: Python, numpy, the CPU features numpy dispatches to, the BLAS
-  build, ``OPENBLAS_CORETYPE`` if it is set, and ``scalar_loop``: whether
+  build, ``OPENBLAS_CORETYPE`` if it is set, ``scalar_loop``: whether
   the compiled single-neuron loop loaded and the compiler command that
-  built it (a version without one reports ``compiled: false``);
+  built it (a version without one reports ``compiled: false``), and
+  ``network_layer``: whether a network's neuron layer runs compiled;
 - ``configs``: for each shipped config at master seed 1 (120 us, and 20 ms
   for ``fig3_single_neuron``), the CPU seconds of one run per round, their
   median and the median's us/step, with the run's ``stats`` counters and
   spike count.  Each run is the second of its process, after a 1 us run has
-  made the one-off costs (caches, the compiled loop's loading);
+  made the one-off costs (caches, the compiled code's loading).  Under
+  ``phases``, each round also runs the config once more, in a process of
+  its own, with wrappers that time the engine's phases (``PHASES``) in wall
+  seconds, and records their seconds and calls per round and their medians;
 - ``advance``: CPU us per ``neuron.advance`` call, best of 5, over the calls
-  that runs of fig3 and fig6G make through Python (recorded, then replayed);
+  that runs of fig3 and fig6G make on the Python path (recorded, then
+  replayed);
 - ``tier1``: the wall time of the checkout's Tier-1 suite
   (``python -m pytest -q``) and its summary line.
 
@@ -45,6 +50,19 @@ DEFAULT_DURATION = 120e-6
 DURATIONS = {"fig3_single_neuron": 20e-3}
 MASTER_SEED = 1
 ADVANCE_CONFIGS = ("fig3_single_neuron", "fig6G")
+# The methods each phase of a network run is timed at, as groups of
+# ``module.Class.method`` of spikeislands: the first group of which a
+# method exists is wrapped.  A version with ``engine._NeuronLayer`` times
+# its layer's step (the noise gather and the finiteness test included),
+# compiled or not; an older one times ``_NeuronBlock.step`` and
+# ``_QuietStretch.take``.
+PHASES = {
+    "neuron_block": [["engine._NeuronLayer.step", "_kernel.NeuronLayer.step"], ["engine._NeuronBlock.step"]],
+    "quiet_stretch": [["engine._NeuronLayer.take_quiet", "_kernel.NeuronLayer.take_quiet"],
+                      ["engine._QuietStretch.take"]],
+    "synapse_step": [["engine._SynapseStates.step"]],
+    "start_pulses": [["engine._SynapseStates.start_pulses"]],
+}
 
 
 # ------------------------------------------------- measured in a fresh process
@@ -74,6 +92,7 @@ def host_info() -> dict:
         kernel = _kernel.load()
         info["scalar_loop"] = {"compiled": kernel is not None,
                                "command": None if kernel is None else " ".join(kernel.command)}
+        info["network_layer"] = {"compiled": hasattr(kernel, "neuron_layer")}
     return info
 
 
@@ -98,11 +117,61 @@ def time_config(name: str) -> dict:
             "stats": record.stats, "spikes": record.total_spikes()}
 
 
+def _method(path: str):
+    """``(class, name)`` of ``module.Class.method`` in spikeislands, or
+    None where this version has no such method."""
+    import importlib
+
+    module, cls, name = path.split(".")
+    try:
+        owner = getattr(importlib.import_module(f"spikeislands.{module}"), cls)
+    except (ImportError, AttributeError):
+        return None
+    return (owner, name) if hasattr(owner, name) else None
+
+
+def time_phases(name: str) -> dict:
+    """Wall seconds and calls of each phase (PHASES) over a run of ``name``,
+    after a 1 us run."""
+    from spikeislands.engine import run
+
+    totals = {phase: [0.0, 0] for phase in PHASES}
+
+    def timed(real, acc):
+        def wrapper(*args):
+            t0 = time.perf_counter()
+            try:
+                return real(*args)
+            finally:
+                acc[0] += time.perf_counter() - t0
+                acc[1] += 1
+        return wrapper
+
+    for phase, groups in PHASES.items():
+        for group in groups:
+            found = [m for m in map(_method, group) if m is not None]
+            for owner, attr in found:
+                setattr(owner, attr, timed(getattr(owner, attr), totals[phase]))
+            if found:
+                break
+    run(*_load(name, 1e-6))
+    for acc in totals.values():
+        acc[:] = [0.0, 0]
+    run(*_load(name))
+    return {phase: {"s": round(s, 4), "calls": calls} for phase, (s, calls) in totals.items()}
+
+
 def time_advance(repeats: int = 5) -> dict:
     """Records the arguments of every ``advance`` call of the runs of
-    ADVANCE_CONFIGS, then replays them, timed."""
+    ADVANCE_CONFIGS on the Python path, then replays them, timed."""
     from spikeislands import engine
 
+    try:
+        from spikeislands import _kernel
+    except ImportError:
+        pass
+    else:
+        _kernel.load = lambda: None  # the compiled code calls no Python advance
     advance = engine.advance
     calls = []
 
@@ -127,8 +196,8 @@ def time_advance(repeats: int = 5) -> dict:
 
 
 def measure(what: str) -> dict:
-    """One measurement in this process: ``host``, ``advance``, ``names`` or
-    ``config:<name>``."""
+    """One measurement in this process: ``host``, ``advance``, ``names``,
+    ``config:<name>`` or ``phases:<name>``."""
     if what == "host":
         return host_info()
     if what == "advance":
@@ -137,6 +206,8 @@ def measure(what: str) -> dict:
         from spikeislands.configio import builtin_names
 
         return {"names": list(builtin_names())}
+    if what.startswith("phases:"):
+        return time_phases(what.removeprefix("phases:"))
     return time_config(what.removeprefix("config:"))
 
 
@@ -219,12 +290,17 @@ def main(argv=None) -> int:
                 entry["cpu_s"].append(round(res["cpu_s"], 4))
                 if res["stats"] != entry["stats"]:
                     raise SystemExit(f"{label} {name}: stats differ between rounds")
+                for phase, timing in in_fresh_process(checkouts[label], f"phases:{name}").items():
+                    per_round = entry.setdefault("phases", {}).setdefault(phase, {"s": [], "calls": timing["calls"]})
+                    per_round["s"].append(timing["s"])
                 order.append(f"{label}:{name}")
                 print(f"# round {r + 1} {label} {name}: {res['cpu_s']:.4f} s", file=sys.stderr)
     for label in labels:
         for entry in results[label]["configs"].values():
             entry["median_cpu_s"] = round(statistics.median(entry["cpu_s"]), 4)
             entry["us_per_step"] = round(entry["median_cpu_s"] / entry["steps"] * 1e6, 3)
+            for timing in entry["phases"].values():
+                timing["median_s"] = round(statistics.median(timing["s"]), 4)
     for label in labels:
         results[label]["advance"] = in_fresh_process(checkouts[label], "advance")
     for label in labels:

@@ -45,13 +45,16 @@ lower clamp, as the general step does.  A network without synapses has an
 empty synapse block, whose input is zero and which is always at its floor.
 
 One neuron without synapses takes a scalar loop of its own
-(``_ScalarNeuron``), with the expressions of the general step.  It runs
-compiled from ``_scalar.c`` when a C compiler is found (``_kernel``): the
-first such run of a process builds the library into a per-user cache,
+(``_ScalarNeuron``), with the expressions of the general step.  Any other
+network steps its neurons through ``_NeuronLayer``: the general step of
+``_NeuronBlock`` and the quiet stretches of ``_QuietStretch``, while the
+synapse block stays in numpy.  Both the scalar loop and the neuron layer
+run compiled from ``_scalar.c`` when a C compiler is found (``_kernel``):
+the first run of a process builds the library into a per-user cache,
 ``$XDG_CACHE_HOME/spikeislands/`` or ``~/.cache/spikeislands/``, which is
-safe to delete, and checks it against the Python loop.  The compiled loop
-gives the Python loop's bits; without a compiler, or when building,
-loading or that check fails, the Python loop runs.
+safe to delete, and checks it against the Python code.  The compiled code
+gives the Python code's bits; without a compiler, or when building,
+loading or that check fails, the Python code runs.
 
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
@@ -251,7 +254,7 @@ class _Drive:
         noise_dt = sim.dt * sim.hold
         self.streams = [NoiseStream(_effective_noise(spec, sim.master_seed, i), noise_dt)
                         for i, spec in enumerate(specs)]
-        self.hold = sim.hold
+        self.n_islands, self.hold = len(self.streams), sim.hold
         self.first = 0  # noise sample in column 0 of self.held
         self.held = np.empty((len(self.streams), 0))
 
@@ -605,6 +608,71 @@ class _QuietStretch:
         return k, v_m, v_n
 
 
+class _NeuronLayer:
+    """The neurons of a network run: their state ``(v_m, v_n)``, advanced
+    by the general step (``_NeuronBlock``) and by quiet stretches
+    (``_QuietStretch``) under the noise of ``drive``, with ``traces`` (or
+    None) sampling the membranes after every step.  ``_kernel``'s compiled
+    layer has the same methods and gives the same bits."""
+
+    def __init__(self, block: _NeuronBlock, quiet: _QuietStretch, drive: _Drive, island_of, v_m,
+                 traces: _Traces | None):
+        self.block, self.quiet, self.drive, self.island_of, self.traces = block, quiet, drive, island_of, traces
+        self.v_m, self.v_n = v_m, np.zeros(len(v_m))
+
+    def holds(self) -> bool:
+        """True when no neuron has a switch on."""
+        return self.quiet.holds(self.v_m, self.v_n)
+
+    def take_quiet(self, k: int) -> int:
+        """Quiet steps from step k while they stay quiet; returns the first
+        step not taken."""
+        k, self.v_m, self.v_n = self.quiet.take(k, self.v_m, self.v_n, self.traces)
+        return k
+
+    def step(self, k: int, i_syn):
+        """The general step k under the synaptic input ``i_syn``; returns the
+        spiking neurons and their onsets (``_NeuronBlock.step``).  Raises
+        SimulationError when it leaves a state that is not finite."""
+        i_noise = self.drive.at(k)[self.island_of]
+        self.v_m, self.v_n, spiking, onsets = self.block.step(self.v_m, self.v_n, i_noise + i_syn)
+        # A finite sum has finite terms; the exact test runs only otherwise.
+        if not (math.isfinite(np.add.reduce(self.v_m)) and math.isfinite(np.add.reduce(self.v_n))):
+            bad = np.nonzero(~(np.isfinite(self.v_m) & np.isfinite(self.v_n)))[0]
+            if bad.size:
+                b = int(bad[0])
+                raise SimulationError(b, int(self.island_of[b]), k, (k + 1) * self.block.dt,
+                                      _phase_at_fault(i_noise[b], i_syn[b]))
+        if self.traces is not None:
+            self.traces.after(k, self.v_m)
+        return spiking, onsets
+
+
+def _step_network(neurons, synapses: _SynapseStates, n_steps: int) -> list:
+    """Steps 0 .. n_steps-1 of a network: a quiet stretch where one may
+    start, else the synapse step and the neurons' general step, whose spikes
+    start pulses.  ``neurons`` is a ``_NeuronLayer`` or ``_kernel``'s
+    compiled layer.  Returns the (1-based) steps at whose end each neuron
+    spikes, a list per neuron."""
+    acc_steps = []
+    k = 0
+    while k < n_steps:
+        if synapses.idle_at_floor(k) and neurons.holds():
+            k = neurons.take_quiet(k)
+            if k == n_steps:
+                break
+        spiking, onsets = neurons.step(k, synapses.step(k))
+        if spiking.size:
+            acc_steps.append((k + 1, spiking))
+            synapses.start_pulses(k, spiking, onsets)
+        k += 1
+    spikes = [[] for _ in neurons.v_m]
+    for step, idxs in acc_steps:
+        for i in idxs:
+            spikes[int(i)].append(step)
+    return spikes
+
+
 def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
     """Simulate a network under its per-island noise drive.
 
@@ -663,7 +731,9 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
     """The run of neurons with parameters ``params``, neuron i in island
     ``island_of[i]`` under noise source ``noise[island_of[i]]``, coupled
     by ``synapses``.  One neuron without synapses takes the scalar path
-    (``_run_scalar_single``), any other network the general step."""
+    (``_run_scalar_single``), any other network the general step
+    (``_step_network``); both run compiled when ``_kernel.load()`` gives
+    the library, which is decided here, once per run."""
     check_sim(params, noise, sim)
     n, n_steps, dt = len(params), sim.n_steps, sim.dt
     drive = _Drive(noise, sim)
@@ -671,44 +741,17 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
     trace_ids = _trace_selector(sim.record_traces, n)
     traces = _Traces(trace_ids, n_steps, sim.trace_decimation, dt, v_m) if trace_ids else None
 
+    from . import _kernel  # imported by the first run, not with the package
+
+    kernel = _kernel.load()
     if n == 1 and not synapses.post.size:
-        spikes = [_run_scalar_single(params[0], drive, sim, traces)]
+        spikes = [_run_scalar_single(params[0], drive, sim, traces, kernel)]
         quiet_steps = 0
     else:
         neurons = _NeuronBlock(params, dt)
         quiet = _QuietStretch(drive, island_of, n_steps, neurons, synapses.floor_input)
-        v_n = np.zeros(n)
-        acc_steps: list[tuple[int, np.ndarray]] = []
-        k = 0
-        while k < n_steps:
-            if synapses.idle_at_floor(k) and quiet.holds(v_m, v_n):
-                k, v_m, v_n = quiet.take(k, v_m, v_n, traces)
-                if k == n_steps:
-                    break
-            i_noise = drive.at(k)[island_of]
-            i_syn = synapses.step(k)
-            v_m, v_n, spiking, onsets = neurons.step(v_m, v_n, i_noise + i_syn)
-
-            # A finite sum has finite terms; the exact test runs only otherwise.
-            if not (math.isfinite(np.add.reduce(v_m)) and math.isfinite(np.add.reduce(v_n))):
-                bad = np.nonzero(~(np.isfinite(v_m) & np.isfinite(v_n)))[0]
-                if bad.size:
-                    b = int(bad[0])
-                    raise SimulationError(b, int(island_of[b]), k, (k + 1) * dt,
-                                          _phase_at_fault(i_noise[b], i_syn[b]))
-
-            if spiking.size:
-                acc_steps.append((k + 1, spiking))
-                synapses.start_pulses(k, spiking, onsets)
-
-            if traces is not None:
-                traces.after(k, v_m)
-            k += 1
-
-        spikes = [[] for _ in range(n)]
-        for step, idxs in acc_steps:
-            for i in idxs:
-                spikes[int(i)].append(step)
+        layer = _NeuronLayer if kernel is None else kernel.neuron_layer
+        spikes = _step_network(layer(neurons, quiet, drive, island_of, v_m, traces), synapses, n_steps)
         quiet_steps = quiet.steps
 
     times = [np.array(s, dtype=np.int64) * dt for s in spikes]
@@ -783,18 +826,13 @@ class _ScalarNeuron:
                         v_n = v_n * decay
                     else:
                         break
-            # The general step.
+            # The general step, in the expressions of _NeuronBlock.step.
             na = v_m > v_th
             sk = v_n > v_gate
-            i_net = i_in
-            if na:
-                i_net += i_na_max
-                vn = v_n_inf + (v_n - v_n_inf) * decay
-            else:
-                vn = v_n * decay
-            if sk:
-                i_net -= i_sink
+            i_net = i_in + (i_na_max if na else 0.0) - (i_sink if sk else 0.0)
+            target = v_n_inf if na else 0.0
             v = v_m + i_net * k_dt
+            vn = target + (v_n - target) * decay
             if (v > v_th) != na or (vn > v_gate) != sk:
                 v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
                 if onset is not None:
@@ -809,15 +847,16 @@ class _ScalarNeuron:
         return v_m, v_n
 
 
-def _run_scalar_single(params, drive: _Drive, sim: SimConfig, traces: _Traces | None) -> list[int]:
+def _run_scalar_single(params, drive: _Drive, sim: SimConfig, traces: _Traces | None, kernel) -> list[int]:
     """Tight scalar loop for one neuron with no synapses (``_ScalarNeuron``);
     returns the (1-based) steps at whose end it spikes.
 
     Takes the same steps as the vectorized path, in plain floats, reading
     the drive DRIVE_CHUNK steps at a time; ~50x faster for long
-    single-neuron transients.  A chunk runs in the compiled loop
-    (``_kernel.load()``), which gives the bits of ``_ScalarNeuron.take``,
-    or when there is none in ``_ScalarNeuron.take`` itself.  The state is
+    single-neuron transients.  A chunk runs in the compiled loop of
+    ``kernel`` (``_kernel.load()``), which gives the bits of
+    ``_ScalarNeuron.take``, or, when ``kernel`` is None, in
+    ``_ScalarNeuron.take`` itself.  The state is
     tested after each chunk: a non-finite state stays non-finite, so a
     chunk that ends in one is taken again step by step in Python from its
     start, from the drive already read, to report the first non-finite
@@ -827,9 +866,6 @@ def _run_scalar_single(params, drive: _Drive, sim: SimConfig, traces: _Traces | 
     dt = sim.dt
     n_steps = sim.n_steps
     neuron = _ScalarNeuron(params, dt, traces)
-    from . import _kernel  # imported by the first run that needs it, not with the package
-
-    kernel = _kernel.load()
     if kernel is not None:
         take = kernel.stepper(neuron)
     else:

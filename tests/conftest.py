@@ -2,14 +2,14 @@ import pytest
 
 
 def compiled_loop_or_skip():
-    """The compiled single-neuron loop; skips the test, saying why, when it
-    is not available."""
+    """The compiled neuron updates (``_kernel.load()``); skips the test,
+    saying why, when they are not available."""
     from spikeislands import _kernel
 
     kernel = _kernel.load()
     if kernel is None:
         pytest.skip("no C compiler found (sysconfig CC or cc)" if _kernel.compiler() is None else
-                    "the compiled single-neuron loop failed to build, to load or to match the Python loop")
+                    "the compiled neuron updates failed to build, to load or to match the Python code")
     return kernel
 
 
@@ -19,13 +19,15 @@ def kernel():
 
 
 @pytest.fixture(params=["compiled", "python"])
-def scalar_loop(request, monkeypatch):
-    """Takes a test through each single-neuron loop: the compiled one
-    (skipped when it is not available) and the Python one."""
-    from spikeislands import _kernel
+def engine_path(request, monkeypatch):
+    """Takes a test through each path of the engine: the compiled neuron
+    updates (skipped when they are not available) and the Python ones, for
+    the single-neuron loop and for a network's neuron layer alike.  Gives
+    the class of the network's neuron layer on that path."""
+    from spikeislands import _kernel, engine
 
     if request.param == "python":
         monkeypatch.setattr(_kernel, "load", lambda: None)
-    else:
-        compiled_loop_or_skip()
-    return request.param
+        return engine._NeuronLayer
+    compiled_loop_or_skip()
+    return _kernel.NeuronLayer

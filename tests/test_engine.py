@@ -163,9 +163,10 @@ class TestZeroDriveAndBlowup:
         rec = run(net, SimConfig(duration=1e-4, dt=DT, master_seed=0))
         assert rec.total_spikes() == 0
 
-    def test_blowup_reports_neuron_and_time(self, monkeypatch):
+    def test_blowup_reports_neuron_and_time(self, engine_path, monkeypatch):
         # inject a NaN noise sample and check the abort names the neuron
-        # and the time of the first non-finite state
+        # and the time of the first non-finite state, on the compiled and
+        # the Python neuron layer
         poison_stream(monkeypatch, 5)
         net = single_island(3, [])
         with pytest.raises(SimulationError) as err:
@@ -178,7 +179,7 @@ class TestZeroDriveAndBlowup:
         assert "island 0" in str(err.value) and "step 5" in str(err.value)
         assert "phase: noise" in str(err.value)
 
-    def test_blowup_names_the_island_of_the_neuron(self, monkeypatch):
+    def test_blowup_names_the_island_of_the_neuron(self, engine_path, monkeypatch):
         # a NaN in the second island's noise alone names a neuron of that
         # island, and the island
         poison_stream(monkeypatch, 7, island=1)
@@ -193,7 +194,7 @@ class TestZeroDriveAndBlowup:
         assert "neuron 2 (island 1) after step 7" in str(err.value)
 
     @pytest.mark.parametrize("at", [500, DRIVE_CHUNK + 500])
-    def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, scalar_loop, monkeypatch):
+    def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, engine_path, monkeypatch):
         # the scalar single-neuron loop, compiled or not, tests its state
         # once per drive chunk and reports the first non-finite step, as the
         # network path does
@@ -212,22 +213,20 @@ class TestZeroDriveAndBlowup:
         assert single_err.value.phase == "noise"
         assert f"step {at}," in str(single_err.value)
 
-    def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, monkeypatch):
+    def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, engine_path, monkeypatch):
         # a NaN noise sample in the middle of a quiet stretch of a network
         # with synapses is handed to the general step, which reports the
         # neuron and time the general path alone reports
-        import spikeislands.engine as engine_mod
-
         handoffs = []
-        real_take = engine_mod._QuietStretch.take
+        real_take = engine_path.take_quiet
 
-        def spy(self, k, *args):
-            out = real_take(self, k, *args)
-            handoffs.append((k, out[0]))
-            return out
+        def spy(self, k):
+            end = real_take(self, k)
+            handoffs.append((k, end))
+            return end
 
         poison_stream(monkeypatch, 500)
-        monkeypatch.setattr(engine_mod._QuietStretch, "take", spy)
+        monkeypatch.setattr(engine_path, "take_quiet", spy)
         crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
         net = NetworkSpec(
             islands=(IslandSpec(4, tuple(crossbar)), IslandSpec(4, tuple(crossbar))),
@@ -239,7 +238,7 @@ class TestZeroDriveAndBlowup:
             run(net, sim)
         assert any(k < 500 == end for k, end in handoffs)  # left the stretch at the NaN
 
-        monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)
+        monkeypatch.setattr(engine_path, "holds", lambda self: False)
         with pytest.raises(SimulationError) as general_err:
             run(net, sim)
         fields = ("neuron", "island", "step", "t", "phase")
@@ -247,7 +246,7 @@ class TestZeroDriveAndBlowup:
         assert quiet_err.value.neuron == 0 and quiet_err.value.t == pytest.approx(501 * DT)
         assert (quiet_err.value.island, quiet_err.value.step, quiet_err.value.phase) == (0, 500, "noise")
 
-    def test_non_finite_synaptic_current_names_the_synapse_step(self, monkeypatch):
+    def test_non_finite_synaptic_current_names_the_synapse_step(self, engine_path, monkeypatch):
         # with finite noise, a synaptic current that is not finite is the
         # phase at fault
         import spikeislands.engine as engine_mod
@@ -262,7 +261,7 @@ class TestZeroDriveAndBlowup:
             return current
 
         monkeypatch.setattr(engine_mod._SynapseStates, "step", poisoned)
-        monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)
+        monkeypatch.setattr(engine_path, "holds", lambda self: False)
         crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
         net = NetworkSpec(
             islands=(IslandSpec(4, tuple(crossbar)), IslandSpec(4, tuple(crossbar))),
@@ -635,8 +634,7 @@ class TestQuietStretches:
         ("no_synapses", dict(master_seed=3, record_traces="all", trace_decimation=3)),
         ("mixed_presets", dict(master_seed=2, duration=4e-5, record_traces="all", trace_decimation=1)),
     ])
-    def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, monkeypatch):
-        import spikeislands.engine as engine_mod
+    def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, engine_path, monkeypatch):
         import spikeislands.presets as presets_mod
 
         # Every shipped config has synapses and one neuron preset; a network
@@ -651,7 +649,7 @@ class TestQuietStretches:
             net, _ = parse_document(load_builtin(name))
         sim = SimConfig(**{"duration": 3e-5, "dt": DT, **sim_kw})
         fast = run(net, sim)
-        monkeypatch.setattr(engine_mod._QuietStretch, "holds", lambda self, v_m, v_n: False)
+        monkeypatch.setattr(engine_path, "holds", lambda self: False)
         slow = run(net, sim)
         assert fast.stats["quiet_steps"] > 0 and slow.stats["quiet_steps"] == 0
         assert spikes_to_csv(fast) == spikes_to_csv(slow)

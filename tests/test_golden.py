@@ -7,10 +7,11 @@ hashed bit for bit.  The single neuron is pinned further over 2 ms
 (200 000 steps) under its white drive, under that drive held on a grid of
 three steps, and under the benchmark's pink drive, together with the raw
 bytes of one pink series.  Every single-neuron hash is checked on the
-compiled single-neuron loop and on the Python loop (the ``scalar_loop``
+compiled single-neuron loop and on the Python loop (the ``engine_path``
 fixture), which must give the same bits.  The busy ring configs fig6G and
 fig5B_ring8, in which a pulse is in flight on most steps, are pinned over
-120 us at master seeds 2 and 3 together with their ``SpikeRecord.stats``.
+120 us at master seeds 2 and 3 together with their ``SpikeRecord.stats``,
+on the compiled and on the Python neuron layer.
 The network each shipped config parses to is pinned by the sha256 of its
 canonical text (``serialize_config``), so a config rewritten in another
 form must still describe the same network, edge for edge.  A change that is meant to
@@ -158,7 +159,7 @@ def test_spikes_csv_matches_golden_hash(name, seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_single_neuron_spikes_csv_matches_golden_hash(seed, scalar_loop, tmp_path):
+def test_single_neuron_spikes_csv_matches_golden_hash(seed, engine_path, tmp_path):
     name = "fig3_single_neuron"
     assert spikes_sha256(run_builtin(name, seed), tmp_path) == SPIKES_SHA256[name, seed]
 
@@ -171,7 +172,7 @@ def test_traced_run_matches_golden_hashes(tmp_path):
 
 
 @pytest.mark.parametrize("name,seed", sorted(BUSY_SHA256))
-def test_busy_ring_matches_golden_hash_and_stats(name, seed, tmp_path):
+def test_busy_ring_matches_golden_hash_and_stats(name, seed, engine_path, tmp_path):
     rec = run_builtin(name, seed, BUSY_DURATION)
     assert spikes_sha256(rec, tmp_path) == BUSY_SHA256[name, seed]
     assert rec.stats == BUSY_STATS[name, seed]
@@ -192,7 +193,7 @@ def run_single_neuron_variant(variant: str, seed: int):
 
 
 @pytest.mark.parametrize("variant,seed", sorted(SINGLE_SHA256))
-def test_single_neuron_matches_golden_hash(variant, seed, scalar_loop, tmp_path):
+def test_single_neuron_matches_golden_hash(variant, seed, engine_path, tmp_path):
     assert spikes_sha256(run_single_neuron_variant(variant, seed), tmp_path) == SINGLE_SHA256[variant, seed]
 
 

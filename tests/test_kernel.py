@@ -1,15 +1,21 @@
-"""The compiled single-neuron loop (``_scalar.c``) and its loader.
+"""The compiled neuron updates (``_scalar.c``) and their loader.
 
-The compiled loop must give the bits of the Python loop it replaces,
-``engine._ScalarNeuron.take``: the same spike steps, end state and trace
-rows, on the shipped drives and on states and drives around every level
-the loop compares against, NaN and infinities included; its ``advance``
-must give ``neuron.advance``'s bits on the cases ``TestAdvanceAsFirstWritten``
-checks.  Those tests skip, saying why, when the loop is not available.  The
-loader builds the library once per cache, safely from two processes at
-once, and without a compiler or a writable cache the run takes the Python
-loop and gives the same spikes.  The ``kernel`` fixture (conftest.py) is
-the loaded loop.
+The compiled single-neuron loop must give the bits of the Python loop it
+replaces, ``engine._ScalarNeuron.take``: the same spike steps, end state
+and trace rows, on the shipped drives and on states and drives around
+every level the loop compares against, NaN and infinities included; its
+``advance`` must give ``neuron.advance``'s bits on the cases
+``TestAdvanceAsFirstWritten`` checks.  The compiled neuron layer of a
+network must give the bits of ``engine._NeuronLayer``: its general step
+those of ``_NeuronBlock.step`` (spikes, onsets, state, the
+``SimulationError`` of a state that is not finite) and its quiet
+stretches those of ``_QuietStretch.take``, on blocks of two presets around
+the same levels and at the switch limit, and every shipped config runs to
+the same spikes, traces and stats on both.  Those tests skip, saying why,
+when the compiled code is not available.  The loader builds the library
+once per cache, safely from two processes at once, and without a compiler
+or a writable cache the run takes the Python code and gives the same
+spikes.  The ``kernel`` fixture (conftest.py) is the loaded library.
 """
 
 import hashlib
@@ -30,16 +36,20 @@ from test_golden import SINGLE_NOISE, single_neuron_text
 from test_neuron import DTS, I_LEVELS, SPECIALS, V_M_LEVELS, V_N_LEVELS, _near, _tie
 
 import spikeislands
+import spikeislands.neuron as neuron_mod
 from spikeislands import _kernel
-from spikeislands.configio import load_builtin, parse_document
-from spikeislands.engine import SimConfig, _Drive, _ScalarNeuron, _Traces, run
+from spikeislands._kernel import _CheckDrive
+from spikeislands.configio import builtin_names, load_builtin, parse_document
+from spikeislands.engine import (SimConfig, SimulationError, _Drive, _NeuronBlock, _NeuronLayer, _QuietStretch,
+                                 _ScalarNeuron, _Traces, run)
+from spikeislands.io import spikes_to_csv
 from spikeislands.neuron import DETECT_THRESHOLD_V, advance
 from spikeislands.presets import neuron_preset
 
 SRC = Path(spikeislands.__file__).resolve().parent.parent
 P = neuron_preset("fast-mode")
+Q = replace(P, v_th=1.2, v_gate_th=0.75)  # v_th above the detection level
 DT = 1e-8
-
 
 
 def _bits(*values):
@@ -140,6 +150,131 @@ class TestCompiledAdvance:
             v_m, v_n, _ = advance(v_m, v_n, 1.5e-6, DT, P)
 
 
+def both_layers(kernel, params, island_of, rows, v_m, v_n, decim=None, dt=DT):
+    """The Python and the compiled neuron layer, each with its own
+    ``_QuietStretch`` and ``_Traces`` (of neurons n-1 .. 0, every ``decim``
+    steps, or None), of neurons ``params`` on islands ``island_of`` under
+    the noise ``rows`` (a row per island) from the state (v_m, v_n)."""
+    out = []
+    for layer in (_NeuronLayer, kernel.neuron_layer):
+        drive, block = _CheckDrive(rows), _NeuronBlock(params, dt)
+        quiet = _QuietStretch(drive, np.asarray(island_of), rows.shape[1], block, np.zeros(len(params)))
+        traces = None
+        if decim is not None:
+            traces = _Traces(list(range(len(params)))[::-1], rows.shape[1], decim, dt, np.array(v_m))
+            traces.v[1:] = 0.0
+        neurons = layer(block, quiet, drive, np.asarray(island_of), np.array(v_m, dtype=float), traces)
+        neurons.v_n[...] = v_n
+        out.append((neurons, quiet, traces))
+    return out
+
+
+def step_outcome(neurons, traces, k, i_syn):
+    """What general step k of ``neurons`` gives, as bits: its spikes and
+    onsets, or the fields of its SimulationError, then the state, the
+    quiet test and the trace rows."""
+    try:
+        spiking, onsets = neurons.step(k, np.array(i_syn))
+        result = (spiking.tolist(), _bits(*onsets.tolist()), neurons.holds())
+    except SimulationError as err:
+        result = (err.neuron, err.island, err.step, err.t, err.phase)
+    return result, _bits(*neurons.v_m), _bits(*neurons.v_n), None if traces is None else traces.v.tobytes()
+
+
+V_M_AROUND = V_M_LEVELS + [Q.v_th, Q.v_gate_th]
+V_N_AROUND = V_N_LEVELS + [Q.v_gate_th]
+INPUTS = st.one_of(_near(I_LEVELS, 20e-6), SPECIALS)
+
+
+class TestCompiledNeuronLayer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_near(V_M_AROUND, 0.3), _near(V_N_AROUND, 0.3), INPUTS, st.sampled_from([P, Q]),
+                              st.integers(0, 2)), min_size=1, max_size=6),
+           st.lists(INPUTS, min_size=3, max_size=3), st.integers(0, 5), st.sampled_from([None, 1, 3]))
+    @example([(P.v_th, P.v_gate_th, 0.0, P, 0), (DETECT_THRESHOLD_V, 0.0, 1.5e-6, Q, 1)], [0.0, 1.5e-6, 0.0], 0, 1)
+    @example([(P.v_clamp_lo, 0.0, -math.inf, P, 0), (P.v_clamp_hi, P.v_n_inf, math.inf, Q, 0)],
+             [1.5e-6, 0.0, 0.0], 2, 3)
+    @example([(0.5, 0.0, 1e-6, P, 0), (0.5, 0.0, math.nan, P, 1), (0.5, 0.0, 1e-6, Q, 2)],
+             [1e-6, 0.0, math.nan], 4, None)
+    @example([(0.5, 0.0, 1e-6, Q, 0), (0.5, math.nan, 1e-6, P, 0)], [0.0, 0.0, 0.0], 0, None)  # v_n alone
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf inputs
+    def test_general_step_around_the_levels(self, kernel, neurons, noise, k, decim):
+        # the compiled step gathers each neuron's noise by its island, adds
+        # its synaptic input and gives _NeuronBlock.step's bits, with the
+        # error the Python layer raises for a state that is not finite
+        v_m, v_n, i_syn, params, island_of = (list(col) for col in zip(*neurons))
+        rows = np.array(noise)[:, None].repeat(k + 1, axis=1)
+        (python, _, py_traces), (compiled, _, c_traces) = both_layers(kernel, params, island_of, rows, v_m, v_n,
+                                                                      decim)
+        assert step_outcome(compiled, c_traces, k, i_syn) == step_outcome(python, py_traces, k, i_syn)
+
+    def test_at_the_switch_limit(self, kernel, monkeypatch):
+        # a step ten times the spike period holds more switches than
+        # MAX_SWITCHES_PER_STEP, and the rest of it is taken with the
+        # switches held
+        dt, i_in = 1e-5, 6e-6
+        with monkeypatch.context() as mp:
+            mp.setattr(neuron_mod, "MAX_SWITCHES_PER_STEP", 1000)
+            unbounded = [advance(p.v_rest, 0.0, i_in, dt, p) for p in (P, Q)]
+        assert [advance(p.v_rest, 0.0, i_in, dt, p) for p in (P, Q)] != unbounded
+        rows = np.full((1, 6), i_in)
+        (python, _, _), (compiled, _, _) = both_layers(kernel, [P, Q], [0, 0], rows, [0.0, 0.0], [0.0, 0.0],
+                                                       dt=dt)
+        for k in range(6):
+            assert step_outcome(compiled, None, k, [0.0, 0.0]) == step_outcome(python, None, k, [0.0, 0.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_near([P.v_clamp_lo, P.v_rest, P.v_gate_th, P.v_th, DETECT_THRESHOLD_V], 0.3),
+                              _near([0.0, P.v_gate_th], 0.1), st.sampled_from([P, Q]), st.integers(0, 2)),
+                    min_size=1, max_size=5),
+           st.lists(_near([0.0, 1.5e-6, -1.5e-6, 4e-6], 2e-6), min_size=3, max_size=3),
+           st.integers(1, 600), st.integers(0, 599), st.one_of(st.none(), st.tuples(st.integers(0, 2), SPECIALS)),
+           st.sampled_from([None, 1, 3]))
+    @example([(0.0, 0.0, P, 0), (0.2, 0.0, Q, 1)], [1.5e-6, 1e-6, 0.0], 600, 0, (1, math.nan), 1)
+    @example([(0.3, 0.0, Q, 1), (P.v_th, 0.0, P, 0)], [0.0, 1e-6, 0.0], 5, 0, None, 1)  # lands on the level
+    @example([(P.v_clamp_lo, 0.0, P, 0)], [-4e-6, 0.0, 0.0], 300, 10, (0, -math.inf), 3)
+    @example([(0.7, 0.0, P, 0), (0.1, 0.0, Q, 2)], [0.0, 0.0, 2e-6], 400, 0, (2, math.inf), None)
+    def test_quiet_stretches(self, kernel, neurons, means, n_steps, k, special, decim):
+        # from any start, across batches of QUIET_CHUNK steps, the compiled
+        # stretch takes the steps _QuietStretch.take takes, to the bit, and
+        # hands a NaN or +inf increment back to the general step
+        v_m, v_n, params, island_of = (list(col) for col in zip(*neurons))
+        k = min(k, n_steps - 1)
+        t = np.arange(n_steps)
+        rows = np.array(means)[:, None] + 0.5e-6 * np.sin(t * 0.07 + np.arange(3)[:, None])
+        if special is not None:
+            rows[special[0], (k + n_steps) // 2] = special[1]
+        out = []
+        for neurons, quiet, traces in both_layers(kernel, params, island_of, rows, v_m, v_n, decim):
+            end = neurons.take_quiet(k)
+            out.append((end, quiet.steps, _bits(*neurons.v_m), _bits(*neurons.v_n),
+                        None if traces is None else traces.v.tobytes()))
+        assert out[1] == out[0]
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_shipped_configs_run_alike_on_both_paths(self, kernel, name, monkeypatch):
+        # the spikes CSV, the traces and the stats of every shipped config,
+        # untraced and traced, at master seeds 0-3 over 20 us
+        network, _ = parse_document(load_builtin(name))
+        spikes = 0
+        for seed in range(4):
+            for traced in ({}, dict(record_traces="all", trace_decimation=1),
+                           dict(record_traces="all", trace_decimation=3)):
+                sim = SimConfig(duration=20e-6, dt=DT, master_seed=seed, **traced)
+                compiled = run(network, sim)
+                with monkeypatch.context() as mp:
+                    mp.setattr(_kernel, "load", lambda: None)
+                    python = run(network, sim)
+                assert spikes_to_csv(compiled) == spikes_to_csv(python)
+                assert compiled.stats == python.stats
+                if traced:
+                    assert compiled.traces[0].tobytes() == python.traces[0].tobytes()
+                    assert {i: v.tobytes() for i, v in compiled.traces[1].items()} == {
+                        i: v.tobytes() for i, v in python.traces[1].items()}
+                spikes += compiled.total_spikes()
+        assert spikes > 0
+
+
 # A process that loads the loop and runs the single neuron for 1 ms.
 PROBE = """
 import hashlib
@@ -221,6 +356,13 @@ class TestLoader:
         loaded, spikes = probe(blocker)
         assert loaded[0] == "False"
         assert spikes == spikes_here()
+
+    @pytest.mark.parametrize("name,extra", [("FLAGS", "-O3"), ("LIBS", "-lpthread")])
+    def test_the_library_is_named_by_its_flags(self, tmp_path, monkeypatch, name, extra):
+        # a library built with other flags is never loaded in their place
+        path = _kernel._library_path(tmp_path, ["cc"])
+        monkeypatch.setattr(_kernel, name, (*getattr(_kernel, name), extra))
+        assert _kernel._library_path(tmp_path, ["cc"]) != path
 
     @needs_compiler
     def test_failing_check_runs_the_python_loop(self, monkeypatch):
