@@ -4,7 +4,8 @@
 module, or None, and is called by the first run of a process (see
 ``engine._simulate``); importing the package builds and loads nothing.  It
 runs the single-neuron loop of ``engine._ScalarNeuron`` (``stepper``) and
-the neuron layer of a network, ``engine._NeuronLayer`` (``neuron_layer``).
+the neuron layer of a network, ``engine._NeuronLayer`` (``neuron_layer``),
+both with ``engine._general_step`` in C on each neuron's ``_step_consts``.
 The library is compiled once per user, source, compiler command and flags,
 with the C compiler Python was built with (``sysconfig``'s ``CC``, else
 ``cc``), into ``$XDG_CACHE_HOME/spikeislands/`` or
@@ -38,9 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (_NO_ONSETS, SimulationError, _NeuronBlock, _NeuronLayer, _phase_at_fault, _QuietStretch,
-                     _ScalarNeuron, _step_network, _Traces)
-from .neuron import DETECT_THRESHOLD_V, MAX_SWITCHES_PER_STEP
+from .engine import (SimulationError, _NeuronBlock, _NeuronLayer, _phase_at_fault, _QuietStretch, _ScalarNeuron,
+                     _step_consts, _step_network, _Traces)
 from .presets import neuron_preset
 
 SOURCE = Path(__file__).with_name("_scalar.c")
@@ -54,15 +54,11 @@ _double_p = ctypes.POINTER(ctypes.c_double)
 
 
 class _Consts(ctypes.Structure):
-    """``si_consts`` of ``_scalar.c``."""
+    """``si_consts`` of ``_scalar.c``: a neuron's ``engine._step_consts``."""
 
     _fields_ = [(name, ctypes.c_double) for name in (
         "v_th", "v_gate", "c_m", "tau_n", "i_na_max", "i_sink", "v_n_inf", "lo", "hi",
         "v_detect", "dt", "k_dt", "decay")] + [("max_switches", ctypes.c_int64)]
-
-
-def _consts(params, dt: float, k_dt: float = 0.0, decay: float = 0.0) -> _Consts:
-    return _Consts(*params.advance_consts, DETECT_THRESHOLD_V, dt, k_dt, decay, MAX_SWITCHES_PER_STEP)
 
 
 class _Block(ctypes.Structure):
@@ -75,7 +71,7 @@ class _Block(ctypes.Structure):
         ("trace_ids", ctypes.c_void_p), ("n_trace", ctypes.c_int64), ("decim", ctypes.c_int64)]
 
 
-_NO_SPIKES = np.empty(0, dtype=np.int64)
+_NO_SPIKES, _NO_ONSETS = np.empty(0, dtype=np.int64), np.empty(0)
 
 
 class NeuronLayer:
@@ -92,8 +88,7 @@ class NeuronLayer:
         n = len(v_m)
         self.quiet, self.drive, self.island_of, self.dt = quiet, drive, island_of, block.dt
         self._block_step, self._quiet = kernel._block_step, kernel._quiet
-        self.consts = (_Consts * n)(*[_consts(p, block.dt, k_dt, decay) for p, k_dt, decay in
-                                      zip(block.params, block.k.tolist(), block.decay.tolist())])
+        self.consts = (_Consts * n)(*[_Consts(*c) for c in block.consts])
         self.v_m, self.v_n = np.array(v_m, dtype=np.float64), np.zeros(n)
         self.noise, self.i_syn = np.empty(drive.n_islands), np.empty(n)
         self.spiking, self.onsets = np.empty(n, dtype=np.int64), np.empty(n)
@@ -176,7 +171,7 @@ class Kernel:
         """A function ``(drive, k, v_m, v_n) -> (v_m, v_n)`` that does what
         ``neuron.take`` does (an ``engine._ScalarNeuron``: its spikes and
         trace samples included), with the drive a float64 array."""
-        consts = _consts(neuron.params, neuron.dt, neuron.k_dt, neuron.decay)
+        consts = _Consts(*neuron.consts)
         state = (ctypes.c_double * 2)()
         spikes = np.empty(0, dtype=np.int64)
         trace, decim, stride, rows = None, 1, 0, 0
@@ -202,7 +197,7 @@ class Kernel:
     def advance(self, v_m: float, v_n: float, i_in: float, dt: float, params) -> tuple:
         """``neuron.advance`` in C."""
         vm, vn, onset = ctypes.c_double(v_m), ctypes.c_double(v_n), ctypes.c_double()
-        hit = self._advance(vm, vn, i_in, dt, _consts(params, dt), onset)
+        hit = self._advance(vm, vn, i_in, dt, _Consts(*_step_consts(params, dt)), onset)
         return vm.value, vn.value, onset.value if hit else None
 
 

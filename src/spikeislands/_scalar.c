@@ -1,21 +1,22 @@
 /* The neuron updates of spikeislands in C, expression for expression, so
  * that a run gives the bits of the Python and numpy code they replace:
- * neuron.advance (si_advance), the single-neuron loop of
- * engine._ScalarNeuron.take (si_take), and the neuron layer of a network,
- * engine._NeuronBlock.step (si_block_step) and engine._QuietStretch.take
- * (si_quiet).  Plain C99 and libm, no Python headers; spikeislands builds
- * it into a shared library on first use (see spikeislands._kernel), and it
- * must be compiled without floating-point contraction (-ffp-contract=off),
- * which would fuse a multiply and an add into one rounding and so change
- * bits.
+ * neuron.advance (si_advance), the general step engine._general_step
+ * (general_step), the single-neuron loop of engine._ScalarNeuron.take
+ * (si_take), and the neuron layer of a network, engine._NeuronBlock.step
+ * (si_block_step) and engine._QuietStretch.take (si_quiet).  Each neuron's
+ * constants are its engine._step_consts.  Plain C99 and libm, no Python
+ * headers; spikeislands builds it into a shared library on first use (see
+ * spikeislands._kernel), and it must be compiled without floating-point
+ * contraction (-ffp-contract=off), which would fuse a multiply and an add
+ * into one rounding and so change bits.
  */
 
 #include <math.h>
 #include <stdint.h>
 
-/* The constants of one neuron: NeuronParams.advance_consts, the detection
- * level and the switch limit of neuron.py, and the step with its
- * k_dt = dt / c_m and gate decay exp(-dt / tau_n). */
+/* The constants of one neuron, engine._step_consts in its order:
+ * NeuronParams.advance_consts, the detection level, the step dt with its
+ * k_dt = dt / c_m and gate decay exp(-dt / tau_n), and the switch limit. */
 typedef struct {
     double v_th, v_gate, c_m, tau_n, i_na_max, i_sink, v_n_inf, lo, hi;
     double v_detect;
@@ -80,12 +81,12 @@ int si_advance(double *v_m_io, double *v_n_io, double i_in, double dt, const si_
     return has_onset;
 }
 
-/* The general step of one neuron, the one spike detector of every loop
- * here: a step in which no switch flips is taken with the expressions of
- * _NeuronBlock.step (the sum and the gate relaxation of a step with the
- * switches held, the 1 V test on the unclamped membrane, then the clamp),
- * and a step in which one flips goes through si_advance.  Returns 1 and
- * sets *onset when a spike starts in the step, else 0. */
+/* engine._general_step, the general step of one neuron and the one spike
+ * detector of every loop here: a step in which no switch flips is taken
+ * with the expressions of a step with the switches held (the sum and the
+ * gate relaxation, the 1 V test on the unclamped membrane, then the
+ * clamp), and a step in which one flips goes through si_advance.  Returns
+ * 1 and sets *onset when a spike starts in the step, else 0. */
 static int general_step(double *v_m_io, double *v_n_io, double i_in, const si_consts *c, double *onset)
 {
     const double v_m = *v_m_io, v_n = *v_n_io;

@@ -44,12 +44,17 @@ the general step reports.  A -inf increment takes the membrane to its
 lower clamp, as the general step does.  A network without synapses has an
 empty synapse block, whose input is zero and which is always at its floor.
 
-One neuron without synapses takes a scalar loop of its own
-(``_ScalarNeuron``), with the expressions of the general step.  Any other
-network steps its neurons through ``_NeuronLayer``: the general step of
-``_NeuronBlock`` and the quiet stretches of ``_QuietStretch``, while the
-synapse block stays in numpy.  Both the scalar loop and the neuron layer
-run compiled from ``_scalar.c`` when a C compiler is found (``_kernel``):
+Every path steps a neuron with one general step in plain floats,
+``_general_step`` (the switch test, the update of a step in which no
+switch flips, the 1 V test and the clamp, or ``neuron.advance`` when a
+switch flips), and one set of constants per neuron, ``_step_consts``.  One
+neuron without synapses takes a scalar loop of its own (``_ScalarNeuron``).
+Any other network steps its neurons through ``_NeuronLayer``:
+``_NeuronBlock`` gives a step's quiet neurons the quiet update in one
+vector expression and the others the general step, ``_QuietStretch``
+takes quiet stretches, and the synapse block stays in numpy.  Both the
+scalar loop and the neuron layer run compiled from ``_scalar.c`` when a
+C compiler is found (``_kernel``):
 the first run of a process builds the library into a per-user cache,
 ``$XDG_CACHE_HOME/spikeislands/`` or ``~/.cache/spikeislands/``, which is
 safe to delete, and checks it against the Python code.  The compiled code
@@ -86,7 +91,7 @@ import numpy as np
 
 from . import __version__
 from .configio import serialize_config
-from .neuron import DETECT_THRESHOLD_V, advance, check_dt
+from .neuron import DETECT_THRESHOLD_V, MAX_SWITCHES_PER_STEP, advance, check_dt
 from .noise import NOISE_CHUNK, NoiseSpec, NoiseStream, check_grid
 from .presets import neuron_preset, synapse_preset
 from .synapse import FLOOR_RATIO, dpi_decay, dpi_flow, dpi_rise, time_constant
@@ -309,10 +314,13 @@ def _trace_selector(sel, n: int) -> list[int]:
         if sel != "all":
             raise ValueError("record_traces must be None, 'all', or a sequence of ids")
         return list(range(n))
-    ids = [int(i) for i in sel]
-    for i in ids:
+    ids = []
+    for i in sel:
+        if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+            raise ValueError(f"trace selector id {i!r} is not an integer")
         if not 0 <= i < n:
             raise ValueError(f"trace selector id {i} out of range")
+        ids.append(int(i))
     return list(dict.fromkeys(ids))  # a trace each, in selector order
 
 
@@ -337,67 +345,75 @@ class _Traces:
         return self.t, {nid: np.ascontiguousarray(self.v[:, col]) for col, nid in enumerate(self.ids)}
 
 
-_NO_ONSETS = np.empty(0)
+def _step_consts(params, dt: float) -> tuple:
+    """The constants of a step of ``dt`` of a neuron with parameters
+    ``params``, for every path, in the field order of ``_scalar.c``'s
+    ``si_consts``: ``params.advance_consts``, the detection level, dt,
+    ``k_dt = dt / c_m``, the gate decay ``exp(-dt / tau_n)`` and the switch
+    limit."""
+    return (*params.advance_consts, DETECT_THRESHOLD_V, dt, dt / params.c_m, math.exp(-dt / params.tau_n),
+            MAX_SWITCHES_PER_STEP)
+
+
+def _general_step(v_m: float, v_n: float, i_in: float, params, consts: tuple) -> tuple:
+    """``neuron.advance(v_m, v_n, i_in, dt, params)``'s ``(v_m, v_n, onset)``,
+    with ``consts`` its ``_step_consts(params, dt)``.  A step in which no
+    switch flips is taken with ``advance``'s expressions for a step with the
+    switches held: the sum and the gate relaxation, the 1 V test on the
+    unclamped membrane, then the clamp.  A step in which one flips goes
+    through ``advance`` itself.  ``_scalar.c``'s ``general_step`` is this
+    function in C."""
+    v_th, v_gate, c_m, _, i_na_max, i_sink, v_n_inf, lo, hi, v_detect, dt, k_dt, decay, _ = consts
+    na = v_m > v_th
+    sk = v_n > v_gate
+    i_net = i_in + (i_na_max if na else 0.0) - (i_sink if sk else 0.0)
+    target = v_n_inf if na else 0.0
+    v = v_m + i_net * k_dt
+    vn = target + (v_n - target) * decay
+    if (v > v_th) != na or (vn > v_gate) != sk:
+        return advance(v_m, v_n, i_in, dt, params)
+    onset = (v_detect - v_m) / (i_net / c_m) if v_m < v_detect <= v else None
+    return (lo if v < lo else hi if v > hi else v), vn, onset
 
 
 class _NeuronBlock:
-    """All neurons of a network, advanced together by ``neuron.advance``.
+    """All neurons of a network, advanced together by the general step.
 
-    A neuron that flips no switch within the step is advanced in vector form
-    with the expressions ``advance`` uses for a step without a switch; a
-    neuron that does flip one goes through ``advance`` itself.  Both give the
-    same bits as ``neuron_step``.  Both read each neuron's constants from
-    its ``NeuronParams.advance_consts``: the vector form as per-neuron arrays
-    (a row per constant) gathered once here, ``advance`` as the tuple itself.
-    A switching neuron's inputs are read as Python floats (``ndarray.item``).
+    A neuron is quiet in a step when both its switches are off and the step
+    keeps its membrane below v_th and the detection level (``stop``); the
+    quiet neurons take the quiet update of ``_QuietStretch`` in one vector
+    expression, which gives the general step's bits (see the module
+    docstring).  Every other neuron takes ``_general_step``, in index order.
+    ``consts`` holds each neuron's ``_step_consts``; the arrays the quiet
+    update reads are columns of it.
     """
 
     def __init__(self, params: list, dt: float):
         self.params = params
         self.dt = dt
-        consts = np.array([p.advance_consts for p in params], dtype=float).T.copy()
-        (self.v_th, self.v_gate, self.c_m, tau_n, self.i_na_max, self.i_sink, self.v_n_inf,
-         self.lo, self.hi) = consts
-        self.k = dt / self.c_m
-        self.decay = np.array([math.exp(-dt / t) for t in tau_n.tolist()])
+        self.consts = [_step_consts(p, dt) for p in params]
+        self.v_th, self.v_gate, self.lo, self.k, self.decay = np.array(self.consts).T[[0, 1, 7, 11, 12]]
+        self.stop = np.minimum(self.v_th, DETECT_THRESHOLD_V)
 
     def step(self, v_m, v_n, i_in):
         """Advance by dt.  Returns (v_m, v_n, spiking, onsets): the sorted
         indices of neurons that crossed the detection level upward and the
         offsets of those crossings into the step."""
-        na = v_m > self.v_th
-        sk = v_n > self.v_gate
-        # x * mask is x where the mask is set and +0.0 elsewhere, as a
-        # np.where(mask, x, 0.0) would give, for the finite x here.
-        i_net = i_in + self.i_na_max * na - self.i_sink * sk
-        target = self.v_n_inf * na
-        v_new = v_m + i_net * self.k
-        v_n_new = target + (v_n - target) * self.decay
-        switching = ((v_new > self.v_th) != na) | ((v_n_new > self.v_gate) != sk)
-        # crossing > switching is crossing & ~switching.
-        rising = ((v_m < DETECT_THRESHOLD_V) & (v_new >= DETECT_THRESHOLD_V)) > switching
-        np.maximum(v_new, self.lo, out=v_new)
-        np.minimum(v_new, self.hi, out=v_new)
-        spiking = rising.nonzero()[0]
-        if spiking.size:
-            onsets = (DETECT_THRESHOLD_V - v_m[spiking]) / (i_net[spiking] / self.c_m[spiking])
-        else:
-            onsets = _NO_ONSETS
-        switched = switching.nonzero()[0]
-        if switched.size:
-            dt, params = self.dt, self.params
-            extra, extra_on = [], []
-            for i in switched.tolist():
-                v_new[i], v_n_new[i], onset = advance(v_m.item(i), v_n.item(i), i_in.item(i), dt, params[i])
+        v = v_m + ((i_in + 0.0) - 0.0) * self.k  # the general step's membrane, both switches off
+        quiet = (v_m <= self.v_th) & (v_n <= self.v_gate) & (v < self.stop)
+        v_new = np.maximum(v, self.lo)
+        # The general step's 0.0 + (v_n - 0.0) * decay: v_n - 0.0 is v_n.
+        v_n_new = 0.0 + v_n * self.decay
+        spiking, onsets = [], []
+        busy = (~quiet).nonzero()[0]
+        if busy.size:
+            params, consts = self.params, self.consts
+            for i, m, n, i_i in zip(busy.tolist(), v_m[busy].tolist(), v_n[busy].tolist(), i_in[busy].tolist()):
+                v_new[i], v_n_new[i], onset = _general_step(m, n, i_i, params[i], consts[i])
                 if onset is not None:
-                    extra.append(i)
-                    extra_on.append(onset)
-            if extra:
-                spiking = np.concatenate((spiking, extra))
-                onsets = np.concatenate((onsets, extra_on))
-                order = spiking.argsort(kind="stable")
-                spiking, onsets = spiking[order], onsets[order]
-        return v_new, v_n_new, spiking, onsets
+                    spiking.append(i)
+                    onsets.append(onset)
+        return v_new, v_n_new, np.array(spiking, dtype=np.int64), np.array(onsets)
 
 
 class _SynapseStates:
@@ -565,8 +581,8 @@ class _QuietStretch:
         self.v_th, self.v_gate = neurons.v_th, neurons.v_gate
         # A step that takes a membrane to the lowest v_th or to the detection
         # level may flip a switch or start a spike: it goes to the general
-        # step (early, for a neuron whose own v_th is higher).
-        self.stop = min(float(neurons.v_th.min()), DETECT_THRESHOLD_V)
+        # step (early, for a neuron whose own level is higher).
+        self.stop = float(neurons.stop.min())
         self.floor_input = floor_input
         self.start = self.end = 0  # steps whose increments are in self.inc
         self.inc = None
@@ -771,29 +787,24 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
 
 
 class _ScalarNeuron:
-    """One neuron with no synapses, stepped in plain floats with the
-    expressions of the vectorized path.  A step that starts with both
-    switches off and keeps the membrane below v_th and the detection level
-    is quiet: one quiet update (an add, the lower clamp and the gate decay)
-    takes it.  Every other step takes the one general step, which goes
-    through ``neuron.advance`` when a switch flips.  ``spikes`` holds
-    the (1-based) steps at whose end a spike is reported; ``traces`` (the
+    """One neuron with no synapses, stepped in plain floats with its
+    ``_step_consts`` (``consts``).  A step that starts with both switches
+    off and keeps the membrane below v_th and the detection level is quiet:
+    one quiet update (an add, the lower clamp and the gate decay) takes it.
+    Every other step takes ``_general_step``.  ``spikes`` holds the
+    (1-based) steps at whose end a spike is reported; ``traces`` (the
     ``_Traces`` of this neuron, or None) takes its membrane samples."""
 
     def __init__(self, params, dt: float, traces: _Traces | None):
-        self.params, self.dt, self.traces = params, dt, traces
-        self.k_dt = dt / params.c_m
-        self.decay = math.exp(-dt / params.tau_n)
+        self.params, self.traces = params, traces
+        self.consts = _step_consts(params, dt)
         self.spikes: list[int] = []
 
     def take(self, drive: list, k: int, v_m: float, v_n: float) -> tuple[float, float]:
         """Steps k+1 .. k+len(drive) under the input currents ``drive``;
         returns the state after them."""
-        params, dt, traces = self.params, self.dt, self.traces
-        v_th, v_gate, _, _, i_na_max, i_sink, v_n_inf, lo, hi = params.advance_consts
-        k_dt = self.k_dt
-        decay = self.decay
-        th = DETECT_THRESHOLD_V
+        params, consts, traces = self.params, self.consts, self.traces
+        v_th, v_gate, _, _, _, _, _, lo, _, th, _, k_dt, decay, _ = consts
         # A step that takes the membrane to v_th or to the detection level
         # may flip the sodium switch or start a spike: it is not quiet.
         stop = min(v_th, th)
@@ -826,22 +837,9 @@ class _ScalarNeuron:
                         v_n = v_n * decay
                     else:
                         break
-            # The general step, in the expressions of _NeuronBlock.step.
-            na = v_m > v_th
-            sk = v_n > v_gate
-            i_net = i_in + (i_na_max if na else 0.0) - (i_sink if sk else 0.0)
-            target = v_n_inf if na else 0.0
-            v = v_m + i_net * k_dt
-            vn = target + (v_n - target) * decay
-            if (v > v_th) != na or (vn > v_gate) != sk:
-                v_m, v_n, onset = advance(v_m, v_n, i_in, dt, params)
-                if onset is not None:
-                    steps.append(k)
-            else:
-                if v_m < th <= v:
-                    steps.append(k)
-                v_m = lo if v < lo else hi if v > hi else v
-                v_n = vn
+            v_m, v_n, onset = _general_step(v_m, v_n, i_in, params, consts)
+            if onset is not None:
+                steps.append(k)
             if traces is not None and k % decim == 0:
                 trace_v[k // decim] = v_m
         return v_m, v_n
@@ -851,17 +849,17 @@ def _run_scalar_single(params, drive: _Drive, sim: SimConfig, traces: _Traces | 
     """Tight scalar loop for one neuron with no synapses (``_ScalarNeuron``);
     returns the (1-based) steps at whose end it spikes.
 
-    Takes the same steps as the vectorized path, in plain floats, reading
-    the drive DRIVE_CHUNK steps at a time; ~50x faster for long
-    single-neuron transients.  A chunk runs in the compiled loop of
-    ``kernel`` (``_kernel.load()``), which gives the bits of
-    ``_ScalarNeuron.take``, or, when ``kernel`` is None, in
-    ``_ScalarNeuron.take`` itself.  The state is
-    tested after each chunk: a non-finite state stays non-finite, so a
-    chunk that ends in one is taken again step by step in Python from its
-    start, from the drive already read, to report the first non-finite
-    step, as the vectorized path does.  The replay always ends in that
-    error, so what it records again is dropped.
+    Gives the bits of a network's neuron layer, whose general step is the
+    same ``_general_step``, reading the drive DRIVE_CHUNK steps at a time;
+    much faster than that layer for long single-neuron transients.  A chunk
+    runs in the compiled loop of ``kernel`` (``_kernel.load()``), which
+    gives the bits of ``_ScalarNeuron.take``, or, when ``kernel`` is None,
+    in ``_ScalarNeuron.take`` itself.  The state is tested after each
+    chunk: a non-finite state stays non-finite, so a chunk that ends in one
+    is taken again step by step in Python from its start, from the drive
+    already read, to report the first non-finite step, as the neuron layer
+    does.  The replay always ends in that error, so what it records again
+    is dropped.
     """
     dt = sim.dt
     n_steps = sim.n_steps

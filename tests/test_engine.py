@@ -300,24 +300,49 @@ class TestSharedNoiseSemantics:
 
 class TestEngineMatchesLibrary:
     def test_neuron_update_equals_neuron_step(self):
-        # one step of the engine's vectorized neuron update reproduces
-        # neuron_step bit for bit for every neuron state, whether or not a
-        # switch flips inside the step
+        # one step of the engine's neuron block reproduces neuron.advance bit
+        # for bit, state, spikes and onsets, for every neuron of a block of
+        # two presets: in each step some neurons are quiet and the others
+        # sit near v_th, near v_gate_th or just below the 1 V detection
+        # level, or anywhere, flipping switches
         rng = np.random.default_rng(0)
-        block = _NeuronBlock([P], DT)
-        for _ in range(50):
-            i_in = float(rng.normal(0.0, 2e-6))
-            state = NeuronState(v_m=float(rng.uniform(-0.1, 2.6)), v_n=float(rng.uniform(0, 1.5)))
-            expected = neuron_step(state, P, i_in, DT)
-            v_m, v_n, _, _ = block.step(np.array([state.v_m]), np.array([state.v_n]), np.array([i_in]))
-            assert v_m[0] == expected.v_m
-            assert v_n[0] == expected.v_n
+        params = [P, replace(P, v_th=1.2, v_gate_th=0.75)] * 10  # v_th below and above 1 V
+        block = _NeuronBlock(params, DT)
+        seen = dict(quiet=0, busy=0, switched=0, spikes=0)
+        for _ in range(60):
+            states = []
+            for i, p in enumerate(params):
+                v_m, v_n = rng.uniform(p.v_clamp_lo, 0.6), rng.uniform(0.0, p.v_gate_th)
+                i_in = rng.normal(0.0, 1e-6)
+                kind = (i // 2) % 5
+                if kind == 1:
+                    v_m = p.v_th + rng.uniform(-0.02, 0.02)
+                elif kind == 2:
+                    v_n = p.v_gate_th + rng.uniform(-0.01, 0.01)
+                elif kind == 3:
+                    v_m, i_in = DETECT_THRESHOLD_V - rng.uniform(0.0, 0.03), rng.uniform(0.0, 4e-6)
+                elif kind == 4:
+                    v_m, v_n, i_in = rng.uniform(-0.1, 2.6), rng.uniform(0.0, 1.5), rng.normal(0.0, 2e-6)
+                states.append((float(v_m), float(v_n), float(i_in)))
+            v_m, v_n, i_in = (np.array(col) for col in zip(*states))
+            expected = [advance(*s, DT, p) for s, p in zip(states, params)]
+            got_m, got_n, spiking, onsets = block.step(v_m, v_n, i_in)
+            assert got_m.tobytes() == np.array([e[0] for e in expected]).tobytes()
+            assert got_n.tobytes() == np.array([e[1] for e in expected]).tobytes()
+            assert spiking.tolist() == [i for i, e in enumerate(expected) if e[2] is not None]
+            assert onsets.tobytes() == np.array([e[2] for e in expected if e[2] is not None]).tobytes()
+            for (m, n, i), (m_end, n_end, _), p in zip(states, expected, params):
+                quiet = m <= p.v_th and n <= p.v_gate_th and m + i * (DT / p.c_m) < min(p.v_th, 1.0)
+                seen["quiet" if quiet else "busy"] += 1
+                seen["switched"] += (m > p.v_th) != (m_end > p.v_th) or (n > p.v_gate_th) != (n_end > p.v_gate_th)
+            seen["spikes"] += spiking.size
+        assert min(seen.values()) > 100, seen
 
     def test_scalar_and_vector_paths_agree(self):
-        # the single-neuron fast path and the vectorized network path
-        # produce the same spikes for the same drive: compare a 1-neuron
-        # no-synapse network (scalar path) against a 2-neuron island with
-        # identical shared noise and no synapses (vector path, clone rows)
+        # the single-neuron loop and the neuron layer of a network produce
+        # the same spikes for the same drive: compare a 1-neuron no-synapse
+        # network (single-neuron loop) against a 2-neuron island with
+        # identical shared noise and no synapses (neuron layer, clone rows)
         noise = NoiseSpec("white", density_for_rms(1.5e-6, (10.0, 5e7)), (10.0, 5e7), seed=3)
         sim = SimConfig(duration=1e-4, dt=DT, master_seed=9)
         scalar_rec = run(
@@ -342,11 +367,14 @@ class TestEngineMatchesLibrary:
         assert plain.stats == traced.stats
 
     @pytest.mark.parametrize("selector,keys", [(None, None), ([], None), ([0], [0]), ([0, 0], [0]),
-                                               ("all", "all"), ([5], ValueError), ("bogus", ValueError)])
+                                               ("all", "all"), ([5], ValueError), ("bogus", ValueError),
+                                               ([1.7], ValueError), ([True], ValueError),
+                                               ([0.2, 0.9], ValueError)])
     def test_single_neuron_network_selects_traces_as_any_network(self, selector, keys):
         # the scalar path of one neuron without synapses takes its traces
         # through the selector of every other network: an unknown id or name
-        # is rejected and an empty selector records none
+        # and an id that is not an integer (a float or a bool) are rejected,
+        # and an empty selector records none
         single, _ = parse_document(load_builtin("fig3_single_neuron"))
         for net in (single, single_island(2, [])):
             sim = SimConfig(duration=1e-6, dt=DT, record_traces=selector, trace_decimation=5)

@@ -7,11 +7,14 @@ every level the loop compares against, NaN and infinities included; its
 ``advance`` must give ``neuron.advance``'s bits on the cases
 ``TestAdvanceAsFirstWritten`` checks.  The compiled neuron layer of a
 network must give the bits of ``engine._NeuronLayer``: its general step
-those of ``_NeuronBlock.step`` (spikes, onsets, state, the
-``SimulationError`` of a state that is not finite) and its quiet
-stretches those of ``_QuietStretch.take``, on blocks of two presets around
-the same levels and at the switch limit, and every shipped config runs to
-the same spikes, traces and stats on both.  Those tests skip, saying why,
+those of ``_NeuronBlock.step``, which takes the quiet neurons of a step in
+one vector expression and every other neuron through ``_general_step``
+(spikes, onsets, state, the ``SimulationError`` of a state that is not
+finite), and its quiet stretches those of ``_QuietStretch.take``, on
+blocks of two presets around the same levels and at the switch limit, and
+every shipped config runs to the same spikes, traces and stats on both.
+``test_engine`` checks ``_NeuronBlock.step`` against ``neuron.advance``
+without a compiler.  Those tests skip, saying why,
 when the compiled code is not available.  The loader builds the library
 once per cache, safely from two processes at once, and without a compiler
 or a writable cache the run takes the Python code and gives the same
