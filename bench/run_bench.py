@@ -9,9 +9,9 @@ interpreter for every measurement, and writes the results under
 ``runs.<label>`` of ``--out``, keeping the other labels already there:
 
 - ``host``: Python, numpy, the CPU features numpy dispatches to, the BLAS
-  build, ``OPENBLAS_CORETYPE`` if it is set, ``scalar_loop``: whether
-  the compiled single-neuron loop loaded and the compiler command that
-  built it (a version without one reports ``compiled: false``), and
+  build, ``OPENBLAS_CORETYPE`` if it is set, ``kernel``: whether the
+  compiled neuron updates loaded and the compiler command that built them
+  (a version without them reports ``compiled: false``), and
   ``network_layer``: whether a network's neuron layer runs compiled;
 - ``configs``: for each shipped config at master seed 1 (120 us, and 20 ms
   for ``fig3_single_neuron``), the CPU seconds of one run per round, their
@@ -55,11 +55,16 @@ ADVANCE_CONFIGS = ("fig3_single_neuron", "fig6G")
 # method exists is wrapped.  A version with ``engine._NeuronLayer`` times
 # its layer's step (the noise gather and the finiteness test included),
 # compiled or not; an older one times ``_NeuronBlock.step`` and
-# ``_QuietStretch.take``.
+# ``_QuietStretch.take``.  A version whose layer has ``run`` takes every
+# idle step there (the quiet stretches and the general steps while the
+# synapses sit at their floor; the Python ``run`` calls the timed ``step``
+# too), and ``step`` only the busy ones; an older one takes the quiet
+# stretches in ``take_quiet`` and every general step in ``step``.
 PHASES = {
     "neuron_block": [["engine._NeuronLayer.step", "_kernel.NeuronLayer.step"], ["engine._NeuronBlock.step"]],
-    "quiet_stretch": [["engine._NeuronLayer.take_quiet", "_kernel.NeuronLayer.take_quiet"],
-                      ["engine._QuietStretch.take"]],
+    "idle_run": [["engine._NeuronLayer.run", "_kernel.NeuronLayer.run"],
+                 ["engine._NeuronLayer.take_quiet", "_kernel.NeuronLayer.take_quiet"],
+                 ["engine._QuietStretch.take"]],
     "synapse_step": [["engine._SynapseStates.step"]],
     "start_pulses": [["engine._SynapseStates.start_pulses"]],
 }
@@ -87,11 +92,11 @@ def host_info() -> dict:
     try:
         from spikeislands import _kernel
     except ImportError:
-        info["scalar_loop"] = {"compiled": False, "command": None}
+        info["kernel"] = {"compiled": False, "command": None}
     else:
         kernel = _kernel.load()
-        info["scalar_loop"] = {"compiled": kernel is not None,
-                               "command": None if kernel is None else " ".join(kernel.command)}
+        info["kernel"] = {"compiled": kernel is not None,
+                          "command": None if kernel is None else " ".join(kernel.command)}
         info["network_layer"] = {"compiled": hasattr(kernel, "neuron_layer")}
     return info
 

@@ -3,9 +3,10 @@
 ``load()`` gives the library compiled from the C file shipped next to this
 module, or None, and is called by the first run of a process (see
 ``engine._simulate``); importing the package builds and loads nothing.  It
-runs the single-neuron loop of ``engine._ScalarNeuron`` (``stepper``) and
-the neuron layer of a network, ``engine._NeuronLayer`` (``neuron_layer``),
-both with ``engine._general_step`` in C on each neuron's ``_step_consts``.
+runs the neuron layer of every network, ``engine._NeuronLayer``
+(``neuron_layer``), one neuron without synapses included, with
+``engine._general_step`` in C on each neuron's ``_step_consts``: one call
+per busy step and one loop in C, ``si_run``, over the idle steps.
 The library is compiled once per user, source, compiler command and flags,
 with the C compiler Python was built with (``sysconfig``'s ``CC``, else
 ``cc``), into ``$XDG_CACHE_HOME/spikeislands/`` or
@@ -14,13 +15,12 @@ name and renamed into place, so processes that build it at once each load
 a whole file; deleting the cache is safe, the next run builds it again.
 
 Before it is used, the loaded library must give the bits of the Python
-code it replaces on short fixed inputs: the single-neuron loop's spike
-steps, end state and trace rows on a drive that fires the neuron, and the
-neuron layer's spikes, onsets, end state and trace rows on a small network
-of two presets.  Without a compiler, when the cache cannot be written, when
-compiling or loading fails or when that check differs, ``load()`` returns
-None and the Python code runs: it is the reference the compiled code
-reproduces.
+code it replaces on short fixed inputs: the neuron layer's spikes, pulse
+starts, quiet steps, end state and trace rows on a small network of two
+presets and on one neuron without synapses.  Without a compiler, when the
+cache cannot be written, when compiling or loading fails or when that
+check differs, ``load()`` returns None and the Python code runs: it is
+the reference the compiled code reproduces.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (SimulationError, _NeuronBlock, _NeuronLayer, _phase_at_fault, _QuietStretch, _ScalarNeuron,
+from .engine import (_NO_ONSETS, _NO_SPIKES, SimulationError, _NeuronBlock, _NeuronLayer, _phase_at_fault,
                      _step_consts, _step_network, _Traces)
 from .presets import neuron_preset
 
@@ -51,6 +51,14 @@ LIBS = ("-lm",)
 COMPILE_TIMEOUT_S = 120
 
 _double_p = ctypes.POINTER(ctypes.c_double)
+# The pointer fields of ``si_block``, in its order.
+_POINTERS = ("c", "island_of", "noise", "i_syn", "held", "floor", "v_m", "v_n", "spiking", "onsets", "drives",
+             "buffer", "save", "trace", "trace_col")
+
+
+def _address(a) -> int | None:
+    """The address of the data of a numpy or ctypes array, or None."""
+    return None if a is None else a.ctypes.data if isinstance(a, np.ndarray) else ctypes.addressof(a)
 
 
 class _Consts(ctypes.Structure):
@@ -63,67 +71,77 @@ class _Consts(ctypes.Structure):
 
 class _Block(ctypes.Structure):
     """``si_block`` of ``_scalar.c``: pointers to the arrays of a
-    ``NeuronLayer``, and its quiet level."""
+    ``NeuronLayer`` and the held noise block, their sizes, the counts of an
+    idle run and the quiet level."""
 
-    _fields_ = [("n", ctypes.c_int64)] + [(name, ctypes.c_void_p) for name in (
-        "c", "island_of", "noise", "i_syn", "v_m", "v_n", "spiking", "onsets")] + [
-        ("stop", ctypes.c_double), ("holds", ctypes.c_int64), ("trace", ctypes.c_void_p),
-        ("trace_ids", ctypes.c_void_p), ("n_trace", ctypes.c_int64), ("decim", ctypes.c_int64)]
+    _fields_ = [(name, ctypes.c_void_p) for name in _POINTERS] + [(name, ctypes.c_int64) for name in (
+        "n", "width", "first", "hold", "room", "n_fired", "k", "quiet_steps", "n_trace", "decim")] + [
+        ("stop", ctypes.c_double)]
 
 
-_NO_SPIKES, _NO_ONSETS = np.empty(0, dtype=np.int64), np.empty(0)
+# Spikes per neuron that an idle run of the compiled layer buffers before it
+# returns to Python.
+SPIKE_BUFFER = 256
 
 
 class NeuronLayer:
-    """``engine._NeuronLayer`` run by ``si_block_step`` and ``si_quiet``,
-    with its methods and its bits.  The state, the inputs of a step and its
-    spikes are arrays bound to one ``si_block`` when the layer is made and
-    updated in place: a general step copies the step's noise samples and
-    synaptic input into them and makes one call, which also tests the state
-    and samples the trace; a quiet stretch makes one call per batch of
-    ``_QuietStretch`` increments."""
+    """``engine._NeuronLayer`` run by ``si_block_step`` and ``si_run``,
+    with its methods and its bits.  The state, the inputs of a step, its
+    spikes and the spike buffer of an idle run are arrays bound to one
+    ``si_block`` when the layer is made and updated in place.  A busy step
+    copies the step's noise samples and synaptic input into them and makes
+    one call, which also tests the state and samples the trace.  An idle
+    run makes one call, which reads the noise from the drive's held block
+    (``_Drive.held_at``), up to the end of that block, a full spike buffer
+    or a step that starts pulses."""
 
-    def __init__(self, kernel: Kernel, block: _NeuronBlock, quiet: _QuietStretch, drive, island_of, v_m,
+    def __init__(self, kernel: Kernel, block: _NeuronBlock, synapses, drive, island_of, n_steps: int, v_m,
                  traces: _Traces | None):
         n = len(v_m)
-        self.quiet, self.drive, self.island_of, self.dt = quiet, drive, island_of, block.dt
-        self._block_step, self._quiet = kernel._block_step, kernel._quiet
-        self.consts = (_Consts * n)(*[_Consts(*c) for c in block.consts])
-        self.v_m, self.v_n = np.array(v_m, dtype=np.float64), np.zeros(n)
+        self.drive, self.dt, self.n_steps = drive, block.dt, n_steps
+        self._block_step, self._run = kernel._block_step, kernel._run
+        self.c = (_Consts * n)(*[_Consts(*c) for c in block.consts])
+        self.island_of = np.ascontiguousarray(island_of, dtype=np.int64)
         self.noise, self.i_syn = np.empty(drive.n_islands), np.empty(n)
+        self.floor = np.array(synapses.floor_input, dtype=np.float64)
+        self.v_m, self.v_n = np.array(v_m, dtype=np.float64), np.zeros(n)
         self.spiking, self.onsets = np.empty(n, dtype=np.int64), np.empty(n)
-        self._islands = np.ascontiguousarray(island_of, dtype=np.int64)
+        self.drives = (np.bincount(synapses.pre, minlength=n) > 0).astype(np.uint8)
+        self.buffer, self.save = np.empty((SPIKE_BUFFER * n, 2), dtype=np.int64), np.empty(2 * n)
         # What the C code indexes without a check.
-        if len(self._islands) != n or n and not 0 <= self._islands.min() <= self._islands.max() < len(self.noise):
+        if len(self.island_of) != n or n and not 0 <= self.island_of.min() <= self.island_of.max() < len(self.noise):
             raise ValueError("island_of must give each neuron an island of the drive")
         if traces is not None and not (traces.v.dtype == np.float64 and traces.v.flags.c_contiguous
-                                       and traces.v.shape == (quiet.n_steps // traces.decim + 1, len(traces.ids))
+                                       and traces.v.shape == (n_steps // traces.decim + 1, len(traces.ids))
                                        and 0 <= min(traces.ids) <= max(traces.ids) < n):
             raise ValueError("traces must hold a row per sample of the run's steps and a column per traced neuron")
-        self._b = _Block(n, ctypes.addressof(self.consts), *(a.ctypes.data for a in (
-            self._islands, self.noise, self.i_syn, self.v_m, self.v_n, self.spiking, self.onsets)),
-            quiet.stop, quiet.holds(self.v_m, self.v_n))
-        if traces is not None:
-            self._traces, self._trace_ids = traces, np.array(traces.ids, dtype=np.int64)
-            self._b.trace, self._b.trace_ids = traces.v.ctypes.data, self._trace_ids.ctypes.data
-            self._b.n_trace, self._b.decim = len(traces.ids), traces.decim
-        self._inc, self._row = None, n * self.v_m.itemsize  # the batch si_quiet reads, kept alive
+        ids = [] if traces is None else traces.ids
+        self.trace, self.trace_col = None if traces is None else traces.v, np.full(n, -1, dtype=np.int64)
+        self.trace_col[ids] = np.arange(len(ids))
+        self._b = _Block(n=n, hold=drive.hold, room=len(self.buffer), stop=block.stop.min(), n_trace=len(ids),
+                         decim=1 if traces is None else traces.decim,
+                         **{name: _address(getattr(self, name)) for name in _POINTERS if name != "held"})
+        self.fired = []
 
-    def holds(self) -> bool:
-        return self._b.holds != 0
+    @property
+    def quiet_steps(self) -> int:
+        return self._b.quiet_steps
 
-    def take_quiet(self, k: int) -> int:
-        quiet, k0 = self.quiet, k
-        while k < quiet.n_steps:
-            if not quiet.start <= k < quiet.end:
-                quiet._batch(k)
-                self._inc = np.ascontiguousarray(quiet.inc)
-                self._inc_at = self._inc.ctypes.data
-            k += self._quiet(self._b, self._inc_at + (k - quiet.start) * self._row, quiet.end - k, k)
-            if k < quiet.end:
-                break
-        quiet.steps += k - k0
-        return k
+    def run(self, k: int):
+        b = self._b
+        # Not kept past the call: the drive frees a block when it holds the next.
+        held, b.first = self.drive.held_at(k)
+        b.held, b.width = held.ctypes.data, held.shape[1]
+        n = self._run(b, k, min(self.n_steps, (b.first + b.width) * b.hold))
+        if b.n_fired:
+            fired = self.buffer[:b.n_fired].T.copy()
+            self.fired.append((fired[0], fired[1]))
+        k = b.k
+        if n < 0:
+            self._fail(k, -1 - n, self.drive.at(k), self.floor)
+        if n == 0:
+            return k, _NO_SPIKES, _NO_ONSETS
+        return k, self.spiking[:n].copy(), self.onsets[:n].copy()
 
     def step(self, k: int, i_syn):
         self.noise[...] = self.drive.at(k)
@@ -132,11 +150,14 @@ class NeuronLayer:
         if n == 0:
             return _NO_SPIKES, _NO_ONSETS
         if n < 0:
-            b = -1 - n
-            island = int(self.island_of[b])
-            raise SimulationError(b, island, k, (k + 1) * self.dt,
-                                  _phase_at_fault(self.noise[island], self.i_syn[b]))
-        return self.spiking[:n].copy(), self.onsets[:n].copy()
+            self._fail(k, -1 - n, self.noise, self.i_syn)
+        spiking = self.spiking[:n].copy()
+        self.fired.append((np.full(n, k + 1), spiking))
+        return spiking, self.onsets[:n].copy()
+
+    def _fail(self, k: int, b: int, noise, i_syn):
+        island = int(self.island_of[b])
+        raise SimulationError(b, island, k, (k + 1) * self.dt, _phase_at_fault(noise[island], i_syn[b]))
 
 
 class Kernel:
@@ -145,11 +166,6 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL, path: Path, command: list[str], built: bool):
         self.path, self.command, self.built = path, command, built
-        self._take = lib.si_take
-        self._take.restype = ctypes.c_int64
-        self._take.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, _double_p,
-                               ctypes.POINTER(_Consts), ctypes.c_void_p, ctypes.c_void_p,
-                               ctypes.c_int64, ctypes.c_int64]
         self._advance = lib.si_advance
         self._advance.restype = ctypes.c_int
         self._advance.argtypes = [_double_p, _double_p, ctypes.c_double, ctypes.c_double,
@@ -157,42 +173,11 @@ class Kernel:
         self._block_step = lib.si_block_step
         self._block_step.restype = ctypes.c_int64
         self._block_step.argtypes = [ctypes.POINTER(_Block), ctypes.c_int64]
-        self._quiet = lib.si_quiet
-        self._quiet.restype = ctypes.c_int64
-        self._quiet.argtypes = [ctypes.POINTER(_Block), ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
-
-    def neuron_layer(self, block: _NeuronBlock, quiet: _QuietStretch, drive, island_of, v_m,
-                     traces: _Traces | None) -> NeuronLayer:
-        """The compiled counterpart of ``engine._NeuronLayer(block, quiet,
-        drive, island_of, v_m, traces)``."""
-        return NeuronLayer(self, block, quiet, drive, island_of, v_m, traces)
-
-    def stepper(self, neuron):
-        """A function ``(drive, k, v_m, v_n) -> (v_m, v_n)`` that does what
-        ``neuron.take`` does (an ``engine._ScalarNeuron``: its spikes and
-        trace samples included), with the drive a float64 array."""
-        consts = _Consts(*neuron.consts)
-        state = (ctypes.c_double * 2)()
-        spikes = np.empty(0, dtype=np.int64)
-        trace, decim, stride, rows = None, 1, 0, 0
-        if neuron.traces is not None:
-            v = neuron.traces.v  # float64, a row per sample
-            trace, decim, stride, rows = v.ctypes.data, neuron.traces.decim, v.strides[0] // v.itemsize, len(v)
-
-        def take(drive, k: int, v_m: float, v_n: float) -> tuple[float, float]:
-            nonlocal spikes
-            drive = np.ascontiguousarray(drive, dtype=np.float64)
-            if trace is not None and (k + drive.size) // decim >= rows:
-                raise ValueError(f"steps {k + 1}..{k + drive.size} run past the trace's {rows} rows")
-            if spikes.size < drive.size:
-                spikes = np.empty(drive.size, dtype=np.int64)
-            state[0], state[1] = v_m, v_n
-            n = self._take(drive.ctypes.data, drive.size, k, state, consts, spikes.ctypes.data,
-                           trace, decim, stride)
-            neuron.spikes.extend(spikes[:n].tolist())
-            return state[0], state[1]
-
-        return take
+        self._run = lib.si_run
+        self._run.restype = ctypes.c_int64
+        self._run.argtypes = [ctypes.POINTER(_Block), ctypes.c_int64, ctypes.c_int64]
+        # The compiled counterpart of engine._NeuronLayer, made with the same arguments.
+        self.neuron_layer = functools.partial(NeuronLayer, self)
 
     def advance(self, v_m: float, v_n: float, i_in: float, dt: float, params) -> tuple:
         """``neuron.advance`` in C."""
@@ -251,18 +236,14 @@ def _build(cc: list[str], target: Path) -> bool:
             os.unlink(tmp)
 
 
-def check_drive() -> np.ndarray:
-    """The drive of the check: 1 500 steps that fire the fast-mode neuron
-    a few times, at a 10 ns step."""
-    t = np.arange(1500)
-    return 1.5e-6 + 4e-6 * np.sin(t * 0.013) * np.cos(t * 0.0021)
-
-
 class _CheckDrive:
-    """``engine._Drive`` over fixed samples, a row per island."""
+    """``engine._Drive`` over fixed samples, a row per island, each read by
+    one step."""
+
+    hold = 1
 
     def __init__(self, rows: np.ndarray):
-        self.rows, self.n_islands = rows, len(rows)
+        self.rows, self.n_islands = np.ascontiguousarray(rows, dtype=np.float64), len(rows)
 
     def at(self, k: int) -> np.ndarray:
         return self.rows[:, k]
@@ -270,13 +251,18 @@ class _CheckDrive:
     def steps(self, start: int, end: int) -> np.ndarray:
         return self.rows[:, start:end]
 
+    def held_at(self, k: int) -> tuple[np.ndarray, int]:
+        return self.rows, 0
+
 
 class _CheckSynapses:
-    """No synapses: every step is idle at the zero floor input.  Keeps the
-    onsets of the spikes that start pulses."""
+    """A synapse block idle on every step at the floor input ``floor`` (a
+    current per neuron, zero by default), whose outputs are driven by the
+    neurons ``pre``.  Keeps the step, the neurons and the onsets of each
+    start of pulses."""
 
-    def __init__(self, n: int):
-        self.floor_input, self.onsets = np.zeros(n), []
+    def __init__(self, n: int, pre, floor=0.0):
+        self.floor_input, self.pre, self.pulses = np.full(n, floor), np.asarray(pre, dtype=np.int64), []
 
     def idle_at_floor(self, k: int) -> bool:
         return True
@@ -285,59 +271,53 @@ class _CheckSynapses:
         return self.floor_input
 
     def start_pulses(self, k: int, spiking, onsets) -> None:
-        self.onsets.append(onsets.tobytes())
+        self.pulses.append((k, spiking.tolist(), onsets.tobytes()))
 
 
-def check_network() -> tuple:
-    """The network of the check: ``(params, island_of, drive, v_m)``, four
-    neurons of two presets (v_th below and above the detection level) on
-    two islands, starting below v_th, and 50 steps of drive, a row per
-    island, in which a few quiet steps come before every neuron fires."""
+def check_networks() -> tuple:
+    """The networks of the check, each ``(params, island_of, drive, v_m,
+    pre, trace_ids)``: four neurons of two presets (v_th below and above
+    the detection level) on two islands from below v_th, neurons 0 and 3
+    driving synapse outputs, traced at neurons 3, 0 and 2, under 50 steps
+    of drive (a row per island) in which a few quiet steps come before
+    every neuron fires; and one fast-mode neuron without synapses from
+    rest, under 30 steps that fire it once after a quiet stretch."""
     p = neuron_preset("fast-mode")
     t = np.arange(50)
-    drive = np.array([3e-6 + 1e-6 * np.sin(t * 0.3), 2.5e-6 + 1.5e-6 * np.cos(t * 0.2)])
-    return ([p, replace(p, v_th=1.2, v_gate_th=0.75)] * 2, np.array([0, 0, 1, 1], dtype=np.int32), drive,
-            np.array([0.4, 0.6, 0.3, 0.5]))
+    four = np.array([3e-6 + 1e-6 * np.sin(t * 0.3), 2.5e-6 + 1.5e-6 * np.cos(t * 0.2)])
+    return ((([p, replace(p, v_th=1.2, v_gate_th=0.75)] * 2, np.array([0, 0, 1, 1], dtype=np.int32), four,
+              np.array([0.4, 0.6, 0.3, 0.5]), [0, 3], [3, 0, 2]),
+             ([p], np.zeros(1, dtype=np.int32), 1.5e-6 + 4e-6 * np.sin(t[None, :30] * 0.05), np.array([p.v_rest]),
+              [], [0])))
 
 
-def network_outcome(layer, decim: int) -> tuple:
-    """The spike steps, onset bits, quiet steps, end state and trace rows
-    (neurons 3, 0 and 2, every ``decim`` steps) of ``check_network()``
-    with the neuron layer ``layer`` (``engine._NeuronLayer`` or a
-    ``Kernel``'s ``neuron_layer``)."""
-    params, island_of, rows, v_m = check_network()
+def network_outcome(layer, network: tuple, decim: int | None) -> tuple:
+    """The spike steps, pulse starts, quiet steps, end state and trace rows
+    (every ``decim`` steps, or none) of a network of ``check_networks()``,
+    with a floor input of 0.2 uA times each neuron's index, on the neuron
+    layer ``layer`` (``engine._NeuronLayer`` or a ``Kernel``'s
+    ``neuron_layer``)."""
+    params, island_of, rows, v_m, pre, trace_ids = network
     dt, n_steps = 1e-8, rows.shape[1]
-    drive, synapses = _CheckDrive(rows), _CheckSynapses(len(params))
-    block = _NeuronBlock(params, dt)
-    quiet = _QuietStretch(drive, island_of, n_steps, block, synapses.floor_input)
-    traces = _Traces([3, 0, 2], n_steps, decim, dt, v_m)
-    neurons = layer(block, quiet, drive, island_of, v_m, traces)
-    spikes = _step_network(neurons, synapses, n_steps)
-    return spikes, synapses.onsets, quiet.steps, neurons.v_m.tobytes(), neurons.v_n.tobytes(), traces.v.tobytes()
+    synapses = _CheckSynapses(len(params), pre, np.arange(len(params)) * 2e-7)
+    traces = None if decim is None else _Traces(trace_ids, n_steps, decim, dt, v_m)
+    neurons = layer(_NeuronBlock(params, dt), synapses, _CheckDrive(rows), island_of, n_steps, v_m, traces)
+    spikes = [s.tolist() for s in _step_network(neurons, synapses, n_steps)]
+    return (spikes, synapses.pulses, neurons.quiet_steps, neurons.v_m.tobytes(), neurons.v_n.tobytes(),
+            None if traces is None else traces.v.tobytes())
 
 
 def _matches_python(kernel: Kernel) -> bool:
-    """The compiled code gives the bits of the Python code: the
-    single-neuron loop's spike steps, end state and trace rows on
-    ``check_drive()``, untraced and traced, and the neuron layer's
-    ``network_outcome``."""
-    params, dt, drive = neuron_preset("fast-mode"), 1e-8, check_drive()
-
-    def outcome(compiled: bool, decim: int | None) -> tuple:
-        traces = None if decim is None else _Traces([0], drive.size, decim, dt, np.array([params.v_rest]))
-        neuron = _ScalarNeuron(params, dt, traces)
-        if compiled:
-            end = kernel.stepper(neuron)(drive, 0, params.v_rest, 0.0)
-        else:
-            end = neuron.take(drive.tolist(), 0, params.v_rest, 0.0)
-        return np.array(end).tobytes(), neuron.spikes, None if traces is None else traces.v.tobytes()
-
-    for decim in (None, 1, 7):
-        expected = outcome(False, decim)
-        if not expected[1] or outcome(True, decim) != expected:
+    """The compiled code gives the bits of the Python code: the neuron
+    layer's ``network_outcome`` on the four-neuron network traced every 3
+    steps, and on the single neuron untraced and traced every 7 steps."""
+    four, one = check_networks()
+    for network, decim in ((four, 3), (one, None), (one, 7)):
+        expected = network_outcome(_NeuronLayer, network, decim)
+        if not (all(expected[0]) and expected[2]) or network_outcome(kernel.neuron_layer, network,
+                                                                     decim) != expected:
             return False
-    expected = network_outcome(_NeuronLayer, 3)
-    return all(expected[0]) and expected[2] > 0 and network_outcome(kernel.neuron_layer, 3) == expected
+    return True
 
 
 @functools.cache

@@ -1,9 +1,10 @@
 /* The neuron updates of spikeislands in C, expression for expression, so
  * that a run gives the bits of the Python and numpy code they replace:
  * neuron.advance (si_advance), the general step engine._general_step
- * (general_step), the single-neuron loop of engine._ScalarNeuron.take
- * (si_take), and the neuron layer of a network, engine._NeuronBlock.step
- * (si_block_step) and engine._QuietStretch.take (si_quiet).  Each neuron's
+ * (general_step), and the neuron layer of a network, one neuron without
+ * synapses included: a busy step, engine._NeuronBlock.step
+ * (si_block_step), and the idle steps, engine._NeuronLayer.run (si_run),
+ * with the quiet stretches of engine._QuietStretch.take.  Each neuron's
  * constants are its engine._step_consts.  Plain C99 and libm, no Python
  * headers; spikeislands builds it into a shared library on first use (see
  * spikeislands._kernel), and it must be compiled without floating-point
@@ -106,109 +107,46 @@ static int general_step(double *v_m_io, double *v_n_io, double i_in, const si_co
     return hit;
 }
 
-/* _ScalarNeuron.take: steps k+1 .. k+n under the input currents drive[0 ..
- * n-1] from the state (state[0], state[1]) = (v_m, v_n), which it replaces
- * with the state after them.  Writes the (1-based) step of each spike to
- * spikes (room for n) and returns their number.  With trace not NULL, the
- * membrane after step j is written to trace[(j / decim) * stride] whenever
- * j % decim == 0. */
-int64_t si_take(const double *drive, int64_t n, int64_t k, double *state, const si_consts *c,
-                int64_t *spikes, double *trace, int64_t decim, int64_t stride)
-{
-    const double v_th = c->v_th, v_gate = c->v_gate, lo = c->lo;
-    const double k_dt = c->k_dt, decay = c->decay, th = c->v_detect;
-    /* A step that takes the membrane to v_th or to the detection level may
-     * flip the sodium switch or start a spike: it is not quiet. */
-    const double stop = th < v_th ? th : v_th;
-    double v_m = state[0], v_n = state[1];
-    int64_t n_spikes = 0;
-    int64_t i = 0;
-    while (i < n) {
-        double i_in = drive[i++];
-        k += 1;
-        if (v_m <= v_th && v_n <= v_gate) {
-            /* Both switches off: the gate voltage only decays, so a step
-             * that keeps the membrane below stop is quiet. */
-            double v = v_m + i_in * k_dt;
-            if (v < stop) {
-                v_m = v < lo ? lo : v;
-                v_n = v_n * decay;
-                if (trace) {
-                    if (k % decim == 0)
-                        trace[(k / decim) * stride] = v_m;
-                    continue;
-                }
-                /* With no trace to sample, quiet steps run on in a loop of
-                 * their own; the first other step goes to the general step. */
-                for (;;) {
-                    if (i == n)
-                        goto done;
-                    i_in = drive[i++];
-                    k += 1;
-                    v = v_m + i_in * k_dt;
-                    if (!(v < stop))
-                        break;
-                    v_m = v < lo ? lo : v;
-                    v_n = v_n * decay;
-                }
-            }
-        }
-        double onset;
-        if (general_step(&v_m, &v_n, i_in, c, &onset))
-            spikes[n_spikes++] = k;
-        if (trace && k % decim == 0)
-            trace[(k / decim) * stride] = v_m;
-    }
-done:
-    state[0] = v_m;
-    state[1] = v_n;
-    return n_spikes;
-}
-
-/* The neuron layer of a network, bound once per run: its n neurons, their
- * constants (c[j]) and islands, the inputs of the step (noise, a sample per
- * island, and i_syn, a current per neuron), the state (v_m, v_n), updated
- * in place, room for the spikes of one step (spiking, onsets), the level a
- * quiet step stays below (stop) and, with trace not NULL, the rows of
- * _Traces.v (n_trace columns, the neurons trace_ids) sampled after every
- * step k with (k + 1) % decim == 0.  si_block_step sets holds when, after
- * it, no neuron has a switch on. */
+/* The neuron layer of a network, bound once per run: the n neurons'
+ * constants and islands; a busy step's inputs, noise (a sample per island)
+ * and i_syn (a current per neuron), and an idle step's, the held noise block
+ * (a row of width samples per island, column 0 being sample first, each
+ * read by hold steps) and floor (the synapses' floor input); the state,
+ * updated in place; a step's spikes; the neurons that drive synapse outputs
+ * (drives); an idle run's room (1-based step, neuron) pairs of buffer, of
+ * which it writes n_fired, its first step not taken (k) and the count of
+ * quiet steps; room for the state (save); with trace not NULL, the rows of
+ * _Traces.v (n_trace columns, neuron j's trace_col[j] or none if -1),
+ * sampled after every step k with (k + 1) % decim == 0; the quiet level. */
 typedef struct {
-    int64_t n;
     const si_consts *c;
     const int64_t *island_of;
-    const double *noise, *i_syn;
+    const double *noise, *i_syn, *held, *floor;
     double *v_m, *v_n;
     int64_t *spiking;
     double *onsets;
+    const uint8_t *drives;
+    int64_t *buffer;
+    double *save, *trace;
+    const int64_t *trace_col;
+    int64_t n, width, first, hold, room, n_fired, k, quiet_steps, n_trace, decim;
     double stop;
-    int64_t holds;
-    double *trace;
-    const int64_t *trace_ids;
-    int64_t n_trace, decim;
 } si_block;
 
-static void sample(const si_block *b, int64_t k)
+/* _NeuronBlock.step over step k, with the input noise[island_of[j] *
+ * stride] + i_syn[j] of neuron j: writes the spiking neurons, ascending, and
+ * their onsets, samples the trace, sets *holds when no switch is on, and
+ * returns the number of spikes, or -1 - j for the first neuron j left with
+ * a state that is not finite. */
+static int64_t block_step(si_block *b, const double *noise, int64_t stride, const double *i_syn, int64_t k,
+                          int *holds)
 {
-    if (b->trace && (k + 1) % b->decim == 0) {
-        double *row = b->trace + ((k + 1) / b->decim) * b->n_trace;
-        for (int64_t t = 0; t < b->n_trace; t++)
-            row[t] = b->v_m[b->trace_ids[t]];
-    }
-}
-
-/* _NeuronBlock.step over step k, with the input noise[island_of[j]] +
- * i_syn[j] of neuron j: writes the neurons that spike, in ascending order,
- * to spiking and the offsets of their onsets into the step to onsets, and
- * returns their number; or, when the step leaves a neuron's state not
- * finite, returns -1 - j for the first such neuron j. */
-int64_t si_block_step(si_block *b, int64_t k)
-{
-    int64_t n_spikes = 0, bad = -1, holds = 1;
+    int64_t n_spikes = 0, bad = -1;
+    *holds = 1;
     for (int64_t j = 0; j < b->n; j++) {
         const si_consts *c = &b->c[j];
         double onset;
-        if (general_step(&b->v_m[j], &b->v_n[j], b->noise[b->island_of[j]] + b->i_syn[j], c, &onset)) {
+        if (general_step(&b->v_m[j], &b->v_n[j], noise[b->island_of[j] * stride] + i_syn[j], c, &onset)) {
             b->spiking[n_spikes] = j;
             b->onsets[n_spikes++] = onset;
         }
@@ -216,33 +154,116 @@ int64_t si_block_step(si_block *b, int64_t k)
         if (bad < 0 && !(isfinite(v_m) && isfinite(v_n)))
             bad = j;
         if (v_m > c->v_th || v_n > c->v_gate)
-            holds = 0;
+            *holds = 0;
     }
-    b->holds = holds;
     if (bad >= 0)
         return -1 - bad;
-    sample(b, k);
+    if (b->trace && (k + 1) % b->decim == 0) {
+        double *row = b->trace + ((k + 1) / b->decim) * b->n_trace;
+        for (int64_t j = 0; j < b->n; j++)
+            if (b->trace_col[j] >= 0)
+                row[b->trace_col[j]] = b->v_m[j];
+    }
     return n_spikes;
 }
 
-/* _QuietStretch.take over one batch: the quiet steps k .. k+rows-1, with
- * the membrane increment inc[r * n + j] of neuron j in step k+r, while
- * every membrane stays below stop (a NaN or +inf increment does not, and
- * so goes back to the general step).  Returns the number of steps taken;
- * the first step not taken leaves the state as it was. */
-int64_t si_quiet(si_block *b, const double *inc, int64_t rows, int64_t k)
+/* The general step k of a busy step, under noise and i_syn: block_step. */
+int64_t si_block_step(si_block *b, int64_t k)
+{
+    int holds;
+    return block_step(b, b->noise, 1, b->i_syn, k, &holds);
+}
+
+/* Neuron j alone through the quiet steps k .. lim-1 of _QuietStretch.take
+ * while its membrane stays below stop (a NaN or +inf increment does not);
+ * returns the first step not taken, which leaves the state as it was. */
+static int64_t quiet_neuron(si_block *b, int64_t j, int64_t k, int64_t lim)
+{
+    const si_consts *c = &b->c[j];
+    const double *x = b->held + b->island_of[j] * b->width;
+    const double fl = b->floor[j], k_dt = c->k_dt, lo = c->lo, decay = c->decay, stop = b->stop;
+    const int64_t hold = b->hold, decim = b->decim, col = b->trace ? b->trace_col[j] : -1;
+    int64_t s = k / hold - b->first, r = k % hold, left = decim - k % decim;
+    double v_m = b->v_m[j], v_n = b->v_n[j];
+    for (; k < lim; k++) {
+        const double v = v_m + (((x[s] + fl) + 0.0) - 0.0) * k_dt;
+        if (!(v < stop))
+            break;
+        v_m = v < lo ? lo : v;
+        v_n = v_n * decay;
+        if (col >= 0 && --left == 0) {
+            b->trace[((k + 1) / decim) * b->n_trace + col] = v_m;
+            left = decim;
+        }
+        if (++r == hold) {
+            r = 0;
+            s++;
+        }
+    }
+    b->v_m[j] = v_m;
+    b->v_n[j] = v_n;
+    return k;
+}
+
+/* A quiet stretch from step k to the first step in which a membrane would
+ * not stay below stop, or to end; returns that step.  Each neuron runs alone
+ * to its first such step or an earlier one of the neurons before it, which
+ * are taken again from their start when a later neuron stops earlier. */
+static int64_t quiet(si_block *b, int64_t k, int64_t end)
+{
+    int64_t lim = end, last = 0;
+    for (int64_t j = 0; j < b->n; j++) {
+        b->save[2 * j] = b->v_m[j];
+        b->save[2 * j + 1] = b->v_n[j];
+        const int64_t e = quiet_neuron(b, j, k, lim);
+        if (e < lim) {
+            lim = e;
+            last = j;
+        }
+    }
+    for (int64_t j = 0; j < last; j++) {
+        b->v_m[j] = b->save[2 * j];
+        b->v_n[j] = b->save[2 * j + 1];
+        quiet_neuron(b, j, k, lim);
+    }
+    return lim;
+}
+
+/* engine._NeuronLayer.run over the idle steps k .. end-1: a quiet stretch
+ * where no switch is on, else block_step under the held noise and the floor
+ * input, each spike to buffer.  Stops at end, before a step when fewer than
+ * n pairs of buffer are left, or after a step in which a neuron that drives
+ * synapse outputs spikes, returning its number of spikes; else returns 0,
+ * or -1 - j as block_step does, with k that step. */
+int64_t si_run(si_block *b, int64_t k, int64_t end)
 {
     const int64_t n = b->n;
-    for (int64_t r = 0; r < rows; r++, inc += n) {
-        for (int64_t j = 0; j < n; j++)
-            if (!(b->v_m[j] + inc[j] < b->stop))
-                return r;
-        for (int64_t j = 0; j < n; j++) {
-            const double v = b->v_m[j] + inc[j];
-            b->v_m[j] = v < b->c[j].lo ? b->c[j].lo : v;
-            b->v_n[j] = b->v_n[j] * b->c[j].decay;
+    int64_t n_fired = 0, m = 0;
+    int holds = 1;
+    for (int64_t j = 0; j < n; j++)
+        if (b->v_m[j] > b->c[j].v_th || b->v_n[j] > b->c[j].v_gate)
+            holds = 0;
+    while (m == 0 && k < end && b->room - n_fired >= n) {
+        if (holds) {
+            const int64_t e = quiet(b, k, end);
+            b->quiet_steps += e - k;
+            k = e;
+            if (k == end)
+                break;
         }
-        sample(b, k + r);
+        m = block_step(b, b->held + (k / b->hold - b->first), b->width, b->floor, k, &holds);
+        if (m < 0)
+            break;
+        k++;
+        int pulses = 0;
+        for (int64_t i = 0; i < m; i++) {
+            b->buffer[2 * n_fired] = k;
+            b->buffer[2 * n_fired++ + 1] = b->spiking[i];
+            pulses |= b->drives[b->spiking[i]];
+        }
+        m = pulses ? m : 0;
     }
-    return rows;
+    b->k = k;
+    b->n_fired = n_fired;
+    return m;
 }

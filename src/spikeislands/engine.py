@@ -27,39 +27,38 @@ contract since it affects exact trajectories:
    applied to the synapse state at the end of the step, and the membrane
    sees the pulse from the next step on.
 
-Quiet stretches.  A step is quiet when, at its start, no neuron has a
-switch on (v_m <= v_th and v_n <= v_gate_th everywhere), no pulse is in
-flight over it and every synapse output sits at its floor.  Then the
-synapses deliver their floor charge, each neuron only integrates its input
-and lets its gate voltage decay, and no spike can start.  The engine takes
-a run of such steps in a short loop of its own (``_QuietStretch``): the
-membrane increments of a bounded chunk of steps are computed in one array
-expression, and each step costs an add, the lower clamp, the gate decay
-and a crossing check.  The expressions and their order are those of the
-general step, so the result is bit-identical to taking every step in
-full.  The first step in which a membrane would not stay below the
-network's lowest v_th and the detection level is handed back to the
-general step from its saved state; so is a NaN or +inf increment, which
-the general step reports.  A -inf increment takes the membrane to its
-lower clamp, as the general step does.  A network without synapses has an
-empty synapse block, whose input is zero and which is always at its floor.
+Idle runs and quiet stretches.  A step is idle when no pulse is in flight
+over it and every synapse output sits at its floor, so that the synapses
+deliver their constant floor charge.  The neurons take idle steps in a run
+of their own (``_NeuronLayer.run``), up to the first step in which a
+neuron with synapse outputs spikes.  An idle step is quiet when, at its
+start, no neuron has a switch on (v_m <= v_th and v_n <= v_gate_th
+everywhere): each neuron only integrates its input and lets its gate
+voltage decay, and no spike can start.  A stretch of quiet steps takes an
+add, the lower clamp, the gate decay and a crossing check per step
+(``_QuietStretch``), with the general step's expressions in its order, so
+the result is bit-identical to taking every step in full.  The first step
+in which a membrane would not stay below the network's lowest v_th and the
+detection level goes to the general step from its saved state; so does a
+NaN or +inf increment, which the general step reports.  A -inf increment
+takes the membrane to its lower clamp, as the general step does.  A
+network without synapses has an empty synapse block, always idle.
 
 Every path steps a neuron with one general step in plain floats,
 ``_general_step`` (the switch test, the update of a step in which no
 switch flips, the 1 V test and the clamp, or ``neuron.advance`` when a
-switch flips), and one set of constants per neuron, ``_step_consts``.  One
-neuron without synapses takes a scalar loop of its own (``_ScalarNeuron``).
-Any other network steps its neurons through ``_NeuronLayer``:
-``_NeuronBlock`` gives a step's quiet neurons the quiet update in one
-vector expression and the others the general step, ``_QuietStretch``
-takes quiet stretches, and the synapse block stays in numpy.  Both the
-scalar loop and the neuron layer run compiled from ``_scalar.c`` when a
-C compiler is found (``_kernel``):
-the first run of a process builds the library into a per-user cache,
+switch flips), and one set of constants per neuron, ``_step_consts``.  A
+network steps its neurons through ``_NeuronLayer``: ``_NeuronBlock``
+gives a step's quiet neurons the quiet update in one vector expression
+and the others the general step; the synapse block stays in numpy.  The
+neuron layer runs compiled from ``_scalar.c`` when a C compiler is found
+(``_kernel``), one neuron without synapses as a one-neuron network: the
+first run of a process builds the library into a per-user cache,
 ``$XDG_CACHE_HOME/spikeislands/`` or ``~/.cache/spikeislands/``, which is
 safe to delete, and checks it against the Python code.  The compiled code
 gives the Python code's bits; without a compiler, or when building,
-loading or that check fails, the Python code runs.
+loading or that check fails, the Python code runs, and one neuron without
+synapses takes a scalar loop of its own (``_ScalarNeuron``).
 
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
@@ -112,9 +111,11 @@ __all__ = [
 # bounds the batch at QUIET_CHUNK x n_neurons doubles.
 QUIET_CHUNK = 256
 
-# Steps of drive the single-neuron loop takes at a time (as Python floats,
-# in the Python loop).
+# Steps of drive the Python single-neuron loop takes at a time, as Python
+# floats.
 DRIVE_CHUNK = 1 << 14
+
+_NO_SPIKES, _NO_ONSETS = np.empty(0, dtype=np.int64), np.empty(0)
 
 
 class SimulationError(RuntimeError):
@@ -213,11 +214,11 @@ class SpikeRecord:
     ``traces`` is None or ``(t, {neuron_id: v})`` with decimated samples.
     ``stats`` holds deterministic counters of the run: ``steps`` taken
     (``sim.n_steps``), ``quiet_steps`` of them taken as a quiet stretch
-    (see the module docstring; the scalar path of one neuron without
-    synapses takes none), ``pulse_steps`` with a synaptic pulse in flight,
-    ``rising_solves``, the number of times the pulse-driven DPI flow was
-    solved (one call over an array of outputs counts once; both are 0
-    without synapses), and ``spikes_per_island``.  They are kept out of
+    (see the module docstring; the Python loop of one neuron without
+    synapses counts the same steps), ``pulse_steps`` with a synaptic pulse
+    in flight, ``rising_solves``, the number of times the pulse-driven DPI
+    flow was solved (one call over an array of outputs counts once; both
+    are 0 without synapses), and ``spikes_per_island``.  They are kept out of
     ``meta``, so they never reach ``meta.json`` or a manifest.
     """
 
@@ -290,6 +291,12 @@ class _Drive:
         if self.hold == 1:
             return self.held[:, lo - self.first:hi - self.first]
         return self.held[:, np.arange(start, end) // self.hold - self.first]
+
+    def held_at(self, k: int) -> tuple[np.ndarray, int]:
+        """The held samples from step k's on, a row per island, and the
+        sample in their column 0, ``first``: step j reads ``j // hold - first``."""
+        self._hold(k // self.hold, k // self.hold + 1)
+        return self.held, self.first
 
 
 def _meta(config_hash: str, sim: SimConfig, n_neurons: int, n_synapses: int) -> dict:
@@ -628,23 +635,40 @@ class _NeuronLayer:
     """The neurons of a network run: their state ``(v_m, v_n)``, advanced
     by the general step (``_NeuronBlock``) and by quiet stretches
     (``_QuietStretch``) under the noise of ``drive``, with ``traces`` (or
-    None) sampling the membranes after every step.  ``_kernel``'s compiled
-    layer has the same methods and gives the same bits."""
+    None) sampling the membranes after every step and ``fired`` holding the
+    spikes, arrays of (1-based) steps and of neurons.  ``_kernel``'s
+    compiled layer has the same methods and gives the same bits."""
 
-    def __init__(self, block: _NeuronBlock, quiet: _QuietStretch, drive: _Drive, island_of, v_m,
-                 traces: _Traces | None):
-        self.block, self.quiet, self.drive, self.island_of, self.traces = block, quiet, drive, island_of, traces
+    def __init__(self, block: _NeuronBlock, synapses: _SynapseStates, drive: _Drive, island_of, n_steps: int,
+                 v_m, traces: _Traces | None):
+        self.block, self.drive, self.island_of, self.traces = block, drive, island_of, traces
+        self.quiet = _QuietStretch(drive, island_of, n_steps, block, synapses.floor_input)
+        self.drives = np.bincount(synapses.pre, minlength=len(v_m)) > 0  # has synapse outputs
         self.v_m, self.v_n = v_m, np.zeros(len(v_m))
+        self.fired = []
 
-    def holds(self) -> bool:
-        """True when no neuron has a switch on."""
-        return self.quiet.holds(self.v_m, self.v_n)
+    @property
+    def quiet_steps(self) -> int:
+        return self.quiet.steps
 
-    def take_quiet(self, k: int) -> int:
-        """Quiet steps from step k while they stay quiet; returns the first
-        step not taken."""
-        k, self.v_m, self.v_n = self.quiet.take(k, self.v_m, self.v_n, self.traces)
-        return k
+    def run(self, k: int):
+        """Idle steps from step k (see ``_step_network``): a quiet stretch
+        where no neuron has a switch on, else the general step under the
+        synapses' floor input, up to the end of the run or the first step in
+        which a neuron with synapse outputs spikes.  Returns the first step
+        not taken and, when the last step taken starts pulses, its spikes
+        and onsets, else empty arrays."""
+        quiet = self.quiet
+        while k < quiet.n_steps:
+            if quiet.holds(self.v_m, self.v_n):
+                k, self.v_m, self.v_n = quiet.take(k, self.v_m, self.v_n, self.traces)
+                if k == quiet.n_steps:
+                    break
+            spiking, onsets = self.step(k, quiet.floor_input)
+            k += 1
+            if np.logical_or.reduce(self.drives[spiking]):
+                return k, spiking, onsets
+        return k, _NO_SPIKES, _NO_ONSETS
 
     def step(self, k: int, i_syn):
         """The general step k under the synaptic input ``i_syn``; returns the
@@ -661,32 +685,32 @@ class _NeuronLayer:
                                       _phase_at_fault(i_noise[b], i_syn[b]))
         if self.traces is not None:
             self.traces.after(k, self.v_m)
+        if spiking.size:
+            self.fired.append((np.full(spiking.size, k + 1), spiking))
         return spiking, onsets
 
 
 def _step_network(neurons, synapses: _SynapseStates, n_steps: int) -> list:
-    """Steps 0 .. n_steps-1 of a network: a quiet stretch where one may
-    start, else the synapse step and the neurons' general step, whose spikes
-    start pulses.  ``neurons`` is a ``_NeuronLayer`` or ``_kernel``'s
-    compiled layer.  Returns the (1-based) steps at whose end each neuron
-    spikes, a list per neuron."""
-    acc_steps = []
+    """Steps 0 .. n_steps-1 of a network: an idle run (``neurons.run``)
+    from an idle step, else the synapse step and the neurons' general step,
+    and the start of the pulses of either's spikes.  ``neurons`` is a
+    ``_NeuronLayer`` or ``_kernel``'s compiled layer.  Returns the (1-based)
+    steps at whose end each neuron spikes, an array per neuron."""
     k = 0
     while k < n_steps:
-        if synapses.idle_at_floor(k) and neurons.holds():
-            k = neurons.take_quiet(k)
-            if k == n_steps:
-                break
-        spiking, onsets = neurons.step(k, synapses.step(k))
+        if synapses.idle_at_floor(k):
+            k, spiking, onsets = neurons.run(k)
+            if spiking.size:
+                synapses.step(k - 1)  # sets the i_start and on that start_pulses reads
+        else:
+            spiking, onsets = neurons.step(k, synapses.step(k))
+            k += 1
         if spiking.size:
-            acc_steps.append((k + 1, spiking))
-            synapses.start_pulses(k, spiking, onsets)
-        k += 1
-    spikes = [[] for _ in neurons.v_m]
-    for step, idxs in acc_steps:
-        for i in idxs:
-            spikes[int(i)].append(step)
-    return spikes
+            synapses.start_pulses(k - 1, spiking, onsets)
+    fired = [(_NO_SPIKES, _NO_SPIKES), *neurons.fired]
+    steps, who = np.concatenate([s for s, _ in fired]), np.concatenate([w for _, w in fired])
+    order = np.argsort(who, kind="stable")
+    return np.split(steps[order], np.cumsum(np.bincount(who, minlength=len(neurons.v_m)))[:-1])
 
 
 def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
@@ -746,10 +770,10 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
               meta: dict) -> SpikeRecord:
     """The run of neurons with parameters ``params``, neuron i in island
     ``island_of[i]`` under noise source ``noise[island_of[i]]``, coupled
-    by ``synapses``.  One neuron without synapses takes the scalar path
-    (``_run_scalar_single``), any other network the general step
-    (``_step_network``); both run compiled when ``_kernel.load()`` gives
-    the library, which is decided here, once per run."""
+    by ``synapses``, through ``_step_network`` with the neuron layer that
+    ``_kernel.load()`` gives, decided here, once per run: the compiled one
+    or, without it, ``_NeuronLayer``, or the Python single-neuron loop
+    (``_ScalarNeuron``) for one neuron without synapses."""
     check_sim(params, noise, sim)
     n, n_steps, dt = len(params), sim.n_steps, sim.dt
     drive = _Drive(noise, sim)
@@ -760,15 +784,14 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
     from . import _kernel  # imported by the first run, not with the package
 
     kernel = _kernel.load()
-    if n == 1 and not synapses.post.size:
-        spikes = [_run_scalar_single(params[0], drive, sim, traces, kernel)]
-        quiet_steps = 0
+    if kernel is None and n == 1 and not synapses.post.size:
+        neuron = _ScalarNeuron(params[0], dt, traces)
+        neuron.run(drive, n_steps)
+        spikes, quiet_steps = [neuron.spikes], n_steps - neuron.general
     else:
-        neurons = _NeuronBlock(params, dt)
-        quiet = _QuietStretch(drive, island_of, n_steps, neurons, synapses.floor_input)
         layer = _NeuronLayer if kernel is None else kernel.neuron_layer
-        spikes = _step_network(layer(neurons, quiet, drive, island_of, v_m, traces), synapses, n_steps)
-        quiet_steps = quiet.steps
+        neurons = layer(_NeuronBlock(params, dt), synapses, drive, island_of, n_steps, v_m, traces)
+        spikes, quiet_steps = _step_network(neurons, synapses, n_steps), neurons.quiet_steps
 
     times = [np.array(s, dtype=np.int64) * dt for s in spikes]
     stats = {
@@ -787,24 +810,26 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
 
 
 class _ScalarNeuron:
-    """One neuron with no synapses, stepped in plain floats with its
-    ``_step_consts`` (``consts``).  A step that starts with both switches
-    off and keeps the membrane below v_th and the detection level is quiet:
-    one quiet update (an add, the lower clamp and the gate decay) takes it.
-    Every other step takes ``_general_step``.  ``spikes`` holds the
-    (1-based) steps at whose end a spike is reported; ``traces`` (the
-    ``_Traces`` of this neuron, or None) takes its membrane samples."""
+    """One neuron with no synapses in plain floats, with its ``_step_consts``
+    (``consts``): the Python layer's bits, much faster.  A step that starts
+    with both switches off and keeps the membrane below v_th and the
+    detection level is quiet: a network's quiet update takes it.  Every
+    other step takes ``_general_step``; ``general`` counts them.  ``spikes``
+    holds the (1-based) steps at whose end a spike is reported; ``traces``
+    (the ``_Traces`` of this neuron, or None) takes its membrane samples."""
 
     def __init__(self, params, dt: float, traces: _Traces | None):
         self.params, self.traces = params, traces
         self.consts = _step_consts(params, dt)
         self.spikes: list[int] = []
+        self.general = 0
 
-    def take(self, drive: list, k: int, v_m: float, v_n: float) -> tuple[float, float]:
+    def take(self, drive, k: int, v_m: float, v_n: float) -> tuple[float, float]:
         """Steps k+1 .. k+len(drive) under the input currents ``drive``;
-        returns the state after them."""
+        returns the state after them.  Raises SimulationError at the first
+        (general) step that leaves the state not finite, as a network does."""
         params, consts, traces = self.params, self.consts, self.traces
-        v_th, v_gate, _, _, _, _, _, lo, _, th, _, k_dt, decay, _ = consts
+        v_th, v_gate, _, _, _, _, _, lo, _, th, dt, k_dt, decay, _ = consts
         # A step that takes the membrane to v_th or to the detection level
         # may flip the sodium switch or start a spike: it is not quiet.
         stop = min(v_th, th)
@@ -817,7 +842,7 @@ class _ScalarNeuron:
             if v_m <= v_th and v_n <= v_gate:
                 # Both switches off: the gate voltage only decays, so a step
                 # that keeps the membrane below ``stop`` is quiet.
-                v = v_m + i_in * k_dt
+                v = v_m + ((i_in + 0.0) - 0.0) * k_dt
                 if v < stop:
                     v_m = lo if v < lo else v
                     v_n = v_n * decay
@@ -830,7 +855,7 @@ class _ScalarNeuron:
                     # the first other step, NaN included, goes to the general step.
                     for i_in in drive:
                         k += 1
-                        v = v_m + i_in * k_dt
+                        v = v_m + ((i_in + 0.0) - 0.0) * k_dt
                         if not v < stop:
                             break
                         v_m = lo if v < lo else v
@@ -838,50 +863,21 @@ class _ScalarNeuron:
                     else:
                         break
             v_m, v_n, onset = _general_step(v_m, v_n, i_in, params, consts)
+            self.general += 1
             if onset is not None:
                 steps.append(k)
+            if not (math.isfinite(v_m) and math.isfinite(v_n)):
+                raise SimulationError(0, 0, k - 1, k * dt, _phase_at_fault(i_in, 0.0))
             if traces is not None and k % decim == 0:
                 trace_v[k // decim] = v_m
         return v_m, v_n
 
-
-def _run_scalar_single(params, drive: _Drive, sim: SimConfig, traces: _Traces | None, kernel) -> list[int]:
-    """Tight scalar loop for one neuron with no synapses (``_ScalarNeuron``);
-    returns the (1-based) steps at whose end it spikes.
-
-    Gives the bits of a network's neuron layer, whose general step is the
-    same ``_general_step``, reading the drive DRIVE_CHUNK steps at a time;
-    much faster than that layer for long single-neuron transients.  A chunk
-    runs in the compiled loop of ``kernel`` (``_kernel.load()``), which
-    gives the bits of ``_ScalarNeuron.take``, or, when ``kernel`` is None,
-    in ``_ScalarNeuron.take`` itself.  The state is tested after each
-    chunk: a non-finite state stays non-finite, so a chunk that ends in one
-    is taken again step by step in Python from its start, from the drive
-    already read, to report the first non-finite step, as the neuron layer
-    does.  The replay always ends in that error, so what it records again
-    is dropped.
-    """
-    dt = sim.dt
-    n_steps = sim.n_steps
-    neuron = _ScalarNeuron(params, dt, traces)
-    if kernel is not None:
-        take = kernel.stepper(neuron)
-    else:
-        def take(row, k, v_m, v_n):
-            return neuron.take(row.tolist(), k, v_m, v_n)
-    v_m = params.v_rest
-    v_n = 0.0
-    for k in range(0, n_steps, DRIVE_CHUNK):
-        row = drive.steps(k, min(k + DRIVE_CHUNK, n_steps))[0]
-        before = (v_m, v_n)
-        v_m, v_n = take(row, k, v_m, v_n)
-        if not (math.isfinite(v_m) and math.isfinite(v_n)):
-            v_m, v_n = before
-            for j, i_in in enumerate(row.tolist(), k):
-                v_m, v_n = neuron.take([i_in], j, v_m, v_n)
-                if not (math.isfinite(v_m) and math.isfinite(v_n)):
-                    raise SimulationError(0, 0, j, (j + 1) * dt, _phase_at_fault(i_in, 0.0))
-    return neuron.spikes
+    def run(self, drive: _Drive, n_steps: int) -> None:
+        """Steps 0 .. n_steps-1 from rest, the drive read DRIVE_CHUNK steps
+        at a time."""
+        state = self.params.v_rest, 0.0
+        for k in range(0, n_steps, DRIVE_CHUNK):
+            state = self.take(drive.steps(k, min(k + DRIVE_CHUNK, n_steps))[0].tolist(), k, *state)
 
 
 def run_single_neuron(noise: NoiseSpec, params, sim: SimConfig) -> SpikeRecord:

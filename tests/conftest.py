@@ -21,9 +21,10 @@ def kernel():
 @pytest.fixture(params=["compiled", "python"])
 def engine_path(request, monkeypatch):
     """Takes a test through each path of the engine: the compiled neuron
-    updates (skipped when they are not available) and the Python ones, for
-    the single-neuron loop and for a network's neuron layer alike.  Gives
-    the class of the network's neuron layer on that path."""
+    layer (skipped when it is not available), which runs every network,
+    one neuron without synapses included, and the Python code, the neuron
+    layer of a network and the single-neuron loop.  Gives the class of the
+    network's neuron layer on that path."""
     from spikeislands import _kernel, engine
 
     if request.param == "python":

@@ -195,9 +195,9 @@ class TestZeroDriveAndBlowup:
 
     @pytest.mark.parametrize("at", [500, DRIVE_CHUNK + 500])
     def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, engine_path, monkeypatch):
-        # the scalar single-neuron loop, compiled or not, tests its state
-        # once per drive chunk and reports the first non-finite step, as the
-        # network path does
+        # the single neuron, compiled as a one-neuron network or in the
+        # Python loop, reports the first non-finite step, in the first drive
+        # chunk and noise block or a later one, as the network path does
         poison_stream(monkeypatch, at)
         net, _ = parse_document(load_builtin("fig3_single_neuron"))
         sim = SimConfig(duration=(at + 1500) * DT, dt=DT, master_seed=0)
@@ -215,18 +215,22 @@ class TestZeroDriveAndBlowup:
 
     def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, engine_path, monkeypatch):
         # a NaN noise sample in the middle of a quiet stretch of a network
-        # with synapses is handed to the general step, which reports the
-        # neuron and time the general path alone reports
+        # with synapses is handed to the general step of the idle run, which
+        # reports the neuron and time the general path alone reports
+        import spikeislands.engine as engine_mod
+
         handoffs = []
-        real_take = engine_path.take_quiet
+        real_run = engine_path.run
 
         def spy(self, k):
-            end = real_take(self, k)
-            handoffs.append((k, end))
-            return end
+            try:
+                return real_run(self, k)
+            except SimulationError as err:
+                handoffs.append((k, err.step))
+                raise
 
         poison_stream(monkeypatch, 500)
-        monkeypatch.setattr(engine_path, "take_quiet", spy)
+        monkeypatch.setattr(engine_path, "run", spy)
         crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
         net = NetworkSpec(
             islands=(IslandSpec(4, tuple(crossbar)), IslandSpec(4, tuple(crossbar))),
@@ -236,9 +240,9 @@ class TestZeroDriveAndBlowup:
         sim = SimConfig(duration=1e-5, dt=DT, master_seed=0)
         with pytest.raises(SimulationError) as quiet_err:
             run(net, sim)
-        assert any(k < 500 == end for k, end in handoffs)  # left the stretch at the NaN
+        assert any(k < 500 == end for k, end in handoffs)  # met the NaN inside an idle run
 
-        monkeypatch.setattr(engine_path, "holds", lambda self: False)
+        monkeypatch.setattr(engine_mod._SynapseStates, "idle_at_floor", lambda self, k: False)
         with pytest.raises(SimulationError) as general_err:
             run(net, sim)
         fields = ("neuron", "island", "step", "t", "phase")
@@ -261,7 +265,7 @@ class TestZeroDriveAndBlowup:
             return current
 
         monkeypatch.setattr(engine_mod._SynapseStates, "step", poisoned)
-        monkeypatch.setattr(engine_path, "holds", lambda self: False)
+        monkeypatch.setattr(engine_mod._SynapseStates, "idle_at_floor", lambda self, k: False)
         crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
         net = NetworkSpec(
             islands=(IslandSpec(4, tuple(crossbar)), IslandSpec(4, tuple(crossbar))),
@@ -339,10 +343,10 @@ class TestEngineMatchesLibrary:
         assert min(seen.values()) > 100, seen
 
     def test_scalar_and_vector_paths_agree(self):
-        # the single-neuron loop and the neuron layer of a network produce
-        # the same spikes for the same drive: compare a 1-neuron no-synapse
-        # network (single-neuron loop) against a 2-neuron island with
-        # identical shared noise and no synapses (neuron layer, clone rows)
+        # one neuron without synapses (a one-neuron network when compiled,
+        # else the single-neuron loop) and a network produce the same spikes
+        # for the same drive: compare it against a 2-neuron island with
+        # identical shared noise and no synapses (clone rows)
         noise = NoiseSpec("white", density_for_rms(1.5e-6, (10.0, 5e7)), (10.0, 5e7), seed=3)
         sim = SimConfig(duration=1e-4, dt=DT, master_seed=9)
         scalar_rec = run(
@@ -356,8 +360,8 @@ class TestEngineMatchesLibrary:
         assert scalar_rec.meta["n_synapses"] == 0
 
     def test_scalar_loop_spikes_do_not_depend_on_the_trace(self):
-        # untraced, the single-neuron loop runs its quiet steps in a loop of
-        # their own; traced, it tests the switches on every step
+        # untraced and traced, the single neuron gives the same spikes and
+        # stats
         net, _ = parse_document(load_builtin("fig3_single_neuron"))
         sim = SimConfig(duration=5e-4, dt=DT, master_seed=2)
         plain = run(net, sim)
@@ -371,8 +375,8 @@ class TestEngineMatchesLibrary:
                                                ([1.7], ValueError), ([True], ValueError),
                                                ([0.2, 0.9], ValueError)])
     def test_single_neuron_network_selects_traces_as_any_network(self, selector, keys):
-        # the scalar path of one neuron without synapses takes its traces
-        # through the selector of every other network: an unknown id or name
+        # one neuron without synapses takes its traces through the
+        # selector of every other network: an unknown id or name
         # and an id that is not an integer (a float or a bool) are rejected,
         # and an empty selector records none
         single, _ = parse_document(load_builtin("fig3_single_neuron"))
@@ -663,6 +667,7 @@ class TestQuietStretches:
         ("mixed_presets", dict(master_seed=2, duration=4e-5, record_traces="all", trace_decimation=1)),
     ])
     def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, engine_path, monkeypatch):
+        import spikeislands.engine as engine_mod
         import spikeislands.presets as presets_mod
 
         # Every shipped config has synapses and one neuron preset; a network
@@ -677,7 +682,7 @@ class TestQuietStretches:
             net, _ = parse_document(load_builtin(name))
         sim = SimConfig(**{"duration": 3e-5, "dt": DT, **sim_kw})
         fast = run(net, sim)
-        monkeypatch.setattr(engine_path, "holds", lambda self: False)
+        monkeypatch.setattr(engine_mod._SynapseStates, "idle_at_floor", lambda self, k: False)
         slow = run(net, sim)
         assert fast.stats["quiet_steps"] > 0 and slow.stats["quiet_steps"] == 0
         assert spikes_to_csv(fast) == spikes_to_csv(slow)
@@ -705,13 +710,15 @@ class TestQuietStretches:
             ]
             assert not set(stats) & set(rec.meta)
 
-    def test_stats_without_synapses(self):
+    def test_stats_without_synapses(self, engine_path):
+        # the single neuron counts the quiet steps it takes, compiled as a
+        # one-neuron network or in the Python single-neuron loop
         rec = run(single_island(3, []), SimConfig(duration=2e-5, dt=DT, master_seed=4))
         assert rec.stats["steps"] == 2000 and rec.stats["pulse_steps"] == 0
         assert rec.stats["quiet_steps"] > 0
         single = run_single_neuron(NoiseSpec("white", 2e-10, (10.0, 5e6)), P,
                                    SimConfig(duration=2e-5, dt=DT, master_seed=4))
-        assert single.stats == {"steps": 2000, "quiet_steps": 0, "pulse_steps": 0, "rising_solves": 0,
+        assert single.stats == {"steps": 2000, "quiet_steps": 1953, "pulse_steps": 0, "rising_solves": 0,
                                 "spikes_per_island": [len(single.times[0])]}
 
 

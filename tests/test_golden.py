@@ -7,8 +7,8 @@ hashed bit for bit.  The single neuron is pinned further over 2 ms
 (200 000 steps) under its white drive, under that drive held on a grid of
 three steps, and under the benchmark's pink drive, together with the raw
 bytes of one pink series.  Every single-neuron hash is checked on the
-compiled single-neuron loop and on the Python loop (the ``engine_path``
-fixture), which must give the same bits.  The busy ring configs fig6G and
+compiled one-neuron network and on the Python single-neuron loop (the
+``engine_path`` fixture), which must give the same bits.  The busy ring configs fig6G and
 fig5B_ring8, in which a pulse is in flight on most steps, are pinned over
 120 us at master seeds 2 and 3 together with their ``SpikeRecord.stats``,
 on the compiled and on the Python neuron layer.

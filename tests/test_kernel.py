@@ -1,24 +1,27 @@
 """The compiled neuron updates (``_scalar.c``) and their loader.
 
-The compiled single-neuron loop must give the bits of the Python loop it
-replaces, ``engine._ScalarNeuron.take``: the same spike steps, end state
-and trace rows, on the shipped drives and on states and drives around
-every level the loop compares against, NaN and infinities included; its
-``advance`` must give ``neuron.advance``'s bits on the cases
-``TestAdvanceAsFirstWritten`` checks.  The compiled neuron layer of a
-network must give the bits of ``engine._NeuronLayer``: its general step
-those of ``_NeuronBlock.step``, which takes the quiet neurons of a step in
-one vector expression and every other neuron through ``_general_step``
+The compiled neuron layer of a network must give the bits of
+``engine._NeuronLayer``: its busy general step those of
+``_NeuronBlock.step``, which takes the quiet neurons of a step in one
+vector expression and every other neuron through ``_general_step``
 (spikes, onsets, state, the ``SimulationError`` of a state that is not
-finite), and its quiet stretches those of ``_QuietStretch.take``, on
-blocks of two presets around the same levels and at the switch limit, and
-every shipped config runs to the same spikes, traces and stats on both.
-``test_engine`` checks ``_NeuronBlock.step`` against ``neuron.advance``
-without a compiler.  Those tests skip, saying why,
-when the compiled code is not available.  The loader builds the library
-once per cache, safely from two processes at once, and without a compiler
-or a writable cache the run takes the Python code and gives the same
-spikes.  The ``kernel`` fixture (conftest.py) is the loaded library.
+finite), and its idle run those of the Python ``run`` (quiet stretches,
+general steps, the spikes that start pulses and those that do not, a
+full spike buffer), on blocks of two presets around the levels the step
+compares against and at the switch limit; and every shipped config runs
+to the same spikes, traces and stats on both paths.  The one-neuron
+network without synapses must give the bits of the Python single-neuron
+loop, ``engine._ScalarNeuron``: the same spike steps, quiet steps, end
+state and trace rows, or the same first non-finite step, on the shipped
+drives and on states and drives around every level, NaN and infinities
+included.  The compiled ``advance`` must give ``neuron.advance``'s bits
+on the cases ``TestAdvanceAsFirstWritten`` checks.  ``test_engine``
+checks ``_NeuronBlock.step`` against ``neuron.advance`` without a
+compiler.  Those tests skip, saying why, when the compiled code is not
+available.  The loader builds the library once per cache, safely from two
+processes at once, and without a compiler or a writable cache the run
+takes the Python code and gives the same spikes.  The ``kernel`` fixture
+(conftest.py) is the loaded library.
 """
 
 import hashlib
@@ -41,10 +44,10 @@ from test_neuron import DTS, I_LEVELS, SPECIALS, V_M_LEVELS, V_N_LEVELS, _near, 
 import spikeislands
 import spikeislands.neuron as neuron_mod
 from spikeislands import _kernel
-from spikeislands._kernel import _CheckDrive
+from spikeislands._kernel import _CheckDrive, _CheckSynapses
 from spikeislands.configio import builtin_names, load_builtin, parse_document
-from spikeislands.engine import (SimConfig, SimulationError, _Drive, _NeuronBlock, _NeuronLayer, _QuietStretch,
-                                 _ScalarNeuron, _Traces, run)
+from spikeislands.engine import (SimConfig, SimulationError, _Drive, _NeuronBlock, _NeuronLayer, _ScalarNeuron,
+                                 _step_network, _Traces, run)
 from spikeislands.io import spikes_to_csv
 from spikeislands.neuron import DETECT_THRESHOLD_V, advance
 from spikeislands.presets import neuron_preset
@@ -60,20 +63,39 @@ def _bits(*values):
     return tuple(None if x is None else struct.pack("<d", x) for x in values)
 
 
+def single_outcome(kernel, params, drive, v_m, v_n, decim):
+    """The spike steps, quiet steps, end state and trace rows (every
+    ``decim`` steps, or None) of a neuron with parameters ``params`` and no
+    synapses, from (v_m, v_n) under the input currents ``drive``: the
+    one-neuron network of ``kernel``'s compiled layer or, when ``kernel`` is
+    None, the Python single-neuron loop, ``engine._ScalarNeuron``."""
+    traces = None if decim is None else _Traces([0], drive.size, decim, DT, np.array([v_m]))
+    if kernel is None:
+        neuron = _ScalarNeuron(params, DT, traces)
+        end = neuron.take(drive.tolist(), 0, v_m, v_n)
+        spikes, quiet = neuron.spikes, drive.size - neuron.general
+    else:
+        synapses = _CheckSynapses(1, [])
+        neurons = kernel.neuron_layer(_NeuronBlock([params], DT), synapses, _CheckDrive(drive[None]),
+                                      np.zeros(1, dtype=np.int32), drive.size, np.array([v_m]), traces)
+        neurons.v_n[0] = v_n
+        spikes = _step_network(neurons, synapses, drive.size)[0].tolist()
+        end, quiet = (neurons.v_m[0], neurons.v_n[0]), neurons.quiet_steps
+    return spikes, quiet, _bits(*end), None if traces is None else traces.v.tobytes()
+
+
 def both_loops(kernel, params, drive, decim, v_m=None, v_n=0.0):
-    """(end state, spike steps, trace rows) of the Python loop and of the
-    compiled one, from (v_m, v_n) (v_m at rest by default) under ``drive``,
-    untraced when ``decim`` is None."""
+    """What the Python single-neuron loop and the compiled one-neuron
+    network give from (v_m, v_n) (v_m at rest by default) under ``drive``,
+    untraced when ``decim`` is None: ``single_outcome``, or the fields of
+    the SimulationError of the first state that is not finite."""
     v_m = params.v_rest if v_m is None else v_m
     out = []
-    for compiled in (False, True):
-        traces = None if decim is None else _Traces([0], len(drive), decim, DT, np.array([v_m]))
-        neuron = _ScalarNeuron(params, DT, traces)
-        if compiled:
-            end = kernel.stepper(neuron)(np.array(drive, dtype=np.float64), 0, v_m, v_n)
-        else:
-            end = neuron.take(list(drive), 0, v_m, v_n)
-        out.append((_bits(*end), neuron.spikes, None if traces is None else traces.v.tobytes()))
+    for loop in (None, kernel):
+        try:
+            out.append(single_outcome(loop, params, np.array(drive, dtype=np.float64), v_m, v_n, decim))
+        except SimulationError as err:
+            out.append((err.neuron, err.island, err.step, err.t, err.phase))
     return out
 
 
@@ -85,13 +107,13 @@ def shipped_drive(variant: str, seed: int, n_steps: int) -> np.ndarray:
     return _Drive(network.noise, sim).steps(0, n_steps)[0].copy()
 
 
-class TestCompiledLoop:
+class TestCompiledSingleNeuron:
     @pytest.mark.parametrize("variant", sorted(SINGLE_NOISE))
     @pytest.mark.parametrize("decim", [None, 1, 10])
     def test_shipped_drives(self, kernel, variant, decim):
         drive = shipped_drive(variant, 5, 100_000)
         python, compiled = both_loops(kernel, P, drive, decim)
-        assert len(python[1]) > 20
+        assert len(python[0]) > 20 and python[1] > drive.size // 2
         assert compiled == python
 
     @settings(max_examples=300, deadline=None)
@@ -102,6 +124,8 @@ class TestCompiledLoop:
     @example(DETECT_THRESHOLD_V, 0.0, [1.5e-6, math.nan, 1.5e-6], 1)
     @example(P.v_clamp_lo, 0.0, [-math.inf, 1.5e-6], None)
     @example(P.v_clamp_hi, P.v_n_inf, [math.inf, 0.0], 3)
+    @example(0.5, 0.0, [1.5e-6, -math.inf, 1.5e-6, math.inf, 0.0], 1)
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf inputs
     def test_states_and_drives_around_the_levels(self, kernel, v_m, v_n, drive, decim):
         python, compiled = both_loops(kernel, P, drive, decim, v_m, v_n)
         assert compiled == python
@@ -114,7 +138,7 @@ class TestCompiledLoop:
         drive = shipped_drive("white", 2, 30_000) * 1.5
         for decim in (None, 1):
             python, compiled = both_loops(kernel, replace(P, **changes), drive, decim)
-            assert python[1]
+            assert python[0]
             assert compiled == python
 
 
@@ -153,35 +177,51 @@ class TestCompiledAdvance:
             v_m, v_n, _ = advance(v_m, v_n, 1.5e-6, DT, P)
 
 
-def both_layers(kernel, params, island_of, rows, v_m, v_n, decim=None, dt=DT):
+def both_layers(kernel, params, island_of, rows, v_m, v_n, decim=None, dt=DT, pre=()):
     """The Python and the compiled neuron layer, each with its own
-    ``_QuietStretch`` and ``_Traces`` (of neurons n-1 .. 0, every ``decim``
-    steps, or None), of neurons ``params`` on islands ``island_of`` under
-    the noise ``rows`` (a row per island) from the state (v_m, v_n)."""
+    ``_Traces`` (of neurons n-1 .. 0, every ``decim`` steps, or None), of
+    neurons ``params`` on islands ``island_of`` under the noise ``rows`` (a
+    row per island) from the state (v_m, v_n), the neurons ``pre`` driving
+    synapse outputs that sit idle at a zero floor."""
     out = []
     for layer in (_NeuronLayer, kernel.neuron_layer):
-        drive, block = _CheckDrive(rows), _NeuronBlock(params, dt)
-        quiet = _QuietStretch(drive, np.asarray(island_of), rows.shape[1], block, np.zeros(len(params)))
         traces = None
         if decim is not None:
             traces = _Traces(list(range(len(params)))[::-1], rows.shape[1], decim, dt, np.array(v_m))
             traces.v[1:] = 0.0
-        neurons = layer(block, quiet, drive, np.asarray(island_of), np.array(v_m, dtype=float), traces)
+        neurons = layer(_NeuronBlock(params, dt), _CheckSynapses(len(params), pre), _CheckDrive(rows),
+                        np.asarray(island_of), rows.shape[1], np.array(v_m, dtype=float), traces)
         neurons.v_n[...] = v_n
-        out.append((neurons, quiet, traces))
+        out.append((neurons, traces))
     return out
 
 
 def step_outcome(neurons, traces, k, i_syn):
     """What general step k of ``neurons`` gives, as bits: its spikes and
-    onsets, or the fields of its SimulationError, then the state, the
-    quiet test and the trace rows."""
+    onsets, or the fields of its SimulationError, then the state and the
+    trace rows."""
     try:
         spiking, onsets = neurons.step(k, np.array(i_syn))
-        result = (spiking.tolist(), _bits(*onsets.tolist()), neurons.holds())
+        result = (spiking.tolist(), _bits(*onsets.tolist()))
     except SimulationError as err:
         result = (err.neuron, err.island, err.step, err.t, err.phase)
     return result, _bits(*neurons.v_m), _bits(*neurons.v_n), None if traces is None else traces.v.tobytes()
+
+
+def run_outcome(neurons, traces, k):
+    """What the idle run of ``neurons`` from step k gives, as bits: the
+    first step not taken with the spikes and onsets that start pulses, or
+    the fields of its SimulationError; then the spikes, the quiet steps,
+    the state and the trace rows up to the step reached (rows after it may
+    hold values a compiled quiet stretch took back)."""
+    try:
+        end, spiking, onsets = neurons.run(k)
+        result = (end, spiking.tolist(), _bits(*onsets.tolist()))
+    except SimulationError as err:
+        end, result = err.step, (err.neuron, err.island, err.step, err.t, err.phase)
+    fired = [(step, who) for steps, neurons_ in neurons.fired for step, who in zip(steps.tolist(), neurons_.tolist())]
+    rows = None if traces is None else traces.v[:end // traces.decim + 1].tobytes()
+    return result, fired, neurons.quiet_steps, _bits(*neurons.v_m), _bits(*neurons.v_n), rows
 
 
 V_M_AROUND = V_M_LEVELS + [Q.v_th, Q.v_gate_th]
@@ -207,8 +247,7 @@ class TestCompiledNeuronLayer:
         # error the Python layer raises for a state that is not finite
         v_m, v_n, i_syn, params, island_of = (list(col) for col in zip(*neurons))
         rows = np.array(noise)[:, None].repeat(k + 1, axis=1)
-        (python, _, py_traces), (compiled, _, c_traces) = both_layers(kernel, params, island_of, rows, v_m, v_n,
-                                                                      decim)
+        (python, py_traces), (compiled, c_traces) = both_layers(kernel, params, island_of, rows, v_m, v_n, decim)
         assert step_outcome(compiled, c_traces, k, i_syn) == step_outcome(python, py_traces, k, i_syn)
 
     def test_at_the_switch_limit(self, kernel, monkeypatch):
@@ -221,38 +260,62 @@ class TestCompiledNeuronLayer:
             unbounded = [advance(p.v_rest, 0.0, i_in, dt, p) for p in (P, Q)]
         assert [advance(p.v_rest, 0.0, i_in, dt, p) for p in (P, Q)] != unbounded
         rows = np.full((1, 6), i_in)
-        (python, _, _), (compiled, _, _) = both_layers(kernel, [P, Q], [0, 0], rows, [0.0, 0.0], [0.0, 0.0],
-                                                       dt=dt)
+        (python, _), (compiled, _) = both_layers(kernel, [P, Q], [0, 0], rows, [0.0, 0.0], [0.0, 0.0], dt=dt)
         for k in range(6):
             assert step_outcome(compiled, None, k, [0.0, 0.0]) == step_outcome(python, None, k, [0.0, 0.0])
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_near([P.v_clamp_lo, P.v_rest, P.v_gate_th, P.v_th, DETECT_THRESHOLD_V], 0.3),
-                              _near([0.0, P.v_gate_th], 0.1), st.sampled_from([P, Q]), st.integers(0, 2)),
-                    min_size=1, max_size=5),
+                              _near([0.0, P.v_gate_th], 0.1), st.sampled_from([P, Q]), st.integers(0, 2),
+                              st.booleans()), min_size=1, max_size=5),
            st.lists(_near([0.0, 1.5e-6, -1.5e-6, 4e-6], 2e-6), min_size=3, max_size=3),
            st.integers(1, 600), st.integers(0, 599), st.one_of(st.none(), st.tuples(st.integers(0, 2), SPECIALS)),
            st.sampled_from([None, 1, 3]))
-    @example([(0.0, 0.0, P, 0), (0.2, 0.0, Q, 1)], [1.5e-6, 1e-6, 0.0], 600, 0, (1, math.nan), 1)
-    @example([(0.3, 0.0, Q, 1), (P.v_th, 0.0, P, 0)], [0.0, 1e-6, 0.0], 5, 0, None, 1)  # lands on the level
-    @example([(P.v_clamp_lo, 0.0, P, 0)], [-4e-6, 0.0, 0.0], 300, 10, (0, -math.inf), 3)
-    @example([(0.7, 0.0, P, 0), (0.1, 0.0, Q, 2)], [0.0, 0.0, 2e-6], 400, 0, (2, math.inf), None)
-    def test_quiet_stretches(self, kernel, neurons, means, n_steps, k, special, decim):
-        # from any start, across batches of QUIET_CHUNK steps, the compiled
-        # stretch takes the steps _QuietStretch.take takes, to the bit, and
-        # hands a NaN or +inf increment back to the general step
-        v_m, v_n, params, island_of = (list(col) for col in zip(*neurons))
+    @example([(0.0, 0.0, P, 0, True), (0.2, 0.0, Q, 1, True)], [1.5e-6, 1e-6, 0.0], 600, 0, (1, math.nan), 1)
+    @example([(0.3, 0.0, Q, 1, True), (P.v_th, 0.0, P, 0, True)], [0.0, 1e-6, 0.0], 5, 0, None, 1)  # on the level
+    @example([(P.v_clamp_lo, 0.0, P, 0, False)], [-4e-6, 0.0, 0.0], 300, 10, (0, -math.inf), 3)
+    @example([(0.7, 0.0, P, 0, True), (0.1, 0.0, Q, 2, False)], [0.0, 0.0, 2e-6], 400, 0, (2, math.inf), None)
+    # the last neuron ends the stretch first, so the ones before it are taken back
+    @example([(0.0, 0.0, P, 0, True), (0.3, 0.0, P, 0, True), (0.6, 0.0, Q, 1, True)], [1e-6, 3e-6, 0.0], 300, 0,
+             None, 3)
+    # a neuron without synapse outputs fires, and the run goes on
+    @example([(0.6, 0.0, P, 0, False), (0.0, 0.0, P, 1, True)], [4e-6, 0.5e-6, 0.0], 400, 0, None, 1)
+    def test_idle_runs(self, kernel, neurons, means, n_steps, k, special, decim):
+        # from any start, across the Python stretch's QUIET_CHUNK batches,
+        # the compiled run takes the steps the Python run takes,
+        # to the bit: quiet stretches (a NaN or +inf increment goes to the
+        # general step), general steps, the spikes that start pulses and
+        # those that do not, and the first state that is not finite
+        v_m, v_n, params, island_of, drives = (list(col) for col in zip(*neurons))
         k = min(k, n_steps - 1)
         t = np.arange(n_steps)
         rows = np.array(means)[:, None] + 0.5e-6 * np.sin(t * 0.07 + np.arange(3)[:, None])
         if special is not None:
             rows[special[0], (k + n_steps) // 2] = special[1]
-        out = []
-        for neurons, quiet, traces in both_layers(kernel, params, island_of, rows, v_m, v_n, decim):
-            end = neurons.take_quiet(k)
-            out.append((end, quiet.steps, _bits(*neurons.v_m), _bits(*neurons.v_n),
-                        None if traces is None else traces.v.tobytes()))
-        assert out[1] == out[0]
+        pre = np.nonzero(drives)[0]
+        (python, py_traces), (compiled, c_traces) = both_layers(kernel, params, island_of, rows, v_m, v_n, decim,
+                                                                pre=pre)
+        assert run_outcome(compiled, c_traces, k) == run_outcome(python, py_traces, k)
+
+    def test_a_full_spike_buffer_pauses_the_run(self, kernel, monkeypatch):
+        # with room for one step of spikes, the compiled run returns after
+        # each step in which a neuron fires, and the network runs on to the
+        # same spikes, state and trace rows
+        monkeypatch.setattr(_kernel, "SPIKE_BUFFER", 1)
+        t = np.arange(400)
+        rows = np.array([3e-6 + 2e-6 * np.sin(t * 0.05), 2e-6 + 3e-6 * np.cos(t * 0.03)])
+        outcomes, calls = [], []
+        for neurons, traces in both_layers(kernel, [P, Q, P], [0, 1, 1], rows, [0.0, 0.3, 0.6], [0.0] * 3, 1):
+            starts, real_run = [], neurons.run
+            neurons.run = lambda k, starts=starts, real_run=real_run: starts.append(k) or real_run(k)
+            spikes = [s.tolist() for s in _step_network(neurons, _CheckSynapses(3, []), rows.shape[1])]
+            outcomes.append((spikes, neurons.quiet_steps, _bits(*neurons.v_m), _bits(*neurons.v_n),
+                             traces.v.tobytes()))
+            calls.append(len(starts))
+        python, compiled = outcomes
+        assert compiled == python
+        fired_steps = {step for steps in python[0] for step in steps}
+        assert len(fired_steps) > 10 and calls[0] == 1 and calls[1] > len(fired_steps)
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_shipped_configs_run_alike_on_both_paths(self, kernel, name, monkeypatch):
@@ -278,7 +341,8 @@ class TestCompiledNeuronLayer:
         assert spikes > 0
 
 
-# A process that loads the loop and runs the single neuron for 1 ms.
+# A process that loads the compiled neuron updates and runs the single neuron
+# for 1 ms.
 PROBE = """
 import hashlib
 from spikeislands import _kernel
