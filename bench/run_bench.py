@@ -6,13 +6,16 @@
 Measures each ``--checkout LABEL=PATH`` (default: ``change=`` the checkout
 this script sits in), importing the package from its ``src/`` in a fresh
 interpreter for every measurement, and writes the results under
-``runs.<label>`` of ``--out``, keeping the other labels already there:
+``runs.<label>`` of ``--out``, keeping the other labels already there.
+Each run names what it measured: ``repo_commit`` (null for a copy without
+``.git``) and ``src_sha256``, the digest of its ``src/`` (``_src_sha256``):
 
 - ``host``: Python, numpy, the CPU features numpy dispatches to, the BLAS
   build, ``OPENBLAS_CORETYPE`` if it is set, ``kernel``: whether the
   compiled neuron updates loaded and the compiler command that built them
-  (a version without them reports ``compiled: false``), and
-  ``network_layer``: whether a network's neuron layer runs compiled;
+  (a version without them reports ``compiled: false``),
+  ``network_layer``: whether a network's neuron layer runs compiled, and
+  ``synapse_layer``: whether its synapse layer does;
 - ``configs``: for each shipped config at master seed 1 (120 us, and 20 ms
   for ``fig3_single_neuron``), the CPU seconds of one run per round, their
   median and the median's us/step, with the run's ``stats`` counters and
@@ -36,6 +39,7 @@ sequence of the runs.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -59,14 +63,16 @@ ADVANCE_CONFIGS = ("fig3_single_neuron", "fig6G")
 # idle step there (the quiet stretches and the general steps while the
 # synapses sit at their floor; the Python ``run`` calls the timed ``step``
 # too), and ``step`` only the busy ones; an older one takes the quiet
-# stretches in ``take_quiet`` and every general step in ``step``.
+# stretches in ``take_quiet`` and every general step in ``step``.  The
+# synapse phases time ``engine._SynapseStates`` and, in a version that
+# compiles the synapse layer, ``_kernel.SynapseLayer``.
 PHASES = {
     "neuron_block": [["engine._NeuronLayer.step", "_kernel.NeuronLayer.step"], ["engine._NeuronBlock.step"]],
     "idle_run": [["engine._NeuronLayer.run", "_kernel.NeuronLayer.run"],
                  ["engine._NeuronLayer.take_quiet", "_kernel.NeuronLayer.take_quiet"],
                  ["engine._QuietStretch.take"]],
-    "synapse_step": [["engine._SynapseStates.step"]],
-    "start_pulses": [["engine._SynapseStates.start_pulses"]],
+    "synapse_step": [["engine._SynapseStates.step", "_kernel.SynapseLayer.step"]],
+    "start_pulses": [["engine._SynapseStates.start_pulses", "_kernel.SynapseLayer.start_pulses"]],
 }
 
 
@@ -98,6 +104,7 @@ def host_info() -> dict:
         info["kernel"] = {"compiled": kernel is not None,
                           "command": None if kernel is None else " ".join(kernel.command)}
         info["network_layer"] = {"compiled": hasattr(kernel, "neuron_layer")}
+        info["synapse_layer"] = {"compiled": hasattr(kernel, "synapse_layer")}
     return info
 
 
@@ -237,6 +244,18 @@ def time_tier1(repo: Path) -> dict:
     return {"wall_s": round(wall, 1), "summary": lines[-1] if lines else "", "exit": proc.returncode}
 
 
+def _src_sha256(repo: Path) -> str:
+    """sha256 of the checkout's program: every ``.py``, ``.cfg`` and ``.c``
+    file under ``src/``, each as its relative path, a NUL and its bytes, in
+    path order (``perfbench/run.py``'s ``src_sha256`` takes the same form
+    over the ``.py`` and ``.cfg`` files only)."""
+    src, digest = repo / "src", hashlib.sha256()
+    for path in sorted(src.rglob("*")):
+        if path.is_file() and path.suffix in (".py", ".cfg", ".c"):
+            digest.update(path.relative_to(src).as_posix().encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def _commit(repo: Path) -> str | None:
     try:
         proc = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=repo,
@@ -277,7 +296,7 @@ def main(argv=None) -> int:
         ap.error("--rounds must be at least 1")
     checkouts = dict(args.checkout or [("change", HERE.parent.parent)])
 
-    results = {label: {"repo_commit": _commit(repo), "version": _version(repo),
+    results = {label: {"repo_commit": _commit(repo), "src_sha256": _src_sha256(repo), "version": _version(repo),
                        "taken": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
                        "host": in_fresh_process(repo, "host"), "master_seed": MASTER_SEED,
                        "rounds": args.rounds, "configs": {}}

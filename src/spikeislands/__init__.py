@@ -6,7 +6,7 @@ shared background current noise, plus the spike-train statistics used to
 quantify how inter-island wiring controls activity correlation.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .analysis import (
     CorrelationMatrix,

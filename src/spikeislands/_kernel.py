@@ -1,4 +1,4 @@
-"""The compiled neuron updates: ``_scalar.c``, built on first use.
+"""The compiled neuron and synapse updates: ``_scalar.c``, built on first use.
 
 ``load()`` gives the library compiled from the C file shipped next to this
 module, or None, and is called by the first run of a process (see
@@ -6,7 +6,9 @@ module, or None, and is called by the first run of a process (see
 runs the neuron layer of every network, ``engine._NeuronLayer``
 (``neuron_layer``), one neuron without synapses included, with
 ``engine._general_step`` in C on each neuron's ``_step_consts``: one call
-per busy step and one loop in C, ``si_run``, over the idle steps.
+per busy step and one loop in C, ``si_run``, over the idle steps; and its
+synapse layer, an ``engine._SynapseStates`` (``synapse_layer``): one call
+per busy step and one per step that starts pulses.
 The library is compiled once per user, source, compiler command and flags,
 with the C compiler Python was built with (``sysconfig``'s ``CC``, else
 ``cc``), into ``$XDG_CACHE_HOME/spikeislands/`` or
@@ -17,10 +19,16 @@ a whole file; deleting the cache is safe, the next run builds it again.
 Before it is used, the loaded library must give the bits of the Python
 code it replaces on short fixed inputs: the neuron layer's spikes, pulse
 starts, quiet steps, end state and trace rows on a small network of two
-presets and on one neuron without synapses.  Without a compiler, when the
-cache cannot be written, when compiling or loading fails or when that
-check differs, ``load()`` returns None and the Python code runs: it is
-the reference the compiled code reproduces.
+presets and on one neuron without synapses, checked by ``load()``; and the
+synapse layer's input currents, states and pulse tables on a small block
+whose pulses overlap, end inside a step, fall and reach the floor, checked
+at the first synapse block with outputs of the process
+(``Kernel.synapses_match``), so that a process that runs only single
+neurons does not pay for it.  Without a compiler, when the cache cannot be
+written, when compiling or loading fails or when the neuron check
+differs, ``load()`` returns None and the Python code runs: it is the
+reference the compiled code reproduces.  When the synapse check differs,
+the Python synapse layer runs with the compiled neuron layer.
 """
 
 from __future__ import annotations
@@ -40,8 +48,9 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (_NO_ONSETS, _NO_SPIKES, SimulationError, _NeuronBlock, _NeuronLayer, _phase_at_fault,
-                     _step_consts, _step_network, _Traces)
-from .presets import neuron_preset
+                     _step_consts, _step_network, _SynapseStates, _Traces)
+from .presets import neuron_preset, synapse_preset
+from .synapse import _rising_relation
 
 SOURCE = Path(__file__).with_name("_scalar.c")
 # -ffp-contract=off: a fused multiply-add rounds once where the Python loop
@@ -54,6 +63,10 @@ _double_p = ctypes.POINTER(ctypes.c_double)
 # The pointer fields of ``si_block``, in its order.
 _POINTERS = ("c", "island_of", "noise", "i_syn", "held", "floor", "v_m", "v_n", "spiking", "onsets", "drives",
              "buffer", "save", "trace", "trace_col")
+# The pointer fields of ``si_synapses``, in its order.
+_SYNAPSE_POINTERS = ("consts", "rel", "psi", "ends", "rel_of", "ahead", "post", "state_of", "pre_start", "pre_out",
+                     "signw", "i", "i_start", "on", "tab_i", "tab_q", "tab_on", "until", "input", "spiking", "onsets",
+                     "hit", "m", "theta", "x", "first_off", "h", "i_tab", "q_tab")
 
 
 def _address(a) -> int | None:
@@ -77,6 +90,15 @@ class _Block(ctypes.Structure):
     _fields_ = [(name, ctypes.c_void_p) for name in _POINTERS] + [(name, ctypes.c_int64) for name in (
         "n", "width", "first", "hold", "room", "n_fired", "k", "quiet_steps", "n_trace", "decim")] + [
         ("stop", ctypes.c_double)]
+
+
+class _Synapses(ctypes.Structure):
+    """``si_synapses`` of ``_scalar.c``: pointers to the arrays of a
+    ``SynapseLayer``, their sizes, its counters and the step."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in _SYNAPSE_POINTERS] + [(name, ctypes.c_int64) for name in (
+        "n_out", "n_syn", "n_neurons", "n_grid", "ring", "cols", "busy_until", "at_floor", "pulse_steps",
+        "rising_solves")] + [("dt", ctypes.c_double)]
 
 
 # Spikes per neuron that an idle run of the compiled layer buffers before it
@@ -160,6 +182,84 @@ class NeuronLayer:
         raise SimulationError(b, island, k, (k + 1) * self.dt, _phase_at_fault(noise[island], i_syn[b]))
 
 
+class SynapseLayer:
+    """``engine._SynapseStates`` run by ``si_synapse_step`` and
+    ``si_start_pulses``, with its methods, its counters and its bits.  The
+    C code works in place on the arrays of the ``_SynapseStates`` it is made
+    from (the outputs, the pulse tables, ``until``, the constants), bound to
+    one ``si_synapses`` with the rising relation of each output's constant
+    c, the outputs of each neuron and room for a pulse start.  A step makes
+    one call and gives the input current the call writes, or the floor
+    input; a pulse start copies the spiking neurons and their onsets into
+    bound arrays and makes one call."""
+
+    def __init__(self, kernel: Kernel, states: _SynapseStates):
+        n, n_neurons, cols = len(states.pre), states.n_neurons, states.ahead.shape[1]
+        self._step, self._start = kernel._synapse_step, kernel._start_pulses
+        self.pre, self.floor_input = states.pre, states.floor_input
+        self.consts, self.ends, self.ahead = states.consts, states.ends, states.ahead
+        self.post, self.state_of, self.signw = states.post, states.state_of, states.signw
+        self.i, self.until = states.i, states.until
+        self.tab_i, self.tab_q, self.tab_on = states.tab_i, states.tab_q, states.tab_on
+        c = self.consts[4].tolist()
+        row = {value: j for j, value in enumerate(dict.fromkeys(c))}  # a relation per distinct c
+        self.rel_of = np.array([row[value] for value in c], dtype=np.int64)
+        tables = [_rising_relation(value) for value in row] or [_rising_relation(1.0)]
+        self.rel, self.psi = np.array([rel for rel, _ in tables]), tables[0][1]
+        self.pre_out = np.concatenate([*states.of_pre, _NO_SPIKES])
+        self.pre_start = np.cumsum([0, *map(len, states.of_pre)])
+        self.i_start, self.on, self.input = self.i.copy(), np.zeros(n), np.zeros(n_neurons)
+        self.spiking, self.onsets = np.empty(n_neurons, dtype=np.int64), np.empty(n_neurons)
+        self.hit, self.m = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+        self.theta, self.x, self.first_off = np.empty(n), np.empty(n), np.empty(n)
+        self.h, self.i_tab, self.q_tab = (np.empty((n, cols + 1)) for _ in range(3))
+        # What the C code indexes without a check, and the order np.interp
+        # relies on in the relation of every c > 0 (a <= 0 never rises).
+        rising = np.array([value > 0.0 for value in row], dtype=bool)
+        if not (all(a.dtype == np.int64 for a in (self.pre_start, self.pre_out, self.ahead, self.post, self.state_of,
+                                                  self.until))
+                and self.consts.shape == (7, n) and len(self.ends) == cols + 1 and self.psi.size > 4
+                and (np.diff(self.rel[rising], axis=1) > 0.0).all() and len(self.pre_start) == n_neurons + 1
+                and (self.post < n_neurons).all() and (self.state_of < n).all()
+                and self.ahead.shape == (states.ring, cols) and states.ring == cols + 1
+                and all(a.flags.c_contiguous for a in (self.consts, self.ahead, self.tab_i, self.tab_q,
+                                                       self.tab_on, self.i))):
+            raise ValueError("the synapse block does not have the layout the compiled code indexes")
+        self._s = _Synapses(n_out=n, n_syn=len(self.post), n_neurons=n_neurons, n_grid=self.psi.size,
+                            ring=states.ring, cols=cols, busy_until=states.busy_until, at_floor=states.at_floor,
+                            pulse_steps=states.pulse_steps, rising_solves=states.rising_solves, dt=states.dt,
+                            **{name: _address(getattr(self, name)) for name in _SYNAPSE_POINTERS})
+
+    @property
+    def pulse_steps(self) -> int:
+        return self._s.pulse_steps
+
+    @property
+    def rising_solves(self) -> int:
+        return self._s.rising_solves
+
+    @property
+    def busy_until(self) -> int:
+        return self._s.busy_until
+
+    @property
+    def at_floor(self) -> bool:
+        return bool(self._s.at_floor)
+
+    def idle_at_floor(self, k: int) -> bool:
+        s = self._s
+        return bool(s.at_floor) and k >= s.busy_until
+
+    def step(self, k: int):
+        return self.input if self._step(self._s, k) else self.floor_input
+
+    def start_pulses(self, k: int, spiking, onsets) -> None:
+        n = len(spiking)
+        self.spiking[:n] = spiking
+        self.onsets[:n] = onsets
+        self._start(self._s, k, n)
+
+
 class Kernel:
     """The loaded library; ``command`` is the compiler command that built it
     and ``built`` whether this process ran it."""
@@ -176,8 +276,31 @@ class Kernel:
         self._run = lib.si_run
         self._run.restype = ctypes.c_int64
         self._run.argtypes = [ctypes.POINTER(_Block), ctypes.c_int64, ctypes.c_int64]
+        self._synapse_step = lib.si_synapse_step
+        self._synapse_step.restype = ctypes.c_int64
+        self._synapse_step.argtypes = [ctypes.POINTER(_Synapses), ctypes.c_int64]
+        self._start_pulses = lib.si_start_pulses
+        self._start_pulses.restype = None
+        self._start_pulses.argtypes = [ctypes.POINTER(_Synapses), ctypes.c_int64, ctypes.c_int64]
         # The compiled counterpart of engine._NeuronLayer, made with the same arguments.
         self.neuron_layer = functools.partial(NeuronLayer, self)
+
+    def synapse_layer(self, states: _SynapseStates):
+        """The compiled counterpart of the synapse block ``states``, made
+        from it, or ``states`` itself when a block with outputs meets a
+        compiled synapse layer that does not give the Python code's bits
+        (``synapses_match``)."""
+        if states.pre.size and not self.synapses_match:
+            return states
+        return SynapseLayer(self, states)
+
+    @functools.cached_property
+    def synapses_match(self) -> bool:
+        """The compiled synapse layer gives the bits of the Python code on
+        the check's block (``synapse_outcome``); checked once, at the first
+        block with outputs, so that a process that runs none (a single
+        neuron) does not pay for it."""
+        return synapse_outcome(SynapseLayer(self, check_synapses())) == synapse_outcome(check_synapses())
 
     def advance(self, v_m: float, v_n: float, i_in: float, dt: float, params) -> tuple:
         """``neuron.advance`` in C."""
@@ -307,10 +430,50 @@ def network_outcome(layer, network: tuple, decim: int | None) -> tuple:
             None if traces is None else traces.v.tobytes())
 
 
+# The synapse block of the check: three outputs on the synapses of two
+# neurons, neuron 0 driving output 0 (a pulse of 2.5 steps, the last of an
+# earlier one in flight over the first 0.6 of step 0) and neuron 1 outputs
+# 1 (the same, from far above its fixed point, so that it falls) and 2 (a
+# pulse of half a step, which ends inside its onset step, whose drive is
+# below i_tau, from just above its floor, which it reaches).  Both neurons
+# spike in step 0, at the onsets CHECK_ONSETS (in steps), and the block is
+# checked over 3 steps, to the end of output 0's pulse inside step 2.
+CHECK_DT = 1e-8
+CHECK_ONSETS = [0.4, 0.25]
+CHECK_STEPS = 3
+
+
+def check_synapses() -> _SynapseStates:
+    """A fresh synapse block of the check (see CHECK_ONSETS)."""
+    sp = replace(synapse_preset("fast-dpi"), pulse_width=2.5 * CHECK_DT)
+    low = replace(sp, i_pulse=0.4 * sp.i_tau, pulse_width=0.5 * CHECK_DT)
+    states = _SynapseStates([(0, sp), (1, sp), (1, low)], 2, CHECK_DT, [1, 0, 1, 0], [1.0, -1.0, 2.0, 1.0],
+                            [0, 1, 2, 1])
+    states.i[1:] = 20e-6, 1.2 * low.i_floor
+    states.tab_i[0, 0], states.tab_q[0, 0], states.tab_on[0, 0] = 1e-6, 5e-15, 0.6 * CHECK_DT
+    states.until[0], states.busy_until, states.at_floor = 0, 1, False
+    return states
+
+
+def synapse_outcome(layer) -> list:
+    """The input current of each step of the check's synapse block on
+    ``layer`` (the block itself, or a ``SynapseLayer`` made from it) and its
+    state after the step and the pulses it starts, as bytes, then its
+    counters."""
+    out = []
+    for k in range(CHECK_STEPS):
+        out.append(layer.step(k).tobytes())
+        if k == 0:
+            layer.start_pulses(k, np.array([0, 1]), np.array(CHECK_ONSETS) * CHECK_DT)
+        out.append(b"".join(a.tobytes() for a in (layer.i, layer.tab_i, layer.tab_q, layer.tab_on, layer.until)))
+    return out + [layer.busy_until, layer.at_floor, layer.pulse_steps, layer.rising_solves]
+
+
 def _matches_python(kernel: Kernel) -> bool:
-    """The compiled code gives the bits of the Python code: the neuron
-    layer's ``network_outcome`` on the four-neuron network traced every 3
-    steps, and on the single neuron untraced and traced every 7 steps."""
+    """The compiled neuron layer gives the bits of the Python code: its
+    ``network_outcome`` on the four-neuron network traced every 3 steps,
+    and on the single neuron untraced and traced every 7 steps (the synapse
+    layer is checked at its first use, ``Kernel.synapses_match``)."""
     four, one = check_networks()
     for network, decim in ((four, 3), (one, None), (one, 7)):
         expected = network_outcome(_NeuronLayer, network, decim)
@@ -322,8 +485,9 @@ def _matches_python(kernel: Kernel) -> bool:
 
 @functools.cache
 def load() -> Kernel | None:
-    """The compiled neuron updates, built and checked once per process, or
-    None when the Python code must run (see the module docstring)."""
+    """The compiled neuron and synapse updates, built and checked once per
+    process, or None when the Python code must run (see the module
+    docstring)."""
     cc = compiler()
     cache = cache_dir()
     if cc is None or not _private_dir(cache):

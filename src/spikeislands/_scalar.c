@@ -1,15 +1,20 @@
-/* The neuron updates of spikeislands in C, expression for expression, so
- * that a run gives the bits of the Python and numpy code they replace:
- * neuron.advance (si_advance), the general step engine._general_step
- * (general_step), and the neuron layer of a network, one neuron without
- * synapses included: a busy step, engine._NeuronBlock.step
+/* The neuron and synapse updates of spikeislands in C, expression for
+ * expression, so that a run gives the bits of the Python and numpy code
+ * they replace: neuron.advance (si_advance), the general step
+ * engine._general_step (general_step), and the neuron layer of a network,
+ * one neuron without synapses included: a busy step, engine._NeuronBlock.step
  * (si_block_step), and the idle steps, engine._NeuronLayer.run (si_run),
  * with the quiet stretches of engine._QuietStretch.take.  Each neuron's
- * constants are its engine._step_consts.  Plain C99 and libm, no Python
- * headers; spikeislands builds it into a shared library on first use (see
- * spikeislands._kernel), and it must be compiled without floating-point
- * contraction (-ffp-contract=off), which would fuse a multiply and an add
- * into one rounding and so change bits.
+ * constants are its engine._step_consts.  And the synapse layer,
+ * engine._SynapseStates: its step (si_synapse_step) and its pulse starts
+ * (si_start_pulses), with the DPI flows of spikeislands.synapse element by
+ * element (the Python code gives every element the bits it has alone) and
+ * np.interp, np.logaddexp and np.bincount as numpy computes them; its exp,
+ * log and log1p are libm's, as synapse's are on every host.  Plain C99
+ * and libm, no Python headers; spikeislands builds it into a shared library
+ * on first use (see spikeislands._kernel), and it must be compiled without
+ * floating-point contraction (-ffp-contract=off), which would fuse a
+ * multiply and an add into one rounding and so change bits.
  */
 
 #include <math.h>
@@ -266,4 +271,356 @@ int64_t si_run(si_block *b, int64_t k, int64_t end)
     b->k = k;
     b->n_fired = n_fired;
     return m;
+}
+
+/* The synapse layer of a network, engine._SynapseStates, bound once per run
+ * to its arrays: the per-output constants, 7 rows of n_out (tau, i_tau,
+ * i_pulse, a, c, width, floor); the rising relation of each output's c
+ * (rel, a row of n_grid per distinct c, rel_of picking an output's row)
+ * over the grid psi; the step ends from an onset step's start (cols + 1)
+ * and the ring rows ahead of each row (ring rows of cols); the synapses'
+ * post, weight and output (n_syn); the outputs each neuron drives, those
+ * of neuron j being pre_out[pre_start[j] .. pre_start[j + 1]]; the state
+ * (i, i_start, on and the pulse tables tab_i, tab_q, tab_on, ring rows of
+ * n_out, with until), updated in place; the per-neuron input current; a
+ * pulse start's spiking neurons and onsets; room for a pulse start of every
+ * output (hit, m, theta, x, first_off, and h, i_tab, q_tab of cols + 1 per
+ * output; a step keeps its charges in x); and the counters. */
+typedef struct {
+    const double *consts, *rel, *psi, *ends;
+    const int64_t *rel_of, *ahead, *post, *state_of, *pre_start, *pre_out;
+    const double *signw;
+    double *i, *i_start, *on, *tab_i, *tab_q, *tab_on;
+    int64_t *until;
+    double *input;
+    const int64_t *spiking;
+    const double *onsets;
+    int64_t *hit, *m;
+    double *theta, *x, *first_off, *h, *i_tab, *q_tab;
+    int64_t n_out, n_syn, n_neurons, n_grid, ring, cols;
+    int64_t busy_until, at_floor, pulse_steps, rising_solves;
+    double dt;
+} si_synapses;
+
+/* The constants of one output, a column of consts. */
+typedef struct {
+    double tau, i_tau, i_pulse, a, c, width, floor;
+    const double *rel;
+} syn_consts;
+
+static syn_consts output_consts(const si_synapses *s, int64_t j)
+{
+    const double *c = s->consts;
+    const int64_t n = s->n_out;
+    syn_consts o = {c[j], c[n + j], c[2 * n + j], c[3 * n + j], c[4 * n + j], c[5 * n + j], c[6 * n + j],
+                    s->rel + s->rel_of[j] * s->n_grid};
+    return o;
+}
+
+/* np.minimum and np.maximum of two doubles: a NaN in either gives NaN. */
+static double np_min(double x, double y) { return (x < y || isnan(x)) ? x : y; }
+static double np_max(double x, double y) { return (x > y || isnan(x)) ? x : y; }
+
+/* synapse.dpi_decay of one output: returns i1, sets *q to the charge. */
+static double decay(double i0, double h, double tau, double fl, double *q)
+{
+    double i1 = i0 * exp(-h / tau);
+    *q = tau * (i0 - i1);
+    if (i1 < fl) {
+        const double t_floor = tau * log(i0 / fl);
+        *q = tau * (i0 - fl) + fl * (h - t_floor);
+        i1 = fl;
+    }
+    return i1;
+}
+
+/* np.logaddexp(0.0, x), as numpy computes it. */
+static double softplus(double x)
+{
+    if (x == 0.0)
+        return 0.0 + 0.693147180559945309417232121458176568;
+    const double tmp = 0.0 - x;
+    if (tmp > 0)
+        return 0.0 + log1p(exp(-tmp));
+    if (tmp <= 0)
+        return x + log1p(exp(tmp));
+    return tmp;
+}
+
+/* np.interp(x, xp, fp) over n > 4 points, xp strictly increasing. */
+static double interp(double x, const double *xp, const double *fp, int64_t n)
+{
+    if (isnan(x))
+        return x;
+    if (x > xp[n - 1])
+        return fp[n - 1];
+    if (x < xp[0])
+        return fp[0];
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        const int64_t mid = lo + ((hi - lo) >> 1);
+        if (x >= xp[mid])
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    const int64_t j = lo - 1;
+    if (j == n - 1 || xp[j] == x)
+        return fp[j];
+    const double slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]);
+    double r = slope * (x - xp[j]) + fp[j];
+    if (isnan(r)) {
+        r = slope * (x - xp[j + 1]) + fp[j + 1];
+        if (isnan(r) && fp[j] == fp[j + 1])
+            r = fp[j];
+    }
+    return r;
+}
+
+/* synapse._log1p_ratio: log1p(x) / x, continuous at 0. */
+static double log1p_ratio(double x)
+{
+    if (fabs(x) < 1e-4)
+        return 1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x));
+    return log1p(x) / x;
+}
+
+/* The time relation of synapse._falling and its slope in z. */
+static double fall_time(double i, double d, double a)
+{
+    return -log(i) + d / i * log1p_ratio(-a / i);
+}
+
+typedef struct {
+    int falling;
+    double c, d, a, a_pos, i_tau;
+} newton_fn;
+
+static double newton_g(const newton_fn *f, double y, double *slope)
+{
+    if (f->falling) {
+        const double i = f->a_pos + exp(-y);
+        *slope = (f->i_tau + i) * (i - f->a_pos) / (i * (i - f->a));
+        return fall_time(i, f->d, f->a);
+    }
+    const double sp = softplus(y);
+    *slope = f->c + exp(y - sp);
+    return f->c * y + sp;
+}
+
+/* synapse._newton for one element: NEWTON_BATCH (3) untested iterates,
+ * the first that passes the test, else up to 97 more until one does. */
+static double newton(const newton_fn *f, double y, double target)
+{
+    double ys[3];
+    int going[3];
+    for (int j = 0; j < 3; j++) {
+        double slope;
+        const double val = newton_g(f, y, &slope);
+        const double step = (val - target) / slope;
+        y = y - step;
+        ys[j] = y;
+        going[j] = fabs(step) > 1e-14 * (1.0 + fabs(y));
+    }
+    for (int j = 0; j < 3; j++)
+        if (!going[j])
+            return ys[j];
+    for (int it = 0; it < 100 - 3; it++) {
+        double slope;
+        const double val = newton_g(f, y, &slope);
+        const double step = (val - target) / slope;
+        y = y - step;
+        if (!(fabs(step) > 1e-14 * (1.0 + fabs(y))))
+            break;
+    }
+    return y;
+}
+
+/* synapse._rising with _rising_start's interpolation in the relation. */
+static double rising(double i0, double h, const syn_consts *o, const double *psi, int64_t n_grid, double *q)
+{
+    const double d = o->i_pulse, a = o->a, c = o->c, tau = o->tau;
+    const double psi0 = log(i0) - log(a - i0);
+    const double sp0 = softplus(psi0);
+    const double target = c * psi0 + sp0 + h / tau;
+    const newton_fn f = {0, c, d, a, 0.0, o->i_tau};
+    const double psi1 = newton(&f, interp(target, o->rel, psi, n_grid), target);
+    const double sp1 = softplus(psi1);
+    const double i1 = a * exp(psi1 - sp1);
+    *q = tau * (d * (sp1 - sp0) - (i1 - i0));
+    return i1;
+}
+
+/* synapse._falling. */
+static double falling(double i0, double h, const syn_consts *o, double *q)
+{
+    const double d = o->i_pulse, i_tau = o->i_tau, tau = o->tau, fl = o->floor;
+    const double a = d - i_tau;
+    const double a_pos = np_max(a, 0.0);
+    const newton_fn f = {1, 0.0, d, a, a_pos, i_tau};
+    const double t0 = fall_time(i0, d, a);
+    const double z0 = -log(i0 - a_pos);
+    const double i1 = a_pos + exp(-newton(&f, z0, t0 + h / tau));
+    const int can_floor = a_pos < fl;
+    const double t_floor = tau * (fall_time(can_floor ? fl : i0, d, a) - t0);
+    const int low = can_floor && t_floor <= h;
+    const double i_end = low ? fl : i1;
+    *q = tau * (-d * log1p((i_end - i0) / (i0 - a)) - (i_end - i0));
+    if (low)
+        *q = *q + fl * (h - t_floor);
+    return i_end;
+}
+
+/* engine._SynapseStates._rise of one output: its pulse drive for h seconds
+ * from i0 by dpi_flow's regime (dpi_rise's when i0 < a); returns i1 and
+ * sets *q to the charge. */
+static double rise(double i0, double h, const syn_consts *o, const si_synapses *s, double *q)
+{
+    *q = 0.0;
+    if (!(h > 0.0))
+        return i0;
+    if (i0 < o->a)
+        return rising(i0, h, o, s->psi, s->n_grid, q);
+    if (i0 > np_max(o->a, 0.0))
+        return falling(i0, h, o, q);
+    if (i0 == o->a) {
+        *q = i0 * h;
+        return i0;
+    }
+    return i0;
+}
+
+/* _SynapseStates.input_current: the per-neuron input of the outputs'
+ * charges q, each synapse added in index order, as np.bincount does. */
+static void input_current(si_synapses *s, const double *q)
+{
+    for (int64_t j = 0; j < s->n_neurons; j++)
+        s->input[j] = 0.0;
+    for (int64_t e = 0; e < s->n_syn; e++)
+        s->input[s->post[e]] += s->signw[e] * (q[s->state_of[e]] / s->dt);
+}
+
+/* _SynapseStates.step over step k: returns 1 with the step's input current
+ * in input, or 0 when every output sits at its floor and no pulse is in
+ * flight (the input is then the floor input). */
+int64_t si_synapse_step(si_synapses *s, int64_t k)
+{
+    const int64_t n = s->n_out;
+    double *q = s->x;
+    for (int64_t j = 0; j < n; j++)
+        s->i_start[j] = s->i[j];
+    if (k < s->busy_until) {
+        s->pulse_steps += 1;
+        s->at_floor = 0;
+        const int64_t r = (k % s->ring) * n;
+        for (int64_t j = 0; j < n; j++) {
+            const syn_consts o = output_consts(s, j);
+            const double flight = k <= s->until[j] ? 1.0 : 0.0;
+            const double i = flight != 0.0 ? s->tab_i[r + j] : s->i[j];
+            s->on[j] = s->tab_on[r + j] * flight;
+            s->i[j] = decay(i, s->dt - s->on[j], o.tau, o.floor, &q[j]);
+            q[j] = q[j] + s->tab_q[r + j] * flight;
+        }
+        input_current(s, q);
+        return 1;
+    }
+    for (int64_t j = 0; j < n; j++)
+        s->on[j] = 0.0;
+    if (s->at_floor)
+        return 0;
+    int at_floor = 1;
+    for (int64_t j = 0; j < n; j++) {
+        const syn_consts o = output_consts(s, j);
+        s->i[j] = decay(s->i[j], s->dt, o.tau, o.floor, &q[j]);
+        at_floor &= s->i[j] == o.floor;
+    }
+    s->at_floor = at_floor;
+    input_current(s, q);
+    return 1;
+}
+
+/* _SynapseStates.start_pulses of the n_spiking neurons in spiking, whose
+ * spikes start at onsets into step k: each output they drive is taken to
+ * its onset and its pulse solved from there to every step end it covers
+ * and to its end, each output's columns beyond its pulse's end being those
+ * of the end, as the Python code solves them. */
+void si_start_pulses(si_synapses *s, int64_t k, int64_t n_spiking)
+{
+    const int64_t n = s->n_out, w = s->cols + 1;
+    int64_t n_hit = 0;
+    int solve = 0;
+    for (int64_t a = 0; a < n_spiking; a++) {
+        const int64_t j = s->spiking[a];
+        for (int64_t e = s->pre_start[j]; e < s->pre_start[j + 1]; e++) {
+            const int64_t out = s->pre_out[e];
+            s->hit[n_hit] = out;
+            s->theta[n_hit] = s->onsets[a];
+            s->first_off[n_hit] = np_min(s->on[out], s->onsets[a]);
+            s->x[n_hit] = s->i_start[out];
+            solve |= s->first_off[n_hit] != 0.0;
+            n_hit++;
+        }
+    }
+    if (n_hit == 0)
+        return;
+    /* To the onset, from the start of the step, under an earlier pulse
+     * while it lasts, then undriven. */
+    s->rising_solves += solve;
+    int64_t m_max = 0;
+    for (int64_t p = 0; p < n_hit; p++) {
+        const syn_consts o = output_consts(s, s->hit[p]);
+        double q;
+        if (solve)
+            s->x[p] = rise(s->x[p], s->first_off[p], &o, s, &q);
+        s->x[p] = decay(s->x[p], s->theta[p] - s->first_off[p], o.tau, o.floor, &q);
+        double *h = s->h + p * w;
+        int64_t m = 0;
+        for (int64_t c = 0; c < w; c++) {
+            h[c] = np_min(s->ends[c] - s->theta[p], o.width);
+            m += h[c] < o.width;
+        }
+        s->m[p] = m;
+        if (m > m_max)
+            m_max = m;
+    }
+    /* Every step end within the pulse, then its end: one rising solve. */
+    s->rising_solves += 1;
+    const int64_t cols = m_max + 1;
+    int all_in = 1;
+    for (int64_t p = 0; p < n_hit; p++) {
+        const syn_consts o = output_consts(s, s->hit[p]);
+        double *h = s->h + p * w, *i_tab = s->i_tab + p * w, *q_tab = s->q_tab + p * w;
+        for (int64_t c = 0; c < cols; c++) {
+            if (c <= s->m[p]) {
+                i_tab[c] = rise(s->x[p], h[c], &o, s, &q_tab[c]);
+            } else {
+                i_tab[c] = i_tab[s->m[p]];
+                q_tab[c] = q_tab[s->m[p]];
+            }
+        }
+        all_in &= s->m[p] != 0;
+    }
+    const int64_t *ahead = s->ahead + (k % s->ring) * s->cols;
+    for (int64_t p = 0; p < n_hit; p++) {
+        const int64_t out = s->hit[p];
+        const syn_consts o = output_consts(s, out);
+        const double *h = s->h + p * w, *i_tab = s->i_tab + p * w, *q_tab = s->q_tab + p * w;
+        /* The onset step ends in its pulse, or (m = 0) after the pulse's end. */
+        double end = i_tab[0], q;
+        if (!all_in)
+            end = decay(end, (s->dt - s->theta[p]) - h[0], o.tau, o.floor, &q);
+        s->i[out] = end;
+        /* Step k+c is driven from offset h[c-1] to the pulse's end or, all
+         * through, to the step's end. */
+        for (int64_t c = 1; c < cols; c++) {
+            const int64_t cell = ahead[c - 1] * n + out;
+            s->tab_i[cell] = i_tab[c];
+            s->tab_q[cell] = q_tab[c] - q_tab[c - 1];
+            s->tab_on[cell] = np_min(o.width - h[c - 1], s->dt);
+        }
+        s->until[out] = k + s->m[p];
+    }
+    if (k + cols > s->busy_until)
+        s->busy_until = k + cols;
+    s->at_floor = 0;
 }

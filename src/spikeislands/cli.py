@@ -162,6 +162,11 @@ def _write_run(out_dir: Path, record, write_traces: bool) -> None:
         write_traces_csv(record.traces, out_dir / "traces.csv")
     meta = dict(record.meta)
     meta["created_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    from . import _kernel  # loaded by the run, which asked the same cached load()
+
+    # Whether the compiled code ran (every layer whose check it passed); the
+    # spikes are the same either way.
+    meta["compiled"] = _kernel.load() is not None
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 

@@ -50,15 +50,18 @@ switch flips, the 1 V test and the clamp, or ``neuron.advance`` when a
 switch flips), and one set of constants per neuron, ``_step_consts``.  A
 network steps its neurons through ``_NeuronLayer``: ``_NeuronBlock``
 gives a step's quiet neurons the quiet update in one vector expression
-and the others the general step; the synapse block stays in numpy.  The
-neuron layer runs compiled from ``_scalar.c`` when a C compiler is found
+and the others the general step; its synapses are a ``_SynapseStates``.
+Both layers run compiled from ``_scalar.c`` when a C compiler is found
 (``_kernel``), one neuron without synapses as a one-neuron network: the
 first run of a process builds the library into a per-user cache,
 ``$XDG_CACHE_HOME/spikeislands/`` or ``~/.cache/spikeislands/``, which is
 safe to delete, and checks it against the Python code.  The compiled code
 gives the Python code's bits; without a compiler, or when building,
 loading or that check fails, the Python code runs, and one neuron without
-synapses takes a scalar loop of its own (``_ScalarNeuron``).
+synapses takes a scalar loop of its own (``_ScalarNeuron``).  The synapse
+layer's ``exp``, ``log`` and ``log1p`` are libm's on both paths (see
+``synapse``), so neither path's bits depend on the SIMD code numpy
+dispatches to.
 
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
@@ -426,6 +429,7 @@ class _NeuronBlock:
 class _SynapseStates:
     """Synapse outputs, one per (presynaptic neuron, preset) pair: every
     synapse of such a pair has the same drive and so the same trajectory.
+    ``keys`` gives each output's presynaptic neuron and ``SynapseParams``.
 
     Each pulse is solved once, at its onset.  ``start_pulses`` takes the
     output from the start of the step to the onset and then solves the
@@ -446,10 +450,12 @@ class _SynapseStates:
     constant, so its fixed point ``a = i_pulse - i_tau`` and
     ``c = i_tau / a`` are computed once.  A network without synapses has
     an empty block, which delivers its zero ``floor_input`` on every step.
+    ``_kernel``'s compiled layer, made from an instance, works on its arrays
+    in place with the same methods and gives the same bits.
     """
 
     def __init__(self, keys: list, n_neurons: int, dt: float, post, signw, state_of):
-        sps = [synapse_preset(name) for _, name in keys]
+        sps = [sp for _, sp in keys]
         self.dt = dt
         self.n_neurons = n_neurons
         self.post = np.asarray(post, dtype=np.int64)
@@ -551,7 +557,7 @@ class _SynapseStates:
         i = self.i_start[hit]
         if np.logical_or.reduce(first_off):
             i, _ = self._rise(i, consts, first_off)
-        i = np.maximum(i * np.exp(-(theta - first_off) / tau), floor)  # dpi_decay's state
+        i, _ = dpi_decay(i, theta - first_off, tau, floor)
         # Offsets from the onset of the m step ends within the pulse, then of
         # its end (repeated where another pulse covers more step ends), all
         # solved together.
@@ -694,7 +700,8 @@ def _step_network(neurons, synapses: _SynapseStates, n_steps: int) -> list:
     """Steps 0 .. n_steps-1 of a network: an idle run (``neurons.run``)
     from an idle step, else the synapse step and the neurons' general step,
     and the start of the pulses of either's spikes.  ``neurons`` is a
-    ``_NeuronLayer`` or ``_kernel``'s compiled layer.  Returns the (1-based)
+    ``_NeuronLayer`` or ``_kernel``'s compiled layer, and ``synapses`` a
+    ``_SynapseStates`` or ``_kernel``'s compiled one.  Returns the (1-based)
     steps at whose end each neuron spikes, an array per neuron."""
     k = 0
     while k < n_steps:
@@ -751,7 +758,8 @@ def run(network: NetworkSpec, sim: SimConfig) -> SpikeRecord:
                         int(offsets[link.dst_island]) + tgt, float(link.multiplicity), preset)
 
     meta = _meta(hashlib.sha256(serialize_config(network).encode()).hexdigest(), sim, n, len(post_l))
-    synapses = _SynapseStates(list(state_index), n, sim.dt, post_l, signw_l, state_l)
+    synapses = _SynapseStates([(pre, synapse_preset(name)) for pre, name in state_index], n, sim.dt, post_l, signw_l,
+                              state_l)
     return _simulate([nps[i] for i in island_of], island_of, network.noise, synapses, sim, meta)
 
 
@@ -770,10 +778,12 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
               meta: dict) -> SpikeRecord:
     """The run of neurons with parameters ``params``, neuron i in island
     ``island_of[i]`` under noise source ``noise[island_of[i]]``, coupled
-    by ``synapses``, through ``_step_network`` with the neuron layer that
-    ``_kernel.load()`` gives, decided here, once per run: the compiled one
-    or, without it, ``_NeuronLayer``, or the Python single-neuron loop
-    (``_ScalarNeuron``) for one neuron without synapses."""
+    by ``synapses``, through ``_step_network`` with the layers that
+    ``_kernel.load()`` gives, decided here, once per run: the compiled
+    neuron layer, with the synapse layer compiled from ``synapses``, or,
+    without them, ``_NeuronLayer`` and ``synapses`` itself, or the Python
+    single-neuron loop (``_ScalarNeuron``) for one neuron without
+    synapses."""
     check_sim(params, noise, sim)
     n, n_steps, dt = len(params), sim.n_steps, sim.dt
     drive = _Drive(noise, sim)
@@ -789,7 +799,9 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
         neuron.run(drive, n_steps)
         spikes, quiet_steps = [neuron.spikes], n_steps - neuron.general
     else:
-        layer = _NeuronLayer if kernel is None else kernel.neuron_layer
+        layer = _NeuronLayer
+        if kernel is not None:
+            layer, synapses = kernel.neuron_layer, kernel.synapse_layer(synapses)
         neurons = layer(_NeuronBlock(params, dt), synapses, drive, island_of, n_steps, v_m, traces)
         spikes, quiet_steps = _step_network(neurons, synapses, n_steps), neurons.quiet_steps
 

@@ -123,6 +123,35 @@ def time_constant(params: SynapseParams) -> float:
     return params.c_s * params.u_t / (params.kappa * params.i_tau)
 
 
+def _libm(f, special):
+    """``f`` of ``math`` over an array, element by element: libm's bits on
+    every host, where numpy's own loops may round otherwise (its AVX-512
+    ``exp``, ``log`` and ``log1p`` differ from libm in the last bit).
+    ``special(x)`` gives the value of an argument ``f`` rejects (a pole,
+    a domain error or an overflow), as libm returns it."""
+
+    def apply(x):
+        x = np.asarray(x, dtype=np.float64)
+        flat = x.ravel().tolist()
+        try:
+            out = list(map(f, flat))
+        except (ValueError, OverflowError):
+            out = []
+            for v in flat:
+                try:
+                    out.append(f(v))
+                except (ValueError, OverflowError):
+                    out.append(special(v))
+        return np.array(out, dtype=np.float64).reshape(x.shape)
+
+    return apply
+
+
+_exp = _libm(math.exp, lambda x: math.inf)
+_log = _libm(math.log, lambda x: -math.inf if x == 0.0 else math.nan)
+_log1p = _libm(math.log1p, lambda x: -math.inf if x == -1.0 else math.nan)
+
+
 def dpi_decay(i0, h, tau, i_floor):
     """Undriven DPI output after ``h`` seconds, and the charge it delivers.
 
@@ -132,11 +161,11 @@ def dpi_decay(i0, h, tau, i_floor):
     step, coulombs.
     """
     i0 = np.asarray(i0, dtype=float)
-    i1 = i0 * np.exp(-h / tau)
+    i1 = i0 * _exp(-h / tau)
     charge = tau * (i0 - i1)
     low = i1 < i_floor
     if np.logical_or.reduce(low, axis=None):
-        t_floor = tau * np.log(i0 / i_floor)
+        t_floor = tau * _log(i0 / i_floor)
         charge = np.where(low, tau * (i0 - i_floor) + i_floor * (h - t_floor), charge)
         i1 = np.maximum(i1, i_floor)  # i_floor exactly where low
     return i1, charge
@@ -144,14 +173,14 @@ def dpi_decay(i0, h, tau, i_floor):
 
 def _softplus_sigmoid(x):
     sp = np.logaddexp(0.0, x)
-    return sp, np.exp(x - sp)
+    return sp, _exp(x - sp)
 
 
 def _log1p_ratio(x):
     """log1p(x) / x for x > -1, continuous at 0."""
     small = np.abs(x) < 1e-4
     xs = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x)), np.log1p(xs) / xs)
+    return np.where(small, 1.0 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x)), _log1p(xs) / xs)
 
 
 def _newton(g, y, target):
@@ -224,7 +253,7 @@ def _rising(i0, d, h, a, c, tau):
     t/tau = (i_tau/a) psi + softplus(psi) + const, convex with slope in
     [i_tau/a, d/a]; I = a * sigmoid(psi).
     """
-    psi0 = np.log(i0) - np.log(a - i0)
+    psi0 = _log(i0) - _log(a - i0)
     sp0 = np.logaddexp(0.0, psi0)
 
     def g(psi):
@@ -263,20 +292,20 @@ def _falling(i0, d, h, i_tau, tau, i_floor):
     a_pos = np.maximum(a, 0.0)
 
     def time_of(i):
-        return -np.log(i) + d / i * _log1p_ratio(-a / i)
+        return -_log(i) + d / i * _log1p_ratio(-a / i)
 
     def g(z):
-        i = a_pos + np.exp(-z)
+        i = a_pos + _exp(-z)
         return time_of(i), (i_tau + i) * (i - a_pos) / (i * (i - a))
 
     t0 = time_of(i0)
-    z0 = -np.log(i0 - a_pos)
-    i1 = a_pos + np.exp(-_newton(g, z0, t0 + h / tau))
+    z0 = -_log(i0 - a_pos)
+    i1 = a_pos + _exp(-_newton(g, z0, t0 + h / tau))
     can_floor = a_pos < i_floor
     t_floor = tau * (time_of(np.where(can_floor, i_floor, i0)) - t0)
     low = can_floor & (t_floor <= h)
     i_end = np.where(low, i_floor, i1)
-    charge = tau * (-d * np.log1p((i_end - i0) / (i0 - a)) - (i_end - i0))
+    charge = tau * (-d * _log1p((i_end - i0) / (i0 - a)) - (i_end - i0))
     charge = np.where(low, charge + i_floor * (h - t_floor), charge)
     return i_end, charge
 

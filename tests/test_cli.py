@@ -102,6 +102,26 @@ class TestSimulate:
         assert (a / "spikes.csv").read_bytes() == (b / "spikes.csv").read_bytes()
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
 
+    def test_meta_says_whether_the_compiled_layers_ran(self, tmp_path, monkeypatch):
+        # meta.json records whether the compiled neuron and synapse layers
+        # ran; the spikes and the manifest are the same on both paths
+        from spikeislands import _kernel
+
+        compiled = _kernel.load() is not None
+        args = ["simulate", "--config", "fig6G", "--duration", "5e-6", "--seed", "2"]
+        assert main([*args, "--out", str(tmp_path / "a")]) == 0
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        assert main([*args, "--out", str(tmp_path / "b")]) == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        metas = [json.loads((out / "meta.json").read_text()) for out in (a, b)]
+        assert [meta.pop("compiled") for meta in metas] == [compiled, False]
+        for meta in metas:
+            del meta["created_utc"]
+        assert metas[0] == metas[1]
+        assert (a / "spikes.csv").read_bytes() == (b / "spikes.csv").read_bytes()
+        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+        assert "compiled" not in (a / "manifest.json").read_text()
+
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--traces", "--trace-decimation", "0"],
                                        ["--duration", "1e-9"],
                                        ["--dt", "2e-7"],  # above the neuron's stability bound

@@ -213,12 +213,10 @@ class TestZeroDriveAndBlowup:
         assert single_err.value.phase == "noise"
         assert f"step {at}," in str(single_err.value)
 
-    def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, engine_path, monkeypatch):
+    def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, engine_path, synapse_path, monkeypatch):
         # a NaN noise sample in the middle of a quiet stretch of a network
         # with synapses is handed to the general step of the idle run, which
         # reports the neuron and time the general path alone reports
-        import spikeislands.engine as engine_mod
-
         handoffs = []
         real_run = engine_path.run
 
@@ -242,7 +240,7 @@ class TestZeroDriveAndBlowup:
             run(net, sim)
         assert any(k < 500 == end for k, end in handoffs)  # met the NaN inside an idle run
 
-        monkeypatch.setattr(engine_mod._SynapseStates, "idle_at_floor", lambda self, k: False)
+        monkeypatch.setattr(synapse_path, "idle_at_floor", lambda self, k: False)
         with pytest.raises(SimulationError) as general_err:
             run(net, sim)
         fields = ("neuron", "island", "step", "t", "phase")
@@ -250,12 +248,10 @@ class TestZeroDriveAndBlowup:
         assert quiet_err.value.neuron == 0 and quiet_err.value.t == pytest.approx(501 * DT)
         assert (quiet_err.value.island, quiet_err.value.step, quiet_err.value.phase) == (0, 500, "noise")
 
-    def test_non_finite_synaptic_current_names_the_synapse_step(self, engine_path, monkeypatch):
+    def test_non_finite_synaptic_current_names_the_synapse_step(self, synapse_path, monkeypatch):
         # with finite noise, a synaptic current that is not finite is the
         # phase at fault
-        import spikeislands.engine as engine_mod
-
-        real_step = engine_mod._SynapseStates.step
+        real_step = synapse_path.step
 
         def poisoned(self, k):
             current = real_step(self, k)
@@ -264,8 +260,8 @@ class TestZeroDriveAndBlowup:
                 current[5] = float("nan")
             return current
 
-        monkeypatch.setattr(engine_mod._SynapseStates, "step", poisoned)
-        monkeypatch.setattr(engine_mod._SynapseStates, "idle_at_floor", lambda self, k: False)
+        monkeypatch.setattr(synapse_path, "step", poisoned)
+        monkeypatch.setattr(synapse_path, "idle_at_floor", lambda self, k: False)
         crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
         net = NetworkSpec(
             islands=(IslandSpec(4, tuple(crossbar)), IslandSpec(4, tuple(crossbar))),
@@ -458,7 +454,7 @@ class TestEngineMatchesLibrary:
             return real_flow(*args)
 
         def synapses(i_out):
-            syn = _SynapseStates([(0, "fast-dpi"), (1, "fast-dpi")], 2, DT, np.array([1, 0]),
+            syn = _SynapseStates([(0, SP), (1, SP)], 2, DT, np.array([1, 0]),
                                  np.array([1.0, 1.0]), np.array([0, 1]))
             syn.i = np.array(i_out)
             syn.at_floor = False
@@ -642,7 +638,7 @@ class TestPulseTables:
         # at the pulse edges within rtol 1e-12 (they differ only in
         # rounding); a step solves nothing
         n_steps = 60
-        syn = _SynapseStates([(0, "fast-dpi"), (1, "fast-dpi")], 2, DT, np.array([1, 0]), np.array([1.0, 1.0]),
+        syn = _SynapseStates([(0, SP), (1, SP)], 2, DT, np.array([1, 0]), np.array([1.0, 1.0]),
                              np.array([0, 1]))
         states, charges = [], []
         for k in range(n_steps):
@@ -666,8 +662,7 @@ class TestQuietStretches:
         ("no_synapses", dict(master_seed=3, record_traces="all", trace_decimation=3)),
         ("mixed_presets", dict(master_seed=2, duration=4e-5, record_traces="all", trace_decimation=1)),
     ])
-    def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, engine_path, monkeypatch):
-        import spikeislands.engine as engine_mod
+    def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, synapse_path, monkeypatch):
         import spikeislands.presets as presets_mod
 
         # Every shipped config has synapses and one neuron preset; a network
@@ -682,7 +677,7 @@ class TestQuietStretches:
             net, _ = parse_document(load_builtin(name))
         sim = SimConfig(**{"duration": 3e-5, "dt": DT, **sim_kw})
         fast = run(net, sim)
-        monkeypatch.setattr(engine_mod._SynapseStates, "idle_at_floor", lambda self, k: False)
+        monkeypatch.setattr(synapse_path, "idle_at_floor", lambda self, k: False)
         slow = run(net, sim)
         assert fast.stats["quiet_steps"] > 0 and slow.stats["quiet_steps"] == 0
         assert spikes_to_csv(fast) == spikes_to_csv(slow)
@@ -695,7 +690,7 @@ class TestQuietStretches:
     def test_stats_pin_quiet_steps(self):
         # steps at which no switch is on, no pulse is in flight and every
         # synapse sits at its floor, taken as quiet stretches; seed 1, 120 us
-        expected = {"fig6E": 10752, "fig6F": 9979, "fig6G": 3042, "fig6H": 9350}
+        expected = {"fig6E": 10752, "fig6F": 9979, "fig6G": 2970, "fig6H": 9350}
         for name, quiet in expected.items():
             net, _ = parse_document(load_builtin(name))
             sim = SimConfig(duration=1.2e-4, dt=DT, master_seed=1)

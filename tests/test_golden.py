@@ -18,10 +18,14 @@ form must still describe the same network, edge for edge.  A change that is mean
 keep behaviour (a faster path, a refactor) must leave every hash as it is; a change that moves
 trajectories on purpose re-baselines them and says so in CHANGES.md.
 
-The ring configs are chaotic in the last bit of floating-point rounding,
-so these hashes pin the numpy build too: numpy's ``exp``/``log`` may round
-differently between SIMD code paths, and another build can legitimately
-give other hashes.
+The ring configs are chaotic in the last bit of floating-point rounding.
+The synapse layer takes its ``exp``, ``log`` and ``log1p`` from libm on
+both paths (numpy's own loops round otherwise where they use AVX-512), so
+these hashes hold on any x86-64 host with the same libm, whatever SIMD
+code numpy dispatches to; a test runs the busy fig6G case and the traced
+run with numpy's AVX-512 loops turned off.  The pink filter is the
+exception: its matmuls round with the BLAS kernel, so another OpenBLAS
+kernel can give other pink hashes.
 """
 
 import hashlib
@@ -67,15 +71,15 @@ SPIKES_SHA256 = {
     ("fig6E", 1): "23cec1f9c5f918c56e93b1418a26a30d00c42a4c91500b79d23f6d7a1e8cc8e8",
     ("fig6F", 0): "d3617f4816eacfe299a2bc81b3f2322ffdbeca0d613dad3057fea9ddf606ba59",
     ("fig6F", 1): "ea569876aef94cfa732af6aba01b8946396420a447ad2cf2e3c256300b211496",
-    ("fig6G", 0): "b98fb4fe565547a03ab0e7d0bef17630f0eb0f0df4ed405689c6b790cd50be22",
-    ("fig6G", 1): "2204843eac07da9f8c1359d0741d27af77ad805c0070fca37c12a6c3a53500d8",
+    ("fig6G", 0): "e76f79e7db4012f65398ef671f94115985c168e0bfc2de6215bffa7c62099118",
+    ("fig6G", 1): "d5795290a85a6634ba6db07cf2009ae6844b7c5799fd485d809adad1aff4f537",
     ("fig6H", 0): "5440d2f98d166dbbbe6e842d2f5da5b3ff5c7d1e0c4747feeb24f59b9c9519bf",
     ("fig6H", 1): "c8cfd815e4d9a9725d9e184aa4af23d4279123e685df52ac4583c1f0fd9ec5d1",
 }
 
 TRACED_SHA256 = {
     "spikes": "ea569876aef94cfa732af6aba01b8946396420a447ad2cf2e3c256300b211496",
-    "traces": "8db3b677d33a55a07d62dd729c0de45534fb41244153a869fb9f98802e72b10d",
+    "traces": "2c52760546fd00556dcc8860e1c40399c277b2a54be68255996273a5d72ea307",
 }
 
 
@@ -100,20 +104,20 @@ SINGLE_SHA256 = {
 # fig6G and fig5B_ring8 over 120 us: the spikes CSV and the run's stats.
 BUSY_DURATION = 120e-6
 BUSY_SHA256 = {
-    ("fig6G", 2): "e22a82bb859701368585acf0e72b9b8710f63063158a0347d9a9a16825c9b88b",
-    ("fig6G", 3): "252703e77a6f705013d3d8ab2f23bb8c8e7f79fba05c2990b4328cde41252185",
-    ("fig5B_ring8", 2): "0e5e2b1c58047e10354500bf752877a2e5db6eee2e2844dc9c0f824ca8705e26",
-    ("fig5B_ring8", 3): "1f1d3b9fbbfc1c7b5fc3908fd4da59f5bfa89851ef91b9d48fdaa964f0ad3de3",
+    ("fig6G", 2): "1fc946345e55855977b8c54fe10432725cafebb8f961e90e1c97009c6939205d",
+    ("fig6G", 3): "e9b790be884040563cb4bcd0df1f05ae4d654fa0cd4a8baabbbb2cbf0e5247cd",
+    ("fig5B_ring8", 2): "66adca539048bc8a80607f7ec49577f7df1562d7445ab777d7c22811823bbf65",
+    ("fig5B_ring8", 3): "0be639c4d524c7c48f28ea317b8753ffbe016ddf8358eea8d39ee07df7802605",
 }
 BUSY_STATS = {
-    ("fig6G", 2): {"steps": 12000, "quiet_steps": 3222, "pulse_steps": 8043, "rising_solves": 3534,
-                   "spikes_per_island": [1559, 1636, 1595, 1510]},
-    ("fig6G", 3): {"steps": 12000, "quiet_steps": 4725, "pulse_steps": 6629, "rising_solves": 3019,
-                   "spikes_per_island": [1334, 1425, 1337, 1295]},
-    ("fig5B_ring8", 2): {"steps": 12000, "quiet_steps": 1665, "pulse_steps": 9675, "rising_solves": 3579,
-                         "spikes_per_island": [1337, 1300, 1213, 1130]},
-    ("fig5B_ring8", 3): {"steps": 12000, "quiet_steps": 1418, "pulse_steps": 9881, "rising_solves": 3352,
-                         "spikes_per_island": [1352, 1161, 1146, 915]},
+    ("fig6G", 2): {"steps": 12000, "quiet_steps": 3886, "pulse_steps": 7462, "rising_solves": 3292,
+                   "spikes_per_island": [1472, 1541, 1459, 1434]},
+    ("fig6G", 3): {"steps": 12000, "quiet_steps": 4388, "pulse_steps": 7048, "rising_solves": 3362,
+                   "spikes_per_island": [1435, 1556, 1474, 1427]},
+    ("fig5B_ring8", 2): {"steps": 12000, "quiet_steps": 1737, "pulse_steps": 9862, "rising_solves": 3643,
+                         "spikes_per_island": [1340, 1327, 1223, 1174]},
+    ("fig5B_ring8", 3): {"steps": 12000, "quiet_steps": 1253, "pulse_steps": 10247, "rising_solves": 3514,
+                         "spikes_per_island": [1421, 1205, 1169, 1010]},
 }
 
 PINK_SERIES_SHA256 = "3ba441310141ce42929c9be35c305f37984f95f9adfa3fe9af8ade9d826887bb"
@@ -176,6 +180,43 @@ def test_busy_ring_matches_golden_hash_and_stats(name, seed, engine_path, tmp_pa
     rec = run_builtin(name, seed, BUSY_DURATION)
     assert spikes_sha256(rec, tmp_path) == BUSY_SHA256[name, seed]
     assert rec.stats == BUSY_STATS[name, seed]
+
+
+# numpy's AVX-512 loops, which NPY_DISABLE_CPU_FEATURES turns off.
+AVX512_OFF = ("X86_V4 AVX512F AVX512CD AVX512VL AVX512BW AVX512DQ AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL "
+              "AVX512_SPR AVX512VNNI AVX512IFMA AVX512VBMI AVX512VBMI2 AVX512BITALG AVX512FP16 AVX512BF16 "
+              "AVX512VPOPCNTDQ")
+
+# A process that runs the busy fig6G case at seed 2 and the traced run on
+# the engine path in argv[1] and prints their hashes and stats.
+HOST_PROBE = """
+import sys, tempfile
+from pathlib import Path
+import test_golden as g
+from spikeislands import _kernel
+if sys.argv[1] == "python":
+    _kernel.load = lambda: None
+assert (_kernel.load() is not None) == (sys.argv[1] == "compiled")
+with tempfile.TemporaryDirectory() as tmp:
+    busy = g.run_builtin("fig6G", 2, g.BUSY_DURATION)
+    traced = g.run_builtin("fig6F", 1, record_traces="all", trace_decimation=1)
+    print(g.spikes_sha256(busy, Path(tmp)), g.spikes_sha256(traced, Path(tmp)), g.traces_sha256(traced.traces))
+    print(busy.stats)
+"""
+
+
+def test_busy_and_traced_hashes_hold_without_avx512(engine_path):
+    # numpy's SIMD dispatch does not reach the trajectories: with its
+    # AVX-512 loops off, both paths give the pinned hashes and stats
+    path = "compiled" if engine_path.__module__.endswith("_kernel") else "python"
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": AVX512_OFF,
+           "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])}
+    proc = subprocess.run([sys.executable, "-c", HOST_PROBE, path], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    hashes, stats = proc.stdout.splitlines()
+    assert hashes.split() == [BUSY_SHA256["fig6G", 2], TRACED_SHA256["spikes"], TRACED_SHA256["traces"]]
+    assert stats == str(BUSY_STATS["fig6G", 2])
 
 
 def single_neuron_text(variant: str) -> str:

@@ -1,4 +1,4 @@
-"""The compiled neuron updates (``_scalar.c``) and their loader.
+"""The compiled neuron and synapse updates (``_scalar.c``) and their loader.
 
 The compiled neuron layer of a network must give the bits of
 ``engine._NeuronLayer``: its busy general step those of
@@ -8,8 +8,13 @@ vector expression and every other neuron through ``_general_step``
 finite), and its idle run those of the Python ``run`` (quiet stretches,
 general steps, the spikes that start pulses and those that do not, a
 full spike buffer), on blocks of two presets around the levels the step
-compares against and at the switch limit; and every shipped config runs
-to the same spikes, traces and stats on both paths.  The one-neuron
+compares against and at the switch limit.  The compiled synapse layer
+must give the bits of ``engine._SynapseStates``: input currents, states,
+pulse tables and counters, over steps and pulse starts from outputs at,
+near and above their floor and fixed point, with onsets at and next to
+the step ends, pulses over earlier ones and pulses that end inside a
+step, through every flow regime.  Every shipped config runs to the same
+spikes, traces and stats on both paths.  The one-neuron
 network without synapses must give the bits of the Python single-neuron
 loop, ``engine._ScalarNeuron``: the same spike steps, quiet steps, end
 state and trace rows, or the same first non-finite step, on the shipped
@@ -24,6 +29,7 @@ takes the Python code and gives the same spikes.  The ``kernel`` fixture
 (conftest.py) is the loaded library.
 """
 
+import ctypes
 import hashlib
 import importlib.resources
 import math
@@ -47,10 +53,10 @@ from spikeislands import _kernel
 from spikeislands._kernel import _CheckDrive, _CheckSynapses
 from spikeislands.configio import builtin_names, load_builtin, parse_document
 from spikeislands.engine import (SimConfig, SimulationError, _Drive, _NeuronBlock, _NeuronLayer, _ScalarNeuron,
-                                 _step_network, _Traces, run)
+                                 _step_network, _SynapseStates, _Traces, run)
 from spikeislands.io import spikes_to_csv
 from spikeislands.neuron import DETECT_THRESHOLD_V, advance
-from spikeislands.presets import neuron_preset
+from spikeislands.presets import neuron_preset, synapse_preset
 
 SRC = Path(spikeislands.__file__).resolve().parent.parent
 P = neuron_preset("fast-mode")
@@ -341,6 +347,124 @@ class TestCompiledNeuronLayer:
         assert spikes > 0
 
 
+SP = synapse_preset("fast-dpi")
+# The synapses of the tests: fast-dpi, its pulse cut to 2.5 steps, and a
+# drive below i_tau (a < 0: every driven output falls, to its floor) with a
+# pulse of half a step.
+SYNAPSES = [SP, replace(SP, pulse_width=2.5 * DT), replace(SP, i_pulse=0.4 * SP.i_tau, pulse_width=0.5 * DT)]
+# An output's state at the start: a multiple of its floor (1 is the floor),
+# of its fixed point a (1 is a) or of their geometric mean.
+STARTS = st.one_of(st.tuples(st.just("floor"), st.sampled_from([1.0, 1.0 + 2**-40, 1.2, 3.0])),
+                   st.tuples(st.just("a"), st.sampled_from([1.0, 1.0 - 2**-40, 1.0 + 2**-40, 0.9, 1.5, 4.0])),
+                   st.tuples(st.just("mean"), st.floats(0.01, 100.0)))
+# Onsets into a step: at either end, next to them, or anywhere.
+ONSETS = st.one_of(st.sampled_from([0.0, float(np.nextafter(0.0, 1.0)), float(np.nextafter(DT, 0.0)), DT]),
+                   st.floats(0.0, DT))
+
+
+def synapse_block(outputs, synapses):
+    """A synapse block of outputs ``(preset, pre, start, in_flight)`` (an
+    index into SYNAPSES, the neuron driving the output, its start in STARTS
+    and, or None, the part of step 0 an earlier pulse is in flight over) on
+    ``synapses`` ``(output, post, weight)`` among three neurons."""
+    keys = [(pre, SYNAPSES[preset]) for preset, pre, _, _ in outputs]
+    states = _SynapseStates(keys, 3, DT, *zip(*[(post, weight, out) for out, post, weight in synapses]))
+    for j, (preset, _, (base, factor), in_flight) in enumerate(outputs):
+        sp = SYNAPSES[preset]
+        a = sp.i_pulse - sp.i_tau
+        level = {"floor": sp.i_floor, "a": a if a > 0.0 else sp.i_floor,
+                 "mean": math.sqrt(sp.i_floor * abs(a))}[base]
+        states.i[j] = max(level * factor, sp.i_floor)
+        if in_flight is not None:
+            states.tab_i[0, j], states.tab_q[0, j], states.tab_on[0, j] = 2.0 * sp.i_floor, 1e-15, in_flight
+            states.until[j], states.busy_until = 0, 1
+    states.at_floor = bool((states.i == states.floor).all())
+    return states
+
+
+def synapse_run(layer, pulses, n_steps):
+    """Steps 0 .. n_steps-1 of the synapse block ``layer``, starting in step
+    k the pulses ``pulses[k]`` ((neuron, onset) pairs): whether each step is
+    idle, its input current and the state after the step and its pulses,
+    as bytes, then the counters."""
+    out = []
+    for k in range(n_steps):
+        out += [layer.idle_at_floor(k), layer.step(k).tobytes()]
+        if pulses.get(k):
+            spiking, onsets = zip(*sorted(pulses[k].items()))
+            layer.start_pulses(k, np.array(spiking, dtype=np.int64), np.array(onsets))
+        out.append(b"".join(a.tobytes() for a in (layer.i, layer.on, layer.tab_i, layer.tab_q, layer.tab_on,
+                                                   layer.until)))
+    return out + [layer.busy_until, layer.at_floor, layer.pulse_steps, layer.rising_solves]
+
+
+def both_synapse_layers(kernel, outputs, synapses, pulses, n_steps):
+    """``synapse_run`` on the Python block and on the compiled layer made
+    from a block like it (whether or not the library passed its check)."""
+    return (synapse_run(synapse_block(outputs, synapses), pulses, n_steps),
+            synapse_run(_kernel.SynapseLayer(kernel, synapse_block(outputs, synapses)), pulses, n_steps))
+
+
+class TestCompiledSynapseLayer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), STARTS,
+                              st.one_of(st.none(), st.floats(0.0, DT))), min_size=1, max_size=4),
+           st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.sampled_from([1.0, -1.0, 3.0])),
+                    min_size=1, max_size=6),
+           st.dictionaries(st.integers(0, 30), st.dictionaries(st.integers(0, 2), ONSETS, min_size=1),
+                           max_size=8))
+    # an output at its fixed point under an earlier pulse (dpi_flow's i0 == a)
+    @example([(0, 0, ("a", 1.0), 0.8 * DT)], [(0, 1, 1.0)], {0: {0: 0.5 * DT}})
+    # above it (falling toward it), and a drive below i_tau from above the
+    # floor to the floor inside the onset step, both overlapping
+    @example([(1, 0, ("a", 4.0), None), (2, 0, ("floor", 1.2), 0.3 * DT), (0, 1, ("floor", 1.0), None)],
+             [(0, 1, 1.0), (1, 2, -1.0), (2, 0, 3.0)], {0: {0: 0.6 * DT}, 1: {0: DT, 1: 0.0}, 2: {0: 0.1 * DT}})
+    # onsets at and next to the step ends, pulses ending on the grid
+    @example([(0, 0, ("floor", 1.0), None), (1, 1, ("mean", 1.0), None)], [(0, 0, 1.0), (1, 1, 1.0)],
+             {0: {0: 0.0, 1: float(np.nextafter(DT, 0.0))}, 15: {0: DT}, 16: {0: 0.5 * DT, 1: 0.0}})
+    def test_steps_and_pulse_starts(self, kernel, outputs, synapses, pulses):
+        # from any state, onsets and overlaps, the compiled layer takes each
+        # step and starts each pulse with the Python block's bits: input
+        # currents, states, pulse tables and counters
+        synapses = [(out % len(outputs), post, weight) for out, post, weight in synapses]
+        python, compiled = both_synapse_layers(kernel, outputs, synapses, pulses, 40)
+        assert compiled == python
+
+    def test_the_library_passes_the_synapse_check(self, kernel):
+        assert kernel.synapses_match
+        states = _kernel.check_synapses()
+        assert isinstance(kernel.synapse_layer(states), _kernel.SynapseLayer)
+
+    def test_the_synapse_check_covers_each_regime(self, monkeypatch):
+        # the synapse block of Kernel.synapses_match reaches the rising
+        # flow, the falling flow above a fixed point a > 0 and toward a <= 0,
+        # the floor in a decay and in a falling flow, and a pulse over an
+        # earlier one (a rising solve to its onset)
+        import spikeislands.engine as engine_mod
+        import spikeislands.synapse as synapse_mod
+
+        seen = set()
+        for name in ("_rising", "_falling", "dpi_decay"):
+            real = getattr(synapse_mod, name)
+
+            def spy(*args, real=real, name=name):
+                i1, q = real(*args)
+                seen.add(name)
+                if name != "_rising" and np.any((i1 == args[-1]) & (np.asarray(args[0]) > args[-1])):
+                    seen.add(f"{name} to the floor")
+                if name == "_falling":
+                    seen.update("_falling to a > 0" if d > i_tau else "_falling to a <= 0"
+                                for d, i_tau in zip(np.ravel(args[1]), np.ravel(args[3])))
+                return i1, q
+
+            monkeypatch.setattr(synapse_mod, name, spy)
+        monkeypatch.setattr(engine_mod, "dpi_decay", synapse_mod.dpi_decay)
+        outcome = _kernel.synapse_outcome(_kernel.check_synapses())
+        assert seen == {"_rising", "_falling", "dpi_decay", "dpi_decay to the floor", "_falling to the floor",
+                        "_falling to a > 0", "_falling to a <= 0"}
+        assert outcome[-2:] == [3, 2]  # pulse steps and rising solves
+
+
 # A process that loads the compiled neuron updates and runs the single neuron
 # for 1 ms.
 PROBE = """
@@ -430,6 +554,28 @@ class TestLoader:
         path = _kernel._library_path(tmp_path, ["cc"])
         monkeypatch.setattr(_kernel, name, (*getattr(_kernel, name), extra))
         assert _kernel._library_path(tmp_path, ["cc"]) != path
+
+    def test_failing_synapse_check_runs_the_python_synapse_layer(self, kernel, monkeypatch):
+        # a library whose synapse layer fails its check runs the Python
+        # synapse layer with its compiled neuron layer, to the same spikes;
+        # the check runs once, and not for a block without outputs
+        fresh = _kernel.Kernel(ctypes.CDLL(str(kernel.path)), kernel.path, kernel.command, False)
+        calls = []
+        monkeypatch.setattr(_kernel, "synapse_outcome", lambda layer: calls.append(layer) or type(layer).__name__)
+        empty = _SynapseStates([], 1, DT, [], [], [])
+        assert isinstance(fresh.synapse_layer(empty), _kernel.SynapseLayer) and not calls
+        states = _kernel.check_synapses()
+        assert fresh.synapse_layer(states) is states and len(calls) == 2
+        again = _kernel.check_synapses()
+        assert fresh.synapse_layer(again) is again and len(calls) == 2
+        network, _ = parse_document(load_builtin("fig6G"))
+        sim = SimConfig(duration=10e-6, dt=DT, master_seed=1)
+        monkeypatch.setattr(_kernel, "load", lambda: fresh)
+        mixed = run(network, sim)
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        python = run(network, sim)
+        assert spikes_to_csv(mixed) == spikes_to_csv(python) and mixed.stats == python.stats
+        assert mixed.stats["rising_solves"] > 0
 
     @needs_compiler
     def test_failing_check_runs_the_python_loop(self, monkeypatch):
