@@ -12,8 +12,11 @@ Each run names what it measured: ``repo_commit`` (null for a copy without
 
 - ``host``: Python, numpy, the CPU features numpy dispatches to, the BLAS
   build, ``OPENBLAS_CORETYPE`` if it is set, ``kernel``: whether the
-  compiled neuron updates loaded and the compiler command that built them
-  (a version without them reports ``compiled: false``),
+  compiled neuron updates loaded, the compiler command that built them,
+  whether this process built them, the wall seconds of ``load()`` in a
+  fresh process and of the check of the compiled busy steps that the first
+  network with synapses runs (``busy_check_s``; null in a version without
+  that check) (a version without them reports ``compiled: false``),
   ``network_layer``: whether a network's neuron layer runs compiled, and
   ``synapse_layer``: whether its synapse layer does;
 - ``configs``: for each shipped config at master seed 1 (120 us, and 20 ms
@@ -56,21 +59,23 @@ MASTER_SEED = 1
 ADVANCE_CONFIGS = ("fig3_single_neuron", "fig6G")
 # The methods each phase of a network run is timed at, as groups of
 # ``module.Class.method`` of spikeislands: the first group of which a
-# method exists is wrapped.  A version with ``engine._NeuronLayer`` times
-# its layer's step (the noise gather and the finiteness test included),
-# compiled or not; an older one times ``_NeuronBlock.step`` and
-# ``_QuietStretch.take``.  A version whose layer has ``run`` takes every
-# idle step there (the quiet stretches and the general steps while the
-# synapses sit at their floor; the Python ``run`` calls the timed ``step``
-# too), and ``step`` only the busy ones; an older one takes the quiet
-# stretches in ``take_quiet`` and every general step in ``step``.  The
-# synapse phases time ``engine._SynapseStates`` and, in a version that
-# compiles the synapse layer, ``_kernel.SynapseLayer``.
+# method exists is wrapped, and a method the run does not call counts no
+# calls.  ``run`` is the neuron layer's ``run``: in a version whose
+# compiled ``run`` takes every step, one call per noise block, it times the
+# whole network run (its quiet stretches, general steps, synapse steps,
+# pulse starts and the noise it draws), and the other phases, which time
+# the Python layers, see no call on the compiled path; in an older one it
+# takes the idle steps (or, older still, the quiet stretches:
+# ``take_quiet``, ``_QuietStretch.take``), and the other phases time the
+# busy steps' wrappers: the neuron layer's step (the noise gather and the
+# finiteness test included; ``_NeuronBlock.step`` before the layer
+# existed), and ``engine._SynapseStates``' or, compiled, ``SynapseLayer``'s
+# step and pulse starts.
 PHASES = {
     "neuron_block": [["engine._NeuronLayer.step", "_kernel.NeuronLayer.step"], ["engine._NeuronBlock.step"]],
-    "idle_run": [["engine._NeuronLayer.run", "_kernel.NeuronLayer.run"],
-                 ["engine._NeuronLayer.take_quiet", "_kernel.NeuronLayer.take_quiet"],
-                 ["engine._QuietStretch.take"]],
+    "run": [["engine._NeuronLayer.run", "_kernel.NeuronLayer.run"],
+            ["engine._NeuronLayer.take_quiet", "_kernel.NeuronLayer.take_quiet"],
+            ["engine._QuietStretch.take"]],
     "synapse_step": [["engine._SynapseStates.step", "_kernel.SynapseLayer.step"]],
     "start_pulses": [["engine._SynapseStates.start_pulses", "_kernel.SynapseLayer.start_pulses"]],
 }
@@ -100,11 +105,20 @@ def host_info() -> dict:
     except ImportError:
         info["kernel"] = {"compiled": False, "command": None}
     else:
+        t0 = time.perf_counter()
         kernel = _kernel.load()
+        load_s = time.perf_counter() - t0
+        busy_check_s = None
+        if hasattr(type(kernel), "busy_loop_matches"):
+            t0 = time.perf_counter()
+            kernel.busy_loop_matches
+            busy_check_s = round(time.perf_counter() - t0, 5)
         info["kernel"] = {"compiled": kernel is not None,
-                          "command": None if kernel is None else " ".join(kernel.command)}
+                          "command": None if kernel is None else " ".join(kernel.command),
+                          "built": None if kernel is None else kernel.built, "load_s": round(load_s, 5),
+                          "busy_check_s": busy_check_s}
         info["network_layer"] = {"compiled": hasattr(kernel, "neuron_layer")}
-        info["synapse_layer"] = {"compiled": hasattr(kernel, "synapse_layer")}
+        info["synapse_layer"] = {"compiled": kernel is not None and hasattr(_kernel, "SynapseLayer")}
     return info
 
 

@@ -1,20 +1,22 @@
 /* The neuron and synapse updates of spikeislands in C, expression for
  * expression, so that a run gives the bits of the Python and numpy code
  * they replace: neuron.advance (si_advance), the general step
- * engine._general_step (general_step), and the neuron layer of a network,
- * one neuron without synapses included: a busy step, engine._NeuronBlock.step
- * (si_block_step), and the idle steps, engine._NeuronLayer.run (si_run),
- * with the quiet stretches of engine._QuietStretch.take.  Each neuron's
- * constants are its engine._step_consts.  And the synapse layer,
- * engine._SynapseStates: its step (si_synapse_step) and its pulse starts
- * (si_start_pulses), with the DPI flows of spikeislands.synapse element by
- * element (the Python code gives every element the bits it has alone) and
+ * engine._general_step (general_step), and the run of a network, one
+ * neuron without synapses included, engine._NeuronLayer.run (si_run): its
+ * quiet stretches (engine._QuietStretch.take), its general steps
+ * (engine._NeuronBlock.step, block_step) and its synapse layer,
+ * engine._SynapseStates, whose step (synapse_step) and pulse starts
+ * (start_pulses) take the DPI flows of spikeislands.synapse element by
+ * element (the Python code gives every element the bits it has alone) with
  * np.interp, np.logaddexp and np.bincount as numpy computes them; its exp,
- * log and log1p are libm's, as synapse's are on every host.  Plain C99
- * and libm, no Python headers; spikeislands builds it into a shared library
- * on first use (see spikeislands._kernel), and it must be compiled without
- * floating-point contraction (-ffp-contract=off), which would fuse a
- * multiply and an add into one rounding and so change bits.
+ * log and log1p are libm's, as synapse's are on every host.  Each neuron's
+ * constants are its engine._step_consts.  si_synapse_step and
+ * si_start_pulses export the synapse step and the pulse starts on their own
+ * for the tests.  Plain C99 and libm, no Python headers; spikeislands
+ * builds it into a shared library on first use (see spikeislands._kernel),
+ * and it must be compiled without floating-point contraction
+ * (-ffp-contract=off), which would fuse a multiply and an add into one
+ * rounding and so change bits.
  */
 
 #include <math.h>
@@ -113,24 +115,22 @@ static int general_step(double *v_m_io, double *v_n_io, double i_in, const si_co
 }
 
 /* The neuron layer of a network, bound once per run: the n neurons'
- * constants and islands; a busy step's inputs, noise (a sample per island)
- * and i_syn (a current per neuron), and an idle step's, the held noise block
- * (a row of width samples per island, column 0 being sample first, each
- * read by hold steps) and floor (the synapses' floor input); the state,
- * updated in place; a step's spikes; the neurons that drive synapse outputs
- * (drives); an idle run's room (1-based step, neuron) pairs of buffer, of
- * which it writes n_fired, its first step not taken (k) and the count of
- * quiet steps; room for the state (save); with trace not NULL, the rows of
- * _Traces.v (n_trace columns, neuron j's trace_col[j] or none if -1),
- * sampled after every step k with (k + 1) % decim == 0; the quiet level. */
+ * constants and islands; the held noise block (a row of width samples per
+ * island, column 0 being sample first, each read by hold steps) and the
+ * floor input of the synapses (floor, a current per neuron); the state,
+ * updated in place; a step's spikes; a run's room (1-based step, neuron)
+ * pairs of buffer, of which it writes n_fired, its first step not taken (k)
+ * and the count of quiet steps; room for the state (save); with trace not
+ * NULL, the rows of _Traces.v (n_trace columns, neuron j's trace_col[j] or
+ * none if -1), sampled after every step k with (k + 1) % decim == 0; the
+ * quiet level. */
 typedef struct {
     const si_consts *c;
     const int64_t *island_of;
-    const double *noise, *i_syn, *held, *floor;
+    const double *held, *floor;
     double *v_m, *v_n;
     int64_t *spiking;
     double *onsets;
-    const uint8_t *drives;
     int64_t *buffer;
     double *save, *trace;
     const int64_t *trace_col;
@@ -170,13 +170,6 @@ static int64_t block_step(si_block *b, const double *noise, int64_t stride, cons
                 row[b->trace_col[j]] = b->v_m[j];
     }
     return n_spikes;
-}
-
-/* The general step k of a busy step, under noise and i_syn: block_step. */
-int64_t si_block_step(si_block *b, int64_t k)
-{
-    int holds;
-    return block_step(b, b->noise, 1, b->i_syn, k, &holds);
 }
 
 /* Neuron j alone through the quiet steps k .. lim-1 of _QuietStretch.take
@@ -234,45 +227,6 @@ static int64_t quiet(si_block *b, int64_t k, int64_t end)
     return lim;
 }
 
-/* engine._NeuronLayer.run over the idle steps k .. end-1: a quiet stretch
- * where no switch is on, else block_step under the held noise and the floor
- * input, each spike to buffer.  Stops at end, before a step when fewer than
- * n pairs of buffer are left, or after a step in which a neuron that drives
- * synapse outputs spikes, returning its number of spikes; else returns 0,
- * or -1 - j as block_step does, with k that step. */
-int64_t si_run(si_block *b, int64_t k, int64_t end)
-{
-    const int64_t n = b->n;
-    int64_t n_fired = 0, m = 0;
-    int holds = 1;
-    for (int64_t j = 0; j < n; j++)
-        if (b->v_m[j] > b->c[j].v_th || b->v_n[j] > b->c[j].v_gate)
-            holds = 0;
-    while (m == 0 && k < end && b->room - n_fired >= n) {
-        if (holds) {
-            const int64_t e = quiet(b, k, end);
-            b->quiet_steps += e - k;
-            k = e;
-            if (k == end)
-                break;
-        }
-        m = block_step(b, b->held + (k / b->hold - b->first), b->width, b->floor, k, &holds);
-        if (m < 0)
-            break;
-        k++;
-        int pulses = 0;
-        for (int64_t i = 0; i < m; i++) {
-            b->buffer[2 * n_fired] = k;
-            b->buffer[2 * n_fired++ + 1] = b->spiking[i];
-            pulses |= b->drives[b->spiking[i]];
-        }
-        m = pulses ? m : 0;
-    }
-    b->k = k;
-    b->n_fired = n_fired;
-    return m;
-}
-
 /* The synapse layer of a network, engine._SynapseStates, bound once per run
  * to its arrays: the per-output constants, 7 rows of n_out (tau, i_tau,
  * i_pulse, a, c, width, floor); the rising relation of each output's c
@@ -282,10 +236,10 @@ int64_t si_run(si_block *b, int64_t k, int64_t end)
  * post, weight and output (n_syn); the outputs each neuron drives, those
  * of neuron j being pre_out[pre_start[j] .. pre_start[j + 1]]; the state
  * (i, i_start, on and the pulse tables tab_i, tab_q, tab_on, ring rows of
- * n_out, with until), updated in place; the per-neuron input current; a
- * pulse start's spiking neurons and onsets; room for a pulse start of every
- * output (hit, m, theta, x, first_off, and h, i_tab, q_tab of cols + 1 per
- * output; a step keeps its charges in x); and the counters. */
+ * n_out, with until), updated in place; the per-neuron input current; room
+ * for a pulse start of every output (hit, m, theta, x, first_off, and h,
+ * i_tab, q_tab of cols + 1 per output; a step keeps its charges in x); and
+ * the counters. */
 typedef struct {
     const double *consts, *rel, *psi, *ends;
     const int64_t *rel_of, *ahead, *post, *state_of, *pre_start, *pre_out;
@@ -293,8 +247,6 @@ typedef struct {
     double *i, *i_start, *on, *tab_i, *tab_q, *tab_on;
     int64_t *until;
     double *input;
-    const int64_t *spiking;
-    const double *onsets;
     int64_t *hit, *m;
     double *theta, *x, *first_off, *h, *i_tab, *q_tab;
     int64_t n_out, n_syn, n_neurons, n_grid, ring, cols;
@@ -503,7 +455,7 @@ static void input_current(si_synapses *s, const double *q)
 /* _SynapseStates.step over step k: returns 1 with the step's input current
  * in input, or 0 when every output sits at its floor and no pulse is in
  * flight (the input is then the floor input). */
-int64_t si_synapse_step(si_synapses *s, int64_t k)
+static int synapse_step(si_synapses *s, int64_t k)
 {
     const int64_t n = s->n_out;
     double *q = s->x;
@@ -544,18 +496,18 @@ int64_t si_synapse_step(si_synapses *s, int64_t k)
  * its onset and its pulse solved from there to every step end it covers
  * and to its end, each output's columns beyond its pulse's end being those
  * of the end, as the Python code solves them. */
-void si_start_pulses(si_synapses *s, int64_t k, int64_t n_spiking)
+static void start_pulses(si_synapses *s, int64_t k, const int64_t *spiking, const double *onsets, int64_t n_spiking)
 {
     const int64_t n = s->n_out, w = s->cols + 1;
     int64_t n_hit = 0;
     int solve = 0;
     for (int64_t a = 0; a < n_spiking; a++) {
-        const int64_t j = s->spiking[a];
+        const int64_t j = spiking[a];
         for (int64_t e = s->pre_start[j]; e < s->pre_start[j + 1]; e++) {
             const int64_t out = s->pre_out[e];
             s->hit[n_hit] = out;
-            s->theta[n_hit] = s->onsets[a];
-            s->first_off[n_hit] = np_min(s->on[out], s->onsets[a]);
+            s->theta[n_hit] = onsets[a];
+            s->first_off[n_hit] = np_min(s->on[out], onsets[a]);
             s->x[n_hit] = s->i_start[out];
             solve |= s->first_off[n_hit] != 0.0;
             n_hit++;
@@ -623,4 +575,60 @@ void si_start_pulses(si_synapses *s, int64_t k, int64_t n_spiking)
     if (k + cols > s->busy_until)
         s->busy_until = k + cols;
     s->at_floor = 0;
+}
+
+/* The synapse step and the pulse starts on their own, for the tests. */
+int64_t si_synapse_step(si_synapses *s, int64_t k) { return synapse_step(s, k); }
+
+void si_start_pulses(si_synapses *s, int64_t k, const int64_t *spiking, const double *onsets, int64_t n_spiking)
+{
+    start_pulses(s, k, spiking, onsets, n_spiking);
+}
+
+/* engine._NeuronLayer.run over the steps k .. end-1 of a network whose
+ * synapse layer is s.  A step is idle when no pulse is in flight and every
+ * output sits at its floor; idle steps where no switch is on are a quiet
+ * stretch.  Every other step is the synapse step, then block_step under the
+ * held noise and the synapses' input (their floor input in an idle step),
+ * then the start of the pulses of its spikes, which go to buffer.  Stops at
+ * end, before a step when fewer than n pairs of buffer are left, or after
+ * the first step that leaves neuron j with a state that is not finite,
+ * returning -1 - j with k that step and the step's synaptic input in
+ * s->input; else returns 0. */
+int64_t si_run(si_block *b, si_synapses *s, int64_t k, int64_t end)
+{
+    const int64_t n = b->n;
+    int64_t n_fired = 0;
+    int holds = 1;
+    for (int64_t j = 0; j < n; j++)
+        if (b->v_m[j] > b->c[j].v_th || b->v_n[j] > b->c[j].v_gate)
+            holds = 0;
+    while (k < end && b->room - n_fired >= n) {
+        if (holds && s->at_floor && k >= s->busy_until) {
+            const int64_t e = quiet(b, k, end);
+            b->quiet_steps += e - k;
+            k = e;
+            if (k == end)
+                break;
+        }
+        const double *input = synapse_step(s, k) ? s->input : b->floor;
+        const int64_t m = block_step(b, b->held + (k / b->hold - b->first), b->width, input, k, &holds);
+        if (m < 0) {
+            for (int64_t j = 0; j < n && input != s->input; j++)
+                s->input[j] = input[j];
+            b->k = k;
+            b->n_fired = n_fired;
+            return m;
+        }
+        k++;
+        for (int64_t i = 0; i < m; i++) {
+            b->buffer[2 * n_fired] = k;
+            b->buffer[2 * n_fired++ + 1] = b->spiking[i];
+        }
+        if (m)
+            start_pulses(s, k - 1, b->spiking, b->onsets, m);
+    }
+    b->k = k;
+    b->n_fired = n_fired;
+    return 0;
 }

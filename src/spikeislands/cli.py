@@ -25,6 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from . import __version__
 from .analysis import (
@@ -164,9 +165,15 @@ def _write_run(out_dir: Path, record, write_traces: bool) -> None:
     meta["created_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     from . import _kernel  # loaded by the run, which asked the same cached load()
 
-    # Whether the compiled code ran (every layer whose check it passed); the
-    # spikes are the same either way.
-    meta["compiled"] = _kernel.load() is not None
+    # Whether the compiled code ran (it does where it passed its checks);
+    # the spikes are the same either way.
+    kernel = _kernel.load()
+    meta["compiled"] = kernel is not None and kernel.runs(record.meta["n_synapses"] > 0)
+    # What the host's arithmetic ran on: numpy's active SIMD features, and
+    # OpenBLAS's core type when it is set (the pink noise's bits follow it).
+    meta["cpu_features"] = sorted(name for name, on in __cpu_features__.items() if on)
+    if "OPENBLAS_CORETYPE" in os.environ:
+        meta["openblas_coretype"] = os.environ["OPENBLAS_CORETYPE"]
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 

@@ -27,41 +27,41 @@ contract since it affects exact trajectories:
    applied to the synapse state at the end of the step, and the membrane
    sees the pulse from the next step on.
 
-Idle runs and quiet stretches.  A step is idle when no pulse is in flight
-over it and every synapse output sits at its floor, so that the synapses
-deliver their constant floor charge.  The neurons take idle steps in a run
-of their own (``_NeuronLayer.run``), up to the first step in which a
-neuron with synapse outputs spikes.  An idle step is quiet when, at its
-start, no neuron has a switch on (v_m <= v_th and v_n <= v_gate_th
-everywhere): each neuron only integrates its input and lets its gate
-voltage decay, and no spike can start.  A stretch of quiet steps takes an
-add, the lower clamp, the gate decay and a crossing check per step
-(``_QuietStretch``), with the general step's expressions in its order, so
-the result is bit-identical to taking every step in full.  The first step
-in which a membrane would not stay below the network's lowest v_th and the
-detection level goes to the general step from its saved state; so does a
-NaN or +inf increment, which the general step reports.  A -inf increment
-takes the membrane to its lower clamp, as the general step does.  A
-network without synapses has an empty synapse block, always idle.
+Runs and quiet stretches.  A network's steps are taken by runs of its
+neuron layer (``_NeuronLayer.run``), each up to the end of the noise block
+the drive holds (``_step_network``), and a run takes every step in the
+order above.  A step is idle when no pulse is in flight over it and every
+synapse output sits at its floor, so that the synapses deliver their
+constant floor charge.  An idle step is quiet when, at its start, no neuron
+has a switch on (v_m <= v_th and v_n <= v_gate_th everywhere): each neuron
+only integrates its input and lets its gate voltage decay, and no spike can
+start.  A stretch of quiet steps takes an add, the lower clamp, the gate
+decay and a crossing check per step (``_QuietStretch``), with the general
+step's expressions in its order, so the result is bit-identical to taking
+every step in full.  The first step in which a membrane would not stay
+below the network's lowest v_th and the detection level goes to the general
+step from its saved state; so does a NaN or +inf increment, which the
+general step reports.  A -inf increment takes the membrane to its lower
+clamp, as the general step does.  A network without synapses has an empty
+synapse block, always idle.
 
 Every path steps a neuron with one general step in plain floats,
-``_general_step`` (the switch test, the update of a step in which no
-switch flips, the 1 V test and the clamp, or ``neuron.advance`` when a
-switch flips), and one set of constants per neuron, ``_step_consts``.  A
-network steps its neurons through ``_NeuronLayer``: ``_NeuronBlock``
-gives a step's quiet neurons the quiet update in one vector expression
-and the others the general step; its synapses are a ``_SynapseStates``.
-Both layers run compiled from ``_scalar.c`` when a C compiler is found
-(``_kernel``), one neuron without synapses as a one-neuron network: the
+``_general_step`` (the switch test, the update of a step in which no switch
+flips, the 1 V test and the clamp, or ``neuron.advance`` when a switch
+flips), and one set of constants per neuron, ``_step_consts``.  A network
+steps its neurons through ``_NeuronLayer``: ``_NeuronBlock`` gives a step's
+quiet neurons the quiet update in one vector expression and the others the
+general step; its synapses are a ``_SynapseStates``.  Both layers run
+compiled from ``_scalar.c`` when a C compiler is found (``_kernel``), each
+run in one call, one neuron without synapses as a one-neuron network: the
 first run of a process builds the library into a per-user cache,
 ``$XDG_CACHE_HOME/spikeislands/`` or ``~/.cache/spikeislands/``, which is
 safe to delete, and checks it against the Python code.  The compiled code
-gives the Python code's bits; without a compiler, or when building,
-loading or that check fails, the Python code runs, and one neuron without
-synapses takes a scalar loop of its own (``_ScalarNeuron``).  The synapse
-layer's ``exp``, ``log`` and ``log1p`` are libm's on both paths (see
-``synapse``), so neither path's bits depend on the SIMD code numpy
-dispatches to.
+gives the Python code's bits; without a compiler, or when building, loading
+or that check fails, the Python code runs, and one neuron without synapses
+takes a scalar loop of its own (``_ScalarNeuron``).  The synapse layer's
+``exp``, ``log`` and ``log1p`` are libm's on both paths (see ``synapse``),
+so neither path's bits depend on the SIMD code numpy dispatches to.
 
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
@@ -118,7 +118,7 @@ QUIET_CHUNK = 256
 # floats.
 DRIVE_CHUNK = 1 << 14
 
-_NO_SPIKES, _NO_ONSETS = np.empty(0, dtype=np.int64), np.empty(0)
+_NO_SPIKES = np.empty(0, dtype=np.int64)
 
 
 class SimulationError(RuntimeError):
@@ -588,8 +588,8 @@ class _QuietStretch:
     own expressions, the membrane increments of up to QUIET_CHUNK steps at
     a time computed in one batch."""
 
-    def __init__(self, drive: _Drive, island_of, n_steps: int, neurons: _NeuronBlock, floor_input):
-        self.drive, self.island_of, self.n_steps = drive, island_of, n_steps
+    def __init__(self, drive: _Drive, island_of, neurons: _NeuronBlock, floor_input):
+        self.drive, self.island_of = drive, island_of
         self.k_dt, self.lo, self.decay = neurons.k, neurons.lo, neurons.decay
         self.v_th, self.v_gate = neurons.v_th, neurons.v_gate
         # A step that takes a membrane to the lowest v_th or to the detection
@@ -605,20 +605,20 @@ class _QuietStretch:
         """True when no neuron has a switch on."""
         return not (np.logical_or.reduce(v_m > self.v_th) or np.logical_or.reduce(v_n > self.v_gate))
 
-    def _batch(self, k: int) -> None:
-        end = min(k + QUIET_CHUNK, self.n_steps)
+    def _batch(self, k: int, end: int) -> None:
+        end = min(k + QUIET_CHUNK, end)
         i_total = self.drive.steps(k, end).T[:, self.island_of] + self.floor_input
         self.inc = ((i_total + 0.0) - 0.0) * self.k_dt
         self.start, self.end = k, end
 
-    def take(self, k: int, v_m, v_n, traces):
-        """Take quiet steps from step k while they stay quiet; returns the
-        first step not taken and the state at its start; ``traces`` (or
-        None) samples the membranes after every step."""
+    def take(self, k: int, end: int, v_m, v_n, traces):
+        """Take quiet steps from step k while they stay quiet, up to step
+        end; returns the first step not taken and the state at its start;
+        ``traces`` (or None) samples the membranes after every step."""
         k0 = k
-        while k < self.n_steps:
+        while k < end:
             if not self.start <= k < self.end:
-                self._batch(k)
+                self._batch(k, end)
             inc, lo, stop, decay, base = self.inc, self.lo, self.stop, self.decay, self.start
             while k < self.end:
                 v = v_m + inc[k - base]
@@ -638,18 +638,19 @@ class _QuietStretch:
 
 
 class _NeuronLayer:
-    """The neurons of a network run: their state ``(v_m, v_n)``, advanced
-    by the general step (``_NeuronBlock``) and by quiet stretches
-    (``_QuietStretch``) under the noise of ``drive``, with ``traces`` (or
-    None) sampling the membranes after every step and ``fired`` holding the
-    spikes, arrays of (1-based) steps and of neurons.  ``_kernel``'s
-    compiled layer has the same methods and gives the same bits."""
+    """The neurons of a network run and their synapses: the neurons' state
+    ``(v_m, v_n)``, advanced by the general step (``_NeuronBlock``) and by
+    quiet stretches (``_QuietStretch``) under the noise of ``drive`` and
+    the input of ``synapses``, with ``traces`` (or None) sampling the
+    membranes after every step and ``fired`` holding the spikes, arrays of
+    (1-based) steps and of neurons.  ``_kernel``'s compiled layer has the
+    same methods and gives the same bits."""
 
     def __init__(self, block: _NeuronBlock, synapses: _SynapseStates, drive: _Drive, island_of, n_steps: int,
                  v_m, traces: _Traces | None):
-        self.block, self.drive, self.island_of, self.traces = block, drive, island_of, traces
-        self.quiet = _QuietStretch(drive, island_of, n_steps, block, synapses.floor_input)
-        self.drives = np.bincount(synapses.pre, minlength=len(v_m)) > 0  # has synapse outputs
+        self.block, self.synapses, self.drive, self.island_of = block, synapses, drive, island_of
+        self.n_steps, self.traces = n_steps, traces
+        self.quiet = _QuietStretch(drive, island_of, block, synapses.floor_input)
         self.v_m, self.v_n = v_m, np.zeros(len(v_m))
         self.fired = []
 
@@ -657,24 +658,26 @@ class _NeuronLayer:
     def quiet_steps(self) -> int:
         return self.quiet.steps
 
-    def run(self, k: int):
-        """Idle steps from step k (see ``_step_network``): a quiet stretch
-        where no neuron has a switch on, else the general step under the
-        synapses' floor input, up to the end of the run or the first step in
-        which a neuron with synapse outputs spikes.  Returns the first step
-        not taken and, when the last step taken starts pulses, its spikes
-        and onsets, else empty arrays."""
-        quiet = self.quiet
-        while k < quiet.n_steps:
-            if quiet.holds(self.v_m, self.v_n):
-                k, self.v_m, self.v_n = quiet.take(k, self.v_m, self.v_n, self.traces)
-                if k == quiet.n_steps:
+    def run(self, k: int) -> int:
+        """Steps from step k to the end of the run or of the noise block the
+        drive holds at step k (``_Drive.held_at``); returns the first step
+        not taken.  An idle step (``_SynapseStates.idle_at_floor``) at which
+        no neuron has a switch on starts a quiet stretch; every other step
+        is the synapse step, the general step under its input and the start
+        of the pulses of its spikes."""
+        held, first = self.drive.held_at(k)
+        end = min(self.n_steps, (first + held.shape[1]) * self.drive.hold)
+        synapses, quiet = self.synapses, self.quiet
+        while k < end:
+            if synapses.idle_at_floor(k) and quiet.holds(self.v_m, self.v_n):
+                k, self.v_m, self.v_n = quiet.take(k, end, self.v_m, self.v_n, self.traces)
+                if k == end:
                     break
-            spiking, onsets = self.step(k, quiet.floor_input)
+            spiking, onsets = self.step(k, synapses.step(k))
             k += 1
-            if np.logical_or.reduce(self.drives[spiking]):
-                return k, spiking, onsets
-        return k, _NO_SPIKES, _NO_ONSETS
+            if spiking.size:
+                synapses.start_pulses(k - 1, spiking, onsets)
+        return k
 
     def step(self, k: int, i_syn):
         """The general step k under the synaptic input ``i_syn``; returns the
@@ -696,24 +699,14 @@ class _NeuronLayer:
         return spiking, onsets
 
 
-def _step_network(neurons, synapses: _SynapseStates, n_steps: int) -> list:
-    """Steps 0 .. n_steps-1 of a network: an idle run (``neurons.run``)
-    from an idle step, else the synapse step and the neurons' general step,
-    and the start of the pulses of either's spikes.  ``neurons`` is a
-    ``_NeuronLayer`` or ``_kernel``'s compiled layer, and ``synapses`` a
-    ``_SynapseStates`` or ``_kernel``'s compiled one.  Returns the (1-based)
-    steps at whose end each neuron spikes, an array per neuron."""
+def _step_network(neurons, n_steps: int) -> list:
+    """Steps 0 .. n_steps-1 of a network, ``neurons.run`` after
+    ``neurons.run``.  ``neurons`` is a ``_NeuronLayer`` or ``_kernel``'s
+    compiled layer.  Returns the (1-based) steps at whose end each neuron
+    spikes, an array per neuron."""
     k = 0
     while k < n_steps:
-        if synapses.idle_at_floor(k):
-            k, spiking, onsets = neurons.run(k)
-            if spiking.size:
-                synapses.step(k - 1)  # sets the i_start and on that start_pulses reads
-        else:
-            spiking, onsets = neurons.step(k, synapses.step(k))
-            k += 1
-        if spiking.size:
-            synapses.start_pulses(k - 1, spiking, onsets)
+        k = neurons.run(k)
     fired = [(_NO_SPIKES, _NO_SPIKES), *neurons.fired]
     steps, who = np.concatenate([s for s, _ in fired]), np.concatenate([w for _, w in fired])
     order = np.argsort(who, kind="stable")
@@ -780,10 +773,10 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
     ``island_of[i]`` under noise source ``noise[island_of[i]]``, coupled
     by ``synapses``, through ``_step_network`` with the layers that
     ``_kernel.load()`` gives, decided here, once per run: the compiled
-    neuron layer, with the synapse layer compiled from ``synapses``, or,
-    without them, ``_NeuronLayer`` and ``synapses`` itself, or the Python
-    single-neuron loop (``_ScalarNeuron``) for one neuron without
-    synapses."""
+    layers, made from ``synapses``, or, without them or when they do not
+    run this network (``Kernel.runs``), ``_NeuronLayer`` over ``synapses``
+    itself, or the Python single-neuron loop (``_ScalarNeuron``) for one
+    neuron without synapses."""
     check_sim(params, noise, sim)
     n, n_steps, dt = len(params), sim.n_steps, sim.dt
     drive = _Drive(noise, sim)
@@ -794,16 +787,16 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
     from . import _kernel  # imported by the first run, not with the package
 
     kernel = _kernel.load()
+    if kernel is not None and not kernel.runs(synapses.pre.size > 0):
+        kernel = None
     if kernel is None and n == 1 and not synapses.post.size:
         neuron = _ScalarNeuron(params[0], dt, traces)
         neuron.run(drive, n_steps)
         spikes, quiet_steps = [neuron.spikes], n_steps - neuron.general
     else:
-        layer = _NeuronLayer
-        if kernel is not None:
-            layer, synapses = kernel.neuron_layer, kernel.synapse_layer(synapses)
+        layer = _NeuronLayer if kernel is None else kernel.neuron_layer
         neurons = layer(_NeuronBlock(params, dt), synapses, drive, island_of, n_steps, v_m, traces)
-        spikes, quiet_steps = _step_network(neurons, synapses, n_steps), neurons.quiet_steps
+        spikes, quiet_steps, synapses = _step_network(neurons, n_steps), neurons.quiet_steps, neurons.synapses
 
     times = [np.array(s, dtype=np.int64) * dt for s in spikes]
     stats = {

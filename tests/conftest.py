@@ -24,7 +24,8 @@ def engine_path(request, monkeypatch):
     and synapse layers (skipped when they are not available), which run
     every network, one neuron without synapses included, and the Python
     code, the layers of a network and the single-neuron loop.  Gives the
-    class of the network's neuron layer on that path."""
+    class of the network's neuron layer on that path, whose ``run`` takes
+    every step of a network."""
     from spikeislands import _kernel, engine
 
     if request.param == "python":
@@ -32,12 +33,3 @@ def engine_path(request, monkeypatch):
         return engine._NeuronLayer
     compiled_loop_or_skip()
     return _kernel.NeuronLayer
-
-
-@pytest.fixture
-def synapse_path(engine_path):
-    """The class of the network's synapse layer on the path of
-    ``engine_path``."""
-    from spikeislands import _kernel, engine
-
-    return engine._SynapseStates if engine_path is engine._NeuronLayer else _kernel.SynapseLayer

@@ -122,6 +122,26 @@ class TestSimulate:
         assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
         assert "compiled" not in (a / "manifest.json").read_text()
 
+    def test_meta_records_the_hosts_arithmetic(self, tmp_path, monkeypatch):
+        # meta.json records numpy's active SIMD features and OPENBLAS_CORETYPE
+        # when it is set; the manifest and its content_hash do not change
+        # with them
+        from numpy._core._multiarray_umath import __cpu_features__
+
+        args = ["simulate", "--config", "fig3_single_neuron", "--duration", "2e-6", "--seed", "1"]
+        monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        assert main([*args, "--out", str(tmp_path / "a")]) == 0
+        on = sorted(name for name, value in __cpu_features__.items() if value)
+        monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+        monkeypatch.setitem(__cpu_features__, "ZZ_NOT_A_FEATURE", True)
+        assert main([*args, "--out", str(tmp_path / "b")]) == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        metas = [json.loads((out / "meta.json").read_text()) for out in (a, b)]
+        assert metas[0]["cpu_features"] == on and "openblas_coretype" not in metas[0]
+        assert metas[1]["cpu_features"] == [*on, "ZZ_NOT_A_FEATURE"] and metas[1]["openblas_coretype"] == "Haswell"
+        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
+        assert "Haswell" not in (a / "manifest.json").read_text() + (b / "manifest.json").read_text()
+
     @pytest.mark.parametrize("flags", [["--dt", "0"], ["--traces", "--trace-decimation", "0"],
                                        ["--duration", "1e-9"],
                                        ["--dt", "2e-7"],  # above the neuron's stability bound

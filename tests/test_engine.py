@@ -73,6 +73,16 @@ def observer_kick(multiplicity, baseline=False):
     return v[np.searchsorted(t, t_stop) - 1] - before
 
 
+def general_steps(monkeypatch):
+    """Make every later run take the Python path with no idle step, so
+    that every step is a general step: the reference of the quiet
+    stretches on both paths."""
+    from spikeislands import _kernel
+
+    monkeypatch.setattr(_kernel, "load", lambda: None)
+    monkeypatch.setattr(_SynapseStates, "idle_at_floor", lambda self, k: False)
+
+
 def poison_stream(monkeypatch, at, island=0):
     """Make sample ``at`` of the noise stream each run opens for ``island``
     NaN, wherever the run's reads split the stream."""
@@ -213,10 +223,11 @@ class TestZeroDriveAndBlowup:
         assert single_err.value.phase == "noise"
         assert f"step {at}," in str(single_err.value)
 
-    def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, engine_path, synapse_path, monkeypatch):
+    def test_nan_inside_a_quiet_stretch_names_neuron_and_time(self, engine_path, monkeypatch):
         # a NaN noise sample in the middle of a quiet stretch of a network
-        # with synapses is handed to the general step of the idle run, which
-        # reports the neuron and time the general path alone reports
+        # with synapses is handed to the general step of the run, which
+        # reports the neuron and time the general steps of the Python path
+        # alone report
         handoffs = []
         real_run = engine_path.run
 
@@ -238,9 +249,9 @@ class TestZeroDriveAndBlowup:
         sim = SimConfig(duration=1e-5, dt=DT, master_seed=0)
         with pytest.raises(SimulationError) as quiet_err:
             run(net, sim)
-        assert any(k < 500 == end for k, end in handoffs)  # met the NaN inside an idle run
+        assert any(k < 500 == end for k, end in handoffs)  # met the NaN inside a run
 
-        monkeypatch.setattr(synapse_path, "idle_at_floor", lambda self, k: False)
+        general_steps(monkeypatch)
         with pytest.raises(SimulationError) as general_err:
             run(net, sim)
         fields = ("neuron", "island", "step", "t", "phase")
@@ -248,20 +259,27 @@ class TestZeroDriveAndBlowup:
         assert quiet_err.value.neuron == 0 and quiet_err.value.t == pytest.approx(501 * DT)
         assert (quiet_err.value.island, quiet_err.value.step, quiet_err.value.phase) == (0, 500, "noise")
 
-    def test_non_finite_synaptic_current_names_the_synapse_step(self, synapse_path, monkeypatch):
+    def test_non_finite_synaptic_current_names_the_synapse_step(self, engine_path, monkeypatch):
         # with finite noise, a synaptic current that is not finite is the
-        # phase at fault
-        real_step = synapse_path.step
+        # phase at fault: at step 300, where a noise block ends (150
+        # samples, each held for 2 steps), the state of neuron 4's output
+        # (output 4, whose one synapse is onto neuron 5) is made NaN
+        import spikeislands.engine as engine_mod
+
+        real_run = engine_path.run
 
         def poisoned(self, k):
-            current = real_step(self, k)
             if k == 300:
-                current = current.copy()
-                current[5] = float("nan")
-            return current
+                synapses = self.synapses
+                synapses.i[4], synapses.tab_q[:, 4] = float("nan"), float("nan")
+                if isinstance(synapses, _SynapseStates):
+                    synapses.at_floor = False
+                else:
+                    synapses.s.at_floor = False
+            return real_run(self, k)
 
-        monkeypatch.setattr(synapse_path, "step", poisoned)
-        monkeypatch.setattr(synapse_path, "idle_at_floor", lambda self, k: False)
+        monkeypatch.setattr(engine_path, "run", poisoned)
+        monkeypatch.setattr(engine_mod, "NOISE_CHUNK", 150)
         crossbar = [(0, 1, "exc"), (1, 2, "exc"), (2, 3, "inh"), (3, 0, "exc")]
         net = NetworkSpec(
             islands=(IslandSpec(4, tuple(crossbar)), IslandSpec(4, tuple(crossbar))),
@@ -269,7 +287,7 @@ class TestZeroDriveAndBlowup:
                    NoiseSpec("white", 2e-10, (10.0, 5e6), seed=0, stream_id=1)),
         )
         with pytest.raises(SimulationError) as err:
-            run(net, SimConfig(duration=1e-5, dt=DT, master_seed=0))
+            run(net, SimConfig(duration=1e-5, dt=DT, master_seed=0, noise_dt=2 * DT))
         assert (err.value.neuron, err.value.island, err.value.step) == (5, 1, 300)
         assert err.value.phase == "synapse step" and "phase: synapse step" in str(err.value)
 
@@ -662,7 +680,7 @@ class TestQuietStretches:
         ("no_synapses", dict(master_seed=3, record_traces="all", trace_decimation=3)),
         ("mixed_presets", dict(master_seed=2, duration=4e-5, record_traces="all", trace_decimation=1)),
     ])
-    def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, synapse_path, monkeypatch):
+    def test_quiet_path_is_bit_identical_to_general_steps(self, name, sim_kw, engine_path, monkeypatch):
         import spikeislands.presets as presets_mod
 
         # Every shipped config has synapses and one neuron preset; a network
@@ -677,7 +695,7 @@ class TestQuietStretches:
             net, _ = parse_document(load_builtin(name))
         sim = SimConfig(**{"duration": 3e-5, "dt": DT, **sim_kw})
         fast = run(net, sim)
-        monkeypatch.setattr(synapse_path, "idle_at_floor", lambda self, k: False)
+        general_steps(monkeypatch)
         slow = run(net, sim)
         assert fast.stats["quiet_steps"] > 0 and slow.stats["quiet_steps"] == 0
         assert spikes_to_csv(fast) == spikes_to_csv(slow)
@@ -814,6 +832,28 @@ class TestRunLength:
                                                             trace_decimation=7, noise_dt=hold * DT))
                        for n in (n_short, n_short + n_more))
         assert_prefix(short, long)
+
+    def test_noise_blocks_that_end_inside_busy_stretches(self, engine_path, monkeypatch):
+        # a network's run returns at the end of each noise block the drive
+        # holds (97 samples, each held for 2 steps), in idle and in busy
+        # stretches, and the runs after it give the spikes, stats and traces
+        # of the run through one block
+        import spikeislands.engine as engine_mod
+
+        net, _ = parse_document(load_builtin("fig6G"))
+        sim = SimConfig(duration=3e-5, dt=DT, master_seed=1, noise_dt=2 * DT, record_traces=[0, 17, 40],
+                        trace_decimation=3)
+        whole = run(net, sim)
+        starts, real_run = [], engine_path.run
+        monkeypatch.setattr(engine_path, "run",
+                            lambda self, k: starts.append(self.synapses.idle_at_floor(k)) or real_run(self, k))
+        monkeypatch.setattr(engine_mod, "NOISE_CHUNK", 97)
+        split = run(net, sim)
+        assert spikes_to_csv(split) == spikes_to_csv(whole) and split.stats == whole.stats
+        assert split.traces[0].tobytes() == whole.traces[0].tobytes()
+        assert {i: v.tobytes() for i, v in split.traces[1].items()} == {
+            i: v.tobytes() for i, v in whole.traces[1].items()}
+        assert len(starts) == 16 and not all(starts[1:]) and whole.stats["pulse_steps"] > 0
 
 
 class TestRefinement:

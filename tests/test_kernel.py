@@ -1,32 +1,34 @@
 """The compiled neuron and synapse updates (``_scalar.c``) and their loader.
 
-The compiled neuron layer of a network must give the bits of
-``engine._NeuronLayer``: its busy general step those of
+The compiled run of a network must give the bits of
+``engine._NeuronLayer.run``: its general steps those of
 ``_NeuronBlock.step``, which takes the quiet neurons of a step in one
 vector expression and every other neuron through ``_general_step``
 (spikes, onsets, state, the ``SimulationError`` of a state that is not
-finite), and its idle run those of the Python ``run`` (quiet stretches,
-general steps, the spikes that start pulses and those that do not, a
-full spike buffer), on blocks of two presets around the levels the step
-compares against and at the switch limit.  The compiled synapse layer
-must give the bits of ``engine._SynapseStates``: input currents, states,
-pulse tables and counters, over steps and pulse starts from outputs at,
-near and above their floor and fixed point, with onsets at and next to
-the step ends, pulses over earlier ones and pulses that end inside a
-step, through every flow regime.  Every shipped config runs to the same
-spikes, traces and stats on both paths.  The one-neuron
-network without synapses must give the bits of the Python single-neuron
-loop, ``engine._ScalarNeuron``: the same spike steps, quiet steps, end
-state and trace rows, or the same first non-finite step, on the shipped
-drives and on states and drives around every level, NaN and infinities
-included.  The compiled ``advance`` must give ``neuron.advance``'s bits
-on the cases ``TestAdvanceAsFirstWritten`` checks.  ``test_engine``
-checks ``_NeuronBlock.step`` against ``neuron.advance`` without a
-compiler.  Those tests skip, saying why, when the compiled code is not
-available.  The loader builds the library once per cache, safely from two
-processes at once, and without a compiler or a writable cache the run
-takes the Python code and gives the same spikes.  The ``kernel`` fixture
-(conftest.py) is the loaded library.
+finite), its quiet stretches, and its busy steps those of the Python
+synapse step and pulse starts (the spikes of neurons with and without
+synapse outputs, a full spike buffer), on blocks of two presets around the
+levels the step compares against and at the switch limit.  The compiled
+synapse step and pulse starts, called on their own, must give the bits of
+``engine._SynapseStates``: input currents, states, pulse tables and
+counters, over steps and pulse starts from outputs at, near and above
+their floor and fixed point, with onsets at and next to the step ends,
+pulses over earlier ones and pulses that end inside a step, through every
+flow regime.  Every shipped config runs to the same spikes, traces and
+stats on both paths.  The one-neuron network without synapses must give
+the bits of the Python single-neuron loop, ``engine._ScalarNeuron``: the
+same spike steps, quiet steps, end state and trace rows, or the same first
+non-finite step, on the shipped drives and on states and drives around
+every level, NaN and infinities included.  The compiled ``advance`` must
+give ``neuron.advance``'s bits on the cases ``TestAdvanceAsFirstWritten``
+checks.  ``test_engine`` checks ``_NeuronBlock.step`` against
+``neuron.advance`` without a compiler.  Those tests skip, saying why, when
+the compiled code is not available.  The loader builds the library once
+per cache, safely from two processes at once, and without a compiler or a
+writable cache the run takes the Python code and gives the same spikes; a
+library whose busy steps fail their check runs networks with synapses on
+the Python code.  The ``kernel`` fixture (conftest.py) is the loaded
+library.
 """
 
 import ctypes
@@ -48,14 +50,16 @@ from test_golden import SINGLE_NOISE, single_neuron_text
 from test_neuron import DTS, I_LEVELS, SPECIALS, V_M_LEVELS, V_N_LEVELS, _near, _tie
 
 import spikeislands
+import spikeislands.engine as engine_mod
 import spikeislands.neuron as neuron_mod
 from spikeislands import _kernel
-from spikeislands._kernel import _CheckDrive, _CheckSynapses
+from spikeislands._kernel import _CheckDrive, floor_block
 from spikeislands.configio import builtin_names, load_builtin, parse_document
 from spikeislands.engine import (SimConfig, SimulationError, _Drive, _NeuronBlock, _NeuronLayer, _ScalarNeuron,
-                                 _step_network, _SynapseStates, _Traces, run)
+                                 _step_network, _SynapseStates, _Traces, run, run_single_neuron)
 from spikeislands.io import spikes_to_csv
 from spikeislands.neuron import DETECT_THRESHOLD_V, advance
+from spikeislands.noise import NoiseSpec
 from spikeislands.presets import neuron_preset, synapse_preset
 
 SRC = Path(spikeislands.__file__).resolve().parent.parent
@@ -81,11 +85,11 @@ def single_outcome(kernel, params, drive, v_m, v_n, decim):
         end = neuron.take(drive.tolist(), 0, v_m, v_n)
         spikes, quiet = neuron.spikes, drive.size - neuron.general
     else:
-        synapses = _CheckSynapses(1, [])
-        neurons = kernel.neuron_layer(_NeuronBlock([params], DT), synapses, _CheckDrive(drive[None]),
-                                      np.zeros(1, dtype=np.int32), drive.size, np.array([v_m]), traces)
+        neurons = kernel.neuron_layer(_NeuronBlock([params], DT), floor_block(1, 0.0),
+                                      _CheckDrive(drive[None]), np.zeros(1, dtype=np.int32), drive.size,
+                                      np.array([v_m]), traces)
         neurons.v_n[0] = v_n
-        spikes = _step_network(neurons, synapses, drive.size)[0].tolist()
+        spikes = _step_network(neurons, drive.size)[0].tolist()
         end, quiet = (neurons.v_m[0], neurons.v_n[0]), neurons.quiet_steps
     return spikes, quiet, _bits(*end), None if traces is None else traces.v.tobytes()
 
@@ -183,51 +187,53 @@ class TestCompiledAdvance:
             v_m, v_n, _ = advance(v_m, v_n, 1.5e-6, DT, P)
 
 
-def both_layers(kernel, params, island_of, rows, v_m, v_n, decim=None, dt=DT, pre=()):
+def driven_block(n, pre, dt=DT):
+    """A synapse block of n neurons in which each neuron of ``pre`` drives a
+    fast-dpi output onto the next neuron (weight 2) and the one before
+    (weight -1)."""
+    post = [(j + d) % n for j in pre for d in (1, -1)]
+    return _SynapseStates([(j, SP) for j in pre], n, dt, post, [2.0, -1.0] * len(pre),
+                          np.arange(len(pre)).repeat(2))
+
+
+def both_layers(kernel, params, island_of, rows, v_m, v_n, decim=None, dt=DT, synapses=None):
     """The Python and the compiled neuron layer, each with its own
     ``_Traces`` (of neurons n-1 .. 0, every ``decim`` steps, or None), of
     neurons ``params`` on islands ``island_of`` under the noise ``rows`` (a
-    row per island) from the state (v_m, v_n), the neurons ``pre`` driving
-    synapse outputs that sit idle at a zero floor."""
+    row per island) from the state (v_m, v_n), each over a synapse block
+    made by ``synapses`` (by default, one without outputs at a zero floor)."""
     out = []
     for layer in (_NeuronLayer, kernel.neuron_layer):
         traces = None
         if decim is not None:
             traces = _Traces(list(range(len(params)))[::-1], rows.shape[1], decim, dt, np.array(v_m))
             traces.v[1:] = 0.0
-        neurons = layer(_NeuronBlock(params, dt), _CheckSynapses(len(params), pre), _CheckDrive(rows),
-                        np.asarray(island_of), rows.shape[1], np.array(v_m, dtype=float), traces)
+        block = floor_block(len(params), 0.0, dt) if synapses is None else synapses()
+        neurons = layer(_NeuronBlock(params, dt), block, _CheckDrive(rows), np.asarray(island_of), rows.shape[1],
+                        np.array(v_m, dtype=float), traces)
         neurons.v_n[...] = v_n
         out.append((neurons, traces))
     return out
 
 
-def step_outcome(neurons, traces, k, i_syn):
-    """What general step k of ``neurons`` gives, as bits: its spikes and
-    onsets, or the fields of its SimulationError, then the state and the
-    trace rows."""
-    try:
-        spiking, onsets = neurons.step(k, np.array(i_syn))
-        result = (spiking.tolist(), _bits(*onsets.tolist()))
-    except SimulationError as err:
-        result = (err.neuron, err.island, err.step, err.t, err.phase)
-    return result, _bits(*neurons.v_m), _bits(*neurons.v_n), None if traces is None else traces.v.tobytes()
-
-
 def run_outcome(neurons, traces, k):
-    """What the idle run of ``neurons`` from step k gives, as bits: the
-    first step not taken with the spikes and onsets that start pulses, or
-    the fields of its SimulationError; then the spikes, the quiet steps,
-    the state and the trace rows up to the step reached (rows after it may
-    hold values a compiled quiet stretch took back)."""
+    """What the runs of ``neurons`` from step k to the end give, as bits: the
+    fields of the SimulationError of the first state that is not finite, or
+    None; the spikes, the quiet steps, the state and the trace rows up to
+    the step reached (rows after it may hold values a compiled quiet stretch
+    took back); the synapses' state, pulse tables and counters."""
+    error = None
     try:
-        end, spiking, onsets = neurons.run(k)
-        result = (end, spiking.tolist(), _bits(*onsets.tolist()))
+        while k < neurons.n_steps:
+            k = neurons.run(k)
     except SimulationError as err:
-        end, result = err.step, (err.neuron, err.island, err.step, err.t, err.phase)
+        k, error = err.step, (err.neuron, err.island, err.step, err.t, err.phase)
     fired = [(step, who) for steps, neurons_ in neurons.fired for step, who in zip(steps.tolist(), neurons_.tolist())]
-    rows = None if traces is None else traces.v[:end // traces.decim + 1].tobytes()
-    return result, fired, neurons.quiet_steps, _bits(*neurons.v_m), _bits(*neurons.v_n), rows
+    rows = None if traces is None else traces.v[:k // traces.decim + 1].tobytes()
+    s = neurons.synapses
+    return (error, fired, neurons.quiet_steps, _bits(*neurons.v_m), _bits(*neurons.v_n), rows,
+            b"".join(a.tobytes() for a in (s.i, s.tab_i, s.tab_q, s.tab_on, s.until)), s.pulse_steps,
+            s.rising_solves)
 
 
 V_M_AROUND = V_M_LEVELS + [Q.v_th, Q.v_gate_th]
@@ -248,13 +254,15 @@ class TestCompiledNeuronLayer:
     @example([(0.5, 0.0, 1e-6, Q, 0), (0.5, math.nan, 1e-6, P, 0)], [0.0, 0.0, 0.0], 0, None)  # v_n alone
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf inputs
     def test_general_step_around_the_levels(self, kernel, neurons, noise, k, decim):
-        # the compiled step gathers each neuron's noise by its island, adds
-        # its synaptic input and gives _NeuronBlock.step's bits, with the
-        # error the Python layer raises for a state that is not finite
+        # a run of the one step k, under a floor input of the synapses,
+        # gathers each neuron's noise by its island, adds its synaptic input
+        # and gives _NeuronBlock.step's bits, with the error the Python
+        # layer raises for a state that is not finite
         v_m, v_n, i_syn, params, island_of = (list(col) for col in zip(*neurons))
         rows = np.array(noise)[:, None].repeat(k + 1, axis=1)
-        (python, py_traces), (compiled, c_traces) = both_layers(kernel, params, island_of, rows, v_m, v_n, decim)
-        assert step_outcome(compiled, c_traces, k, i_syn) == step_outcome(python, py_traces, k, i_syn)
+        (python, py_traces), (compiled, c_traces) = both_layers(
+            kernel, params, island_of, rows, v_m, v_n, decim, synapses=lambda: floor_block(len(params), i_syn))
+        assert run_outcome(compiled, c_traces, k) == run_outcome(python, py_traces, k)
 
     def test_at_the_switch_limit(self, kernel, monkeypatch):
         # a step ten times the spike period holds more switches than
@@ -266,9 +274,9 @@ class TestCompiledNeuronLayer:
             unbounded = [advance(p.v_rest, 0.0, i_in, dt, p) for p in (P, Q)]
         assert [advance(p.v_rest, 0.0, i_in, dt, p) for p in (P, Q)] != unbounded
         rows = np.full((1, 6), i_in)
-        (python, _), (compiled, _) = both_layers(kernel, [P, Q], [0, 0], rows, [0.0, 0.0], [0.0, 0.0], dt=dt)
-        for k in range(6):
-            assert step_outcome(compiled, None, k, [0.0, 0.0]) == step_outcome(python, None, k, [0.0, 0.0])
+        (python, py_traces), (compiled, c_traces) = both_layers(kernel, [P, Q], [0, 0], rows, [0.0, 0.0], [0.0, 0.0],
+                                                                1, dt=dt)
+        assert run_outcome(compiled, c_traces, 0) == run_outcome(python, py_traces, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(_near([P.v_clamp_lo, P.v_rest, P.v_gate_th, P.v_th, DETECT_THRESHOLD_V], 0.3),
@@ -286,12 +294,13 @@ class TestCompiledNeuronLayer:
              None, 3)
     # a neuron without synapse outputs fires, and the run goes on
     @example([(0.6, 0.0, P, 0, False), (0.0, 0.0, P, 1, True)], [4e-6, 0.5e-6, 0.0], 400, 0, None, 1)
-    def test_idle_runs(self, kernel, neurons, means, n_steps, k, special, decim):
+    def test_idle_and_busy_runs(self, kernel, neurons, means, n_steps, k, special, decim):
         # from any start, across the Python stretch's QUIET_CHUNK batches,
-        # the compiled run takes the steps the Python run takes,
-        # to the bit: quiet stretches (a NaN or +inf increment goes to the
-        # general step), general steps, the spikes that start pulses and
-        # those that do not, and the first state that is not finite
+        # the compiled run takes the steps the Python run takes, to the
+        # bit: quiet stretches (a NaN or +inf increment goes to the general
+        # step), general steps, the pulses the spikes of the driving
+        # neurons start and the busy steps under them, and the first state
+        # that is not finite
         v_m, v_n, params, island_of, drives = (list(col) for col in zip(*neurons))
         k = min(k, n_steps - 1)
         t = np.arange(n_steps)
@@ -300,28 +309,30 @@ class TestCompiledNeuronLayer:
             rows[special[0], (k + n_steps) // 2] = special[1]
         pre = np.nonzero(drives)[0]
         (python, py_traces), (compiled, c_traces) = both_layers(kernel, params, island_of, rows, v_m, v_n, decim,
-                                                                pre=pre)
+                                                                synapses=lambda: driven_block(len(params), pre))
         assert run_outcome(compiled, c_traces, k) == run_outcome(python, py_traces, k)
 
     def test_a_full_spike_buffer_pauses_the_run(self, kernel, monkeypatch):
         # with room for one step of spikes, the compiled run returns after
-        # each step in which a neuron fires, and the network runs on to the
-        # same spikes, state and trace rows
+        # each step in which a neuron fires, in idle and in busy steps, and
+        # the network runs on to the same spikes, state, trace rows,
+        # synapse state and counters
         monkeypatch.setattr(_kernel, "SPIKE_BUFFER", 1)
         t = np.arange(400)
         rows = np.array([3e-6 + 2e-6 * np.sin(t * 0.05), 2e-6 + 3e-6 * np.cos(t * 0.03)])
         outcomes, calls = [], []
-        for neurons, traces in both_layers(kernel, [P, Q, P], [0, 1, 1], rows, [0.0, 0.3, 0.6], [0.0] * 3, 1):
+        for neurons, traces in both_layers(kernel, [P, Q, P], [0, 1, 1], rows, [0.0, 0.3, 0.6], [0.0] * 3, 1,
+                                           synapses=lambda: driven_block(3, [0, 2])):
             starts, real_run = [], neurons.run
-            neurons.run = lambda k, starts=starts, real_run=real_run: starts.append(k) or real_run(k)
-            spikes = [s.tolist() for s in _step_network(neurons, _CheckSynapses(3, []), rows.shape[1])]
-            outcomes.append((spikes, neurons.quiet_steps, _bits(*neurons.v_m), _bits(*neurons.v_n),
-                             traces.v.tobytes()))
-            calls.append(len(starts))
+            neurons.run = lambda k, starts=starts, real_run=real_run, s=neurons.synapses: (
+                starts.append(s.idle_at_floor(k)) or real_run(k))
+            outcomes.append(run_outcome(neurons, traces, 0))
+            calls.append(starts)
         python, compiled = outcomes
         assert compiled == python
-        fired_steps = {step for steps in python[0] for step in steps}
-        assert len(fired_steps) > 10 and calls[0] == 1 and calls[1] > len(fired_steps)
+        fired_steps = {step for step, _ in python[1]}
+        assert len(fired_steps) > 10 and len(calls[0]) == 1 and len(calls[1]) > len(fired_steps)
+        assert python[-2] > 0 and not all(calls[1])  # some returns inside a busy stretch
 
     @pytest.mark.parametrize("name", builtin_names())
     def test_shipped_configs_run_alike_on_both_paths(self, kernel, name, monkeypatch):
@@ -398,11 +409,44 @@ def synapse_run(layer, pulses, n_steps):
     return out + [layer.busy_until, layer.at_floor, layer.pulse_steps, layer.rising_solves]
 
 
+class SteppedSynapses:
+    """The compiled synapse layer made from the block ``states``, stepped
+    by ``si_synapse_step`` and started by ``si_start_pulses`` one call at a
+    time, with the methods and attributes of ``_SynapseStates``."""
+
+    def __init__(self, kernel, states):
+        lib = ctypes.CDLL(str(kernel.path))
+        self._step, self._start = lib.si_synapse_step, lib.si_start_pulses
+        self._step.restype, self._start.restype = ctypes.c_int64, None
+        struct = ctypes.POINTER(_kernel._Synapses)
+        self._step.argtypes = [struct, ctypes.c_int64]
+        self._start.argtypes = [struct, ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+        self.layer, self.floor_input = _kernel.SynapseLayer(kernel, states), states.floor_input
+
+    def __getattr__(self, name):
+        return getattr(self.layer, name)
+
+    @property
+    def busy_until(self):
+        return self.layer.s.busy_until
+
+    @property
+    def at_floor(self):
+        return bool(self.layer.s.at_floor)
+
+    def step(self, k):
+        return self.layer.input if self._step(self.layer.s, k) else self.floor_input
+
+    def start_pulses(self, k, spiking, onsets):
+        spiking, onsets = np.ascontiguousarray(spiking, dtype=np.int64), np.ascontiguousarray(onsets, dtype=float)
+        self._start(self.layer.s, k, spiking.ctypes.data, onsets.ctypes.data, len(spiking))
+
+
 def both_synapse_layers(kernel, outputs, synapses, pulses, n_steps):
     """``synapse_run`` on the Python block and on the compiled layer made
     from a block like it (whether or not the library passed its check)."""
     return (synapse_run(synapse_block(outputs, synapses), pulses, n_steps),
-            synapse_run(_kernel.SynapseLayer(kernel, synapse_block(outputs, synapses)), pulses, n_steps))
+            synapse_run(SteppedSynapses(kernel, synapse_block(outputs, synapses)), pulses, n_steps))
 
 
 class TestCompiledSynapseLayer:
@@ -430,16 +474,15 @@ class TestCompiledSynapseLayer:
         python, compiled = both_synapse_layers(kernel, outputs, synapses, pulses, 40)
         assert compiled == python
 
-    def test_the_library_passes_the_synapse_check(self, kernel):
-        assert kernel.synapses_match
-        states = _kernel.check_synapses()
-        assert isinstance(kernel.synapse_layer(states), _kernel.SynapseLayer)
+    def test_the_library_passes_the_busy_loop_check(self, kernel):
+        assert kernel.busy_loop_matches and kernel.runs(True)
 
-    def test_the_synapse_check_covers_each_regime(self, monkeypatch):
-        # the synapse block of Kernel.synapses_match reaches the rising
-        # flow, the falling flow above a fixed point a > 0 and toward a <= 0,
-        # the floor in a decay and in a falling flow, and a pulse over an
-        # earlier one (a rising solve to its onset)
+    def test_the_busy_loop_check_covers_each_regime(self, monkeypatch):
+        # the network of Kernel.busy_loop_matches reaches the rising flow,
+        # the falling flow above a fixed point a > 0 and toward a <= 0, the
+        # floor in a decay and in a falling flow, a pulse over an earlier
+        # one (a rising solve to its onset), a pulse that ends inside its
+        # onset step, and pulses started in busy and in idle steps
         import spikeislands.engine as engine_mod
         import spikeislands.synapse as synapse_mod
 
@@ -459,10 +502,23 @@ class TestCompiledSynapseLayer:
 
             monkeypatch.setattr(synapse_mod, name, spy)
         monkeypatch.setattr(engine_mod, "dpi_decay", synapse_mod.dpi_decay)
-        outcome = _kernel.synapse_outcome(_kernel.check_synapses())
+        real_start = _SynapseStates.start_pulses
+
+        def start(self, k, spiking, onsets):
+            hit, solves = np.concatenate([self.of_pre[j] for j in spiking]), self.rising_solves
+            seen.add("after an idle step" if self.idle_at_floor(k) else "after a busy step")
+            real_start(self, k, spiking, onsets)
+            if hit.size and self.rising_solves - solves == 2:
+                seen.add("over an earlier pulse")
+            if (self.until[hit] == k).any():
+                seen.add("ending in its onset step")
+
+        monkeypatch.setattr(_SynapseStates, "start_pulses", start)
+        outcome = _kernel.network_outcome(_NeuronLayer, _kernel.check_busy_network(), 2)
         assert seen == {"_rising", "_falling", "dpi_decay", "dpi_decay to the floor", "_falling to the floor",
-                        "_falling to a > 0", "_falling to a <= 0"}
-        assert outcome[-2:] == [3, 2]  # pulse steps and rising solves
+                        "_falling to a > 0", "_falling to a <= 0", "after an idle step", "after a busy step",
+                        "over an earlier pulse", "ending in its onset step"}
+        assert outcome[0] == [[1], [1], [3], [23]] and outcome[-2:] == (6, 3)  # spikes, pulse steps, rising solves
 
 
 # A process that loads the compiled neuron updates and runs the single neuron
@@ -555,27 +611,30 @@ class TestLoader:
         monkeypatch.setattr(_kernel, name, (*getattr(_kernel, name), extra))
         assert _kernel._library_path(tmp_path, ["cc"]) != path
 
-    def test_failing_synapse_check_runs_the_python_synapse_layer(self, kernel, monkeypatch):
-        # a library whose synapse layer fails its check runs the Python
-        # synapse layer with its compiled neuron layer, to the same spikes;
-        # the check runs once, and not for a block without outputs
+    def test_failing_busy_loop_check_runs_the_python_path(self, kernel, monkeypatch):
+        # a library whose busy steps fail their check runs a network with
+        # synapse outputs on the Python layers, to the same spikes and
+        # stats, and one without outputs compiled; the check runs once, and
+        # not for a network without outputs
         fresh = _kernel.Kernel(ctypes.CDLL(str(kernel.path)), kernel.path, kernel.command, False)
-        calls = []
-        monkeypatch.setattr(_kernel, "synapse_outcome", lambda layer: calls.append(layer) or type(layer).__name__)
-        empty = _SynapseStates([], 1, DT, [], [], [])
-        assert isinstance(fresh.synapse_layer(empty), _kernel.SynapseLayer) and not calls
-        states = _kernel.check_synapses()
-        assert fresh.synapse_layer(states) is states and len(calls) == 2
-        again = _kernel.check_synapses()
-        assert fresh.synapse_layer(again) is again and len(calls) == 2
+        calls, layers = [], []
+        monkeypatch.setattr(_kernel, "network_outcome", lambda layer, network, decim: calls.append(layer) or layer)
+        assert fresh.runs(False) and not calls
+        assert not fresh.runs(True) and len(calls) == 2
+        assert not fresh.runs(True) and len(calls) == 2
+        real_step_network = engine_mod._step_network
+        monkeypatch.setattr(engine_mod, "_step_network",
+                            lambda neurons, n_steps: layers.append(type(neurons)) or real_step_network(neurons, n_steps))
         network, _ = parse_document(load_builtin("fig6G"))
         sim = SimConfig(duration=10e-6, dt=DT, master_seed=1)
         monkeypatch.setattr(_kernel, "load", lambda: fresh)
-        mixed = run(network, sim)
+        failed = run(network, sim)
+        single = run_single_neuron(NoiseSpec("white", 2e-10, (10.0, 5e6)), P, sim)
         monkeypatch.setattr(_kernel, "load", lambda: None)
         python = run(network, sim)
-        assert spikes_to_csv(mixed) == spikes_to_csv(python) and mixed.stats == python.stats
-        assert mixed.stats["rising_solves"] > 0
+        assert spikes_to_csv(failed) == spikes_to_csv(python) and failed.stats == python.stats
+        assert failed.stats["rising_solves"] > 0 and single.total_spikes() > 0
+        assert layers == [_NeuronLayer, _kernel.NeuronLayer, _NeuronLayer]
 
     @needs_compiler
     def test_failing_check_runs_the_python_loop(self, monkeypatch):

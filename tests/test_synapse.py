@@ -140,12 +140,12 @@ def _newton_alone(g, y, target):
 def _reference_rising(i0, d, h, i_tau, tau):
     """``dpi_flow`` of outputs all below their fixed point as first written
     (``a`` and ``c`` computed inside), each output solved alone by
-    ``_newton_alone``."""
+    ``_newton_alone``, with libm's ``log`` as ``synapse`` takes it."""
     out_i, out_q = np.empty(i0.shape), np.empty(i0.shape)
     for k in range(i0.size):
         a = d[k] - i_tau[k]
         c = i_tau[k] / a
-        psi0 = np.log(i0[k]) - np.log(a - i0[k])
+        psi0 = math.log(i0[k]) - math.log(a - i0[k])
         sp0 = np.logaddexp(0.0, psi0)
 
         def g(psi):
