@@ -14,9 +14,10 @@ Each run names what it measured: ``repo_commit`` (null for a copy without
   build, ``OPENBLAS_CORETYPE`` if it is set, ``kernel``: whether the
   compiled neuron updates loaded, the compiler command that built them,
   whether this process built them, the wall seconds of ``load()`` in a
-  fresh process and of the check of the compiled busy steps that the first
-  network with synapses runs (``busy_check_s``; null in a version without
-  that check) (a version without them reports ``compiled: false``),
+  fresh process, which builds them if need be and checks them, and of the
+  separate check of the compiled busy steps that older versions run at the
+  first network with synapses (``busy_check_s``; null in a version without
+  it) (a version without compiled updates reports ``compiled: false``),
   ``network_layer``: whether a network's neuron layer runs compiled, and
   ``synapse_layer``: whether its synapse layer does;
 - ``configs``: for each shipped config at master seed 1 (120 us, and 20 ms
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
 import platform
@@ -57,27 +59,20 @@ DEFAULT_DURATION = 120e-6
 DURATIONS = {"fig3_single_neuron": 20e-3}
 MASTER_SEED = 1
 ADVANCE_CONFIGS = ("fig3_single_neuron", "fig6G")
-# The methods each phase of a network run is timed at, as groups of
-# ``module.Class.method`` of spikeislands: the first group of which a
-# method exists is wrapped, and a method the run does not call counts no
-# calls.  ``run`` is the neuron layer's ``run``: in a version whose
-# compiled ``run`` takes every step, one call per noise block, it times the
-# whole network run (its quiet stretches, general steps, synapse steps,
-# pulse starts and the noise it draws), and the other phases, which time
-# the Python layers, see no call on the compiled path; in an older one it
-# takes the idle steps (or, older still, the quiet stretches:
-# ``take_quiet``, ``_QuietStretch.take``), and the other phases time the
-# busy steps' wrappers: the neuron layer's step (the noise gather and the
-# finiteness test included; ``_NeuronBlock.step`` before the layer
-# existed), and ``engine._SynapseStates``' or, compiled, ``SynapseLayer``'s
-# step and pulse starts.
+# The methods each phase of a network run is timed at, as
+# ``module.Class.method`` of spikeislands; a method the run does not call
+# counts no calls.  ``run`` is the neuron layer's ``run``: compiled, it takes
+# every step, one call per noise block, and so times the whole network run
+# (its quiet stretches, general steps, synapse steps, pulse starts and the
+# noise it draws), and the other phases, which time the Python layers, see
+# no call; on the Python path they time the neuron layer's general step
+# (the noise gather and the finiteness test included), the synapse step
+# and the pulse starts.
 PHASES = {
-    "neuron_block": [["engine._NeuronLayer.step", "_kernel.NeuronLayer.step"], ["engine._NeuronBlock.step"]],
-    "run": [["engine._NeuronLayer.run", "_kernel.NeuronLayer.run"],
-            ["engine._NeuronLayer.take_quiet", "_kernel.NeuronLayer.take_quiet"],
-            ["engine._QuietStretch.take"]],
-    "synapse_step": [["engine._SynapseStates.step", "_kernel.SynapseLayer.step"]],
-    "start_pulses": [["engine._SynapseStates.start_pulses", "_kernel.SynapseLayer.start_pulses"]],
+    "neuron_block": ["engine._NeuronLayer.step"],
+    "run": ["engine._NeuronLayer.run", "_kernel.NeuronLayer.run"],
+    "synapse_step": ["engine._SynapseStates.step"],
+    "start_pulses": ["engine._SynapseStates.start_pulses"],
 }
 
 
@@ -143,19 +138,6 @@ def time_config(name: str) -> dict:
             "stats": record.stats, "spikes": record.total_spikes()}
 
 
-def _method(path: str):
-    """``(class, name)`` of ``module.Class.method`` in spikeislands, or
-    None where this version has no such method."""
-    import importlib
-
-    module, cls, name = path.split(".")
-    try:
-        owner = getattr(importlib.import_module(f"spikeislands.{module}"), cls)
-    except (ImportError, AttributeError):
-        return None
-    return (owner, name) if hasattr(owner, name) else None
-
-
 def time_phases(name: str) -> dict:
     """Wall seconds and calls of each phase (PHASES) over a run of ``name``,
     after a 1 us run."""
@@ -173,13 +155,11 @@ def time_phases(name: str) -> dict:
                 acc[1] += 1
         return wrapper
 
-    for phase, groups in PHASES.items():
-        for group in groups:
-            found = [m for m in map(_method, group) if m is not None]
-            for owner, attr in found:
-                setattr(owner, attr, timed(getattr(owner, attr), totals[phase]))
-            if found:
-                break
+    for phase, paths in PHASES.items():
+        for path in paths:
+            module, cls, attr = path.split(".")
+            owner = getattr(importlib.import_module(f"spikeislands.{module}"), cls)
+            setattr(owner, attr, timed(getattr(owner, attr), totals[phase]))
     run(*_load(name, 1e-6))
     for acc in totals.values():
         acc[:] = [0.0, 0]

@@ -16,19 +16,16 @@ with the C compiler Python was built with (``sysconfig``'s ``CC``, else
 name and renamed into place, so processes that build it at once each load
 a whole file; deleting the cache is safe, the next run builds it again.
 
-Before it is used, the loaded library must give the bits of the Python
-code it replaces on short fixed inputs (``network_outcome``: spikes, quiet
-steps, end state, trace rows, synapse state, pulse tables and counters):
-the idle steps on a small network of two presets and on one neuron, both
-without synapse outputs, checked by ``load()``; and the busy steps on a
-small network whose pulses overlap, end inside their onset step, fall and
-reach the floor, checked at the first network with synapse outputs of the
-process (``Kernel.busy_loop_matches``), so that a process that runs only
-single neurons does not pay for it.  Without a compiler, when the cache
-cannot be written, when compiling or loading fails or when the idle check
-differs, ``load()`` returns None and the Python code runs: it is the
-reference the compiled code reproduces.  When the busy check differs, the
-Python code runs every network with synapse outputs (``Kernel.runs``).
+Before it is used, ``load()`` checks that the loaded library gives the
+bits of the Python code it replaces on short fixed inputs
+(``network_outcome``: spikes, quiet steps, end state, trace rows, synapse
+state, pulse tables and counters): a small network of two presets whose
+pulses overlap, end inside their onset step, fall and reach the floor,
+with a quiet stretch and spikes in busy and in idle steps, and one neuron
+without synapses (``check_networks()``).  Without a compiler, when the
+cache cannot be written, when compiling or loading fails or when the check
+differs, ``load()`` returns None and the Python code runs every network:
+it is the reference the compiled code reproduces.
 """
 
 from __future__ import annotations
@@ -160,7 +157,7 @@ class NeuronLayer:
             j, k = -1 - fault, b.k
             island = int(self.island_of[j])
             raise SimulationError(j, island, k, (k + 1) * self.dt,
-                                  _phase_at_fault(self.drive.at(k)[island], self.synapses.input[j]))
+                                  _phase_at_fault(held[island, k // b.hold - b.first], self.synapses.input[j]))
         return b.k
 
 
@@ -234,22 +231,6 @@ class Kernel:
         # The compiled counterpart of engine._NeuronLayer, made with the same arguments.
         self.neuron_layer = functools.partial(NeuronLayer, self)
 
-    def runs(self, outputs: bool) -> bool:
-        """Whether the compiled layers run a network with synapse outputs
-        (``outputs``) or without: those without take only idle steps, which
-        ``load()`` checked; those with take busy steps too, whose check
-        (``busy_loop_matches``) runs at the first such network."""
-        return not outputs or self.busy_loop_matches
-
-    @functools.cached_property
-    def busy_loop_matches(self) -> bool:
-        """The compiled layers give the bits of the Python code on the
-        network of ``check_busy_network()`` (``network_outcome``); checked
-        once, at the first network with synapse outputs, so that a process
-        that runs none (a single neuron) does not pay for it."""
-        return (network_outcome(self.neuron_layer, check_busy_network(), 2)
-                == network_outcome(_NeuronLayer, check_busy_network(), 2))
-
     def advance(self, v_m: float, v_n: float, i_in: float, dt: float, params) -> tuple:
         """``neuron.advance`` in C."""
         vm, vn, onset = ctypes.c_double(v_m), ctypes.c_double(v_n), ctypes.c_double()
@@ -309,18 +290,12 @@ def _build(cc: list[str], target: Path) -> bool:
 
 class _CheckDrive:
     """``engine._Drive`` over fixed samples, a row per island, each read by
-    one step."""
+    one step, held as one block."""
 
     hold = 1
 
     def __init__(self, rows: np.ndarray):
         self.rows, self.n_islands = np.ascontiguousarray(rows, dtype=np.float64), len(rows)
-
-    def at(self, k: int) -> np.ndarray:
-        return self.rows[:, k]
-
-    def steps(self, start: int, end: int) -> np.ndarray:
-        return self.rows[:, start:end]
 
     def held_at(self, k: int) -> tuple[np.ndarray, int]:
         return self.rows, 0
@@ -338,34 +313,16 @@ def floor_block(n: int, floor, dt: float = CHECK_DT) -> _SynapseStates:
     return states
 
 
-def check_networks() -> tuple:
-    """The networks of the idle check, each ``(params, island_of, drive,
-    v_m, synapses, trace_ids)`` with ``synapses`` making its synapse block:
-    four neurons of two presets (v_th below and above the detection level)
-    on two islands from below v_th, at a floor input of 0.2 uA times each
-    neuron's index, traced at neurons 3, 0 and 2, under 50 steps of drive (a
-    row per island) in which a few quiet steps come before every neuron
-    fires; and one fast-mode neuron from rest, under 30 steps that fire it
-    once after a quiet stretch.  Neither has synapse outputs."""
-    p = neuron_preset("fast-mode")
-    t = np.arange(50)
-    four = np.array([3e-6 + 1e-6 * np.sin(t * 0.3), 2.5e-6 + 1.5e-6 * np.cos(t * 0.2)])
-    return (([p, replace(p, v_th=1.2, v_gate_th=0.75)] * 2, np.array([0, 0, 1, 1], dtype=np.int32), four,
-             np.array([0.4, 0.6, 0.3, 0.5]), lambda: floor_block(4, np.arange(4) * 2e-7), [3, 0, 2]),
-            ([p], np.zeros(1, dtype=np.int32), 1.5e-6 + 4e-6 * np.sin(t[None, :30] * 0.05), np.array([p.v_rest]),
-             lambda: floor_block(1, 0.0), [0]))
-
-
 def check_synapses() -> _SynapseStates:
-    """A fresh synapse block of the busy check: four outputs, neuron 0
-    driving output 0 (a pulse of 2.5 steps, the last of an earlier one in
-    flight over the first 0.6 of step 0), neuron 1 outputs 1 (the same, from
-    far above its fixed point, so that it falls) and 2 (a pulse of half a
-    step, whose drive is below i_tau, from just above its floor) and neuron
-    3 output 3 (from far above its floor).  Their time constant is a tenth
-    of fast-dpi's, so that they fall to their floor within a few steps of a
-    pulse, but for output 3's, three tenths: it is the last to reach its
-    floor, in the step before the idle ones."""
+    """A fresh synapse block of ``check_busy_network()``: four outputs,
+    neuron 0 driving output 0 (a pulse of 2.5 steps, the last of an earlier
+    one in flight over the first 0.6 of step 0), neuron 1 outputs 1 (the
+    same, from far above its fixed point, so that it falls) and 2 (a pulse
+    of half a step, whose drive is below i_tau, from just above its floor)
+    and neuron 3 output 3 (from far above its floor).  Their time constant
+    is a tenth of fast-dpi's, so that they fall to their floor within a few
+    steps of a pulse, but for output 3's, three tenths: it is the last to
+    reach its floor, in the step before the idle ones."""
     fast = synapse_preset("fast-dpi")
     sp = replace(fast, c_s=0.1 * fast.c_s, pulse_width=2.5 * CHECK_DT)
     low = replace(sp, i_pulse=0.4 * sp.i_tau, pulse_width=0.5 * CHECK_DT)
@@ -379,19 +336,38 @@ def check_synapses() -> _SynapseStates:
 
 
 def check_busy_network() -> tuple:
-    """The network of the busy check, as ``check_networks()`` gives them:
-    four neurons on two islands, fast-mode but for neuron 2 (v_th above the
-    detection level), under 30 steps of drive.  Neurons 0 and 1 spike in
-    step 0, inside the pulse in flight, and neuron 1's short pulse ends
-    inside that step; neuron 2 spikes in a busy step; the outputs reach
-    their floor, and neuron 3 spikes in an idle step early enough that its
-    output, taken to the onset from the step's start, is not yet at the
-    floor from a start read before the idle steps."""
-    p = neuron_preset("fast-mode")
-    t = np.arange(30)
+    """The four-neuron network of the check, as ``check_networks()`` gives
+    it: on two islands, under 31 steps of drive (a row per island), with
+    the synapses of ``check_synapses()`` and traces of neurons 3, 0 and 2.
+    Its neurons are fast-mode, with a gate time constant of a fifth of
+    fast-mode's so that their gates close within 20 steps of a spike, but
+    for neuron 3, whose v_th lies above the detection level.  Neurons 0 and
+    1 spike in step 0, inside the pulse in flight, and neuron 1's short
+    pulse ends inside that step; neuron 2 spikes in a busy step; the
+    outputs reach their floor.  Once every gate has closed, a quiet
+    stretch ends where neuron 3 alone reaches the lower v_th of the other
+    neurons, below its own, so that the neurons before it are taken back
+    to that step; neuron 3 then spikes in an idle step, early enough that
+    its output, taken to the onset from the step's start, is not yet at
+    the floor from a start read before the idle steps."""
+    p = replace(neuron_preset("fast-mode"), tau_n=100e-9)
+    t = np.arange(31)
     rows = np.array([3e-6 + 1e-6 * np.sin(t * 0.3), 5e-6 + 0.5e-6 * np.cos(t * 0.2)])
-    return ([p, p, replace(p, v_th=1.2, v_gate_th=0.75), p], np.array([0, 1, 1, 0], dtype=np.int32), rows,
-            np.array([0.97, 0.98, 0.5, 0.0]), check_synapses, [2, 0])
+    return ([p, p, p, replace(p, v_th=1.2, v_gate_th=0.75)], np.array([0, 1, 1, 0], dtype=np.int32), rows,
+            np.array([0.97, 0.98, 0.5, -0.1]), check_synapses, [3, 0, 2])
+
+
+def check_networks() -> tuple:
+    """The networks of the check, each ``(params, island_of, drive, v_m,
+    synapses, trace_ids)`` with ``synapses`` making its synapse block, and
+    the trace decimation it runs at (None: untraced):
+    ``check_busy_network()`` every 2 steps, and one fast-mode neuron from
+    rest without synapse outputs, under 30 steps that fire it once after a
+    quiet stretch, untraced."""
+    p = neuron_preset("fast-mode")
+    one = ([p], np.zeros(1, dtype=np.int32), 1.5e-6 + 4e-6 * np.sin(np.arange(30)[None] * 0.05), np.array([p.v_rest]),
+           lambda: floor_block(1, 0.0), [0])
+    return (check_busy_network(), 2), (one, None)
 
 
 def network_outcome(layer, network: tuple, decim: int | None) -> tuple:
@@ -413,13 +389,10 @@ def network_outcome(layer, network: tuple, decim: int | None) -> tuple:
 
 
 def _matches_python(kernel: Kernel) -> bool:
-    """The compiled neuron layer gives the bits of the Python code on idle
-    steps: its ``network_outcome`` on the four-neuron network traced every
-    3 steps, and on the single neuron untraced and traced every 7 steps
-    (the busy steps are checked at their first use,
-    ``Kernel.busy_loop_matches``)."""
-    four, one = check_networks()
-    for network, decim in ((four, 3), (one, None), (one, 7)):
+    """The compiled neuron layer gives the bits of the Python code on every
+    network of ``check_networks()`` (``network_outcome``), in each of which
+    the Python code takes quiet steps and every neuron spikes."""
+    for network, decim in check_networks():
         expected = network_outcome(_NeuronLayer, network, decim)
         if not (all(expected[0]) and expected[1]) or network_outcome(kernel.neuron_layer, network,
                                                                      decim) != expected:

@@ -165,10 +165,9 @@ def _write_run(out_dir: Path, record, write_traces: bool) -> None:
     meta["created_utc"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     from . import _kernel  # loaded by the run, which asked the same cached load()
 
-    # Whether the compiled code ran (it does where it passed its checks);
+    # Whether the compiled code ran (it does where it passed its check);
     # the spikes are the same either way.
-    kernel = _kernel.load()
-    meta["compiled"] = kernel is not None and kernel.runs(record.meta["n_synapses"] > 0)
+    meta["compiled"] = _kernel.load() is not None
     # What the host's arithmetic ran on: numpy's active SIMD features, and
     # OpenBLAS's core type when it is set (the pink noise's bits follow it).
     meta["cpu_features"] = sorted(name for name, on in __cpu_features__.items() if on)

@@ -5,8 +5,9 @@ contract since it affects exact trajectories:
 
 1. the per-island noise sample for this step is read (one shared sample
    per island, added to every neuron of that island).  Each island's
-   stream is read forward a chunk at a time (``_Drive``), so a step's
-   sample does not depend on how long the run is;
+   stream is read forward a block of NOISE_CHUNK samples at a time, and
+   every path reads a step's sample from the held block
+   (``_Drive.held_at``), so it does not depend on how long the run is;
 2. all synapses advance over the step by the exact DPI flow map, driven by
    the rectangular pulses of earlier spikes, each starting at its spike's
    exact onset.  Each pulse was solved once, at its onset, for every step
@@ -56,12 +57,13 @@ compiled from ``_scalar.c`` when a C compiler is found (``_kernel``), each
 run in one call, one neuron without synapses as a one-neuron network: the
 first run of a process builds the library into a per-user cache,
 ``$XDG_CACHE_HOME/spikeislands/`` or ``~/.cache/spikeislands/``, which is
-safe to delete, and checks it against the Python code.  The compiled code
-gives the Python code's bits; without a compiler, or when building, loading
-or that check fails, the Python code runs, and one neuron without synapses
-takes a scalar loop of its own (``_ScalarNeuron``).  The synapse layer's
-``exp``, ``log`` and ``log1p`` are libm's on both paths (see ``synapse``),
-so neither path's bits depend on the SIMD code numpy dispatches to.
+safe to delete, and checks it once against the Python code.  The compiled
+code gives the Python code's bits; without a compiler, or when building,
+loading or that check fails, the Python code runs, and one neuron without
+synapses takes a scalar loop of its own (``_ScalarNeuron``).  The synapse
+layer's ``exp``, ``log`` and ``log1p`` are libm's on both paths (see
+``synapse``), so neither path's bits depend on the SIMD code numpy
+dispatches to.
 
 The output is fully determined by (network, sim) including the master seed:
 per-island noise streams are derived by stable 64-bit mixing of the master
@@ -113,10 +115,6 @@ __all__ = [
 # Steps whose membrane increments a quiet stretch computes in one batch;
 # bounds the batch at QUIET_CHUNK x n_neurons doubles.
 QUIET_CHUNK = 256
-
-# Steps of drive the Python single-neuron loop takes at a time, as Python
-# floats.
-DRIVE_CHUNK = 1 << 14
 
 _NO_SPIKES = np.empty(0, dtype=np.int64)
 
@@ -250,13 +248,14 @@ def _effective_noise(spec: NoiseSpec, master_seed: int, island_index: int) -> No
 
 
 class _Drive:
-    """Each island's noise on the step grid, read forward.
+    """Each island's noise on the step grid, read forward a block at a time.
 
-    Holds every island's samples (a row each) from the first one a read may
-    still need, and draws NOISE_CHUNK more of each stream
-    (``noise.NoiseStream``) when a read runs past them; a run so holds about
-    ``n_islands x NOISE_CHUNK`` doubles whatever its length.  The steps of
-    a run read their samples in order, none before the last one read.
+    ``held`` holds a block of NOISE_CHUNK samples of every island's stream
+    (``noise.NoiseStream``), a row each, and ``first`` is the sample in its
+    column 0; ``held_at`` reads the next block, and drops the held one, when
+    a step's sample lies past it.  A run so holds ``n_islands x NOISE_CHUNK``
+    doubles whatever its length.  The steps of a run read their samples in
+    order, none before the last one read.
     """
 
     def __init__(self, specs, sim: SimConfig):
@@ -264,41 +263,19 @@ class _Drive:
         self.streams = [NoiseStream(_effective_noise(spec, sim.master_seed, i), noise_dt)
                         for i, spec in enumerate(specs)]
         self.n_islands, self.hold = len(self.streams), sim.hold
-        self.first = 0  # noise sample in column 0 of self.held
+        self.first = 0
         self.held = np.empty((len(self.streams), 0))
 
-    def _hold(self, lo: int, hi: int) -> None:
-        """Hold noise samples lo .. hi-1."""
-        end = self.first + self.held.shape[1]
-        if hi <= end:
-            return
-        keep = self.held[:, min(lo, end) - self.first:].copy()
-        self.held = None  # not held next to its successor
-        n_new = max(NOISE_CHUNK, hi - end)
-        held = np.empty((len(self.streams), keep.shape[1] + n_new))
-        held[:, :keep.shape[1]] = keep
-        for row, stream in zip(held, self.streams):
-            row[keep.shape[1]:] = stream.read(n_new)
-        self.first, self.held = end - keep.shape[1], held
-
-    def at(self, k: int) -> np.ndarray:
-        """The per-island samples step k reads."""
-        j = k // self.hold
-        self._hold(j, j + 1)
-        return self.held[:, j - self.first]
-
-    def steps(self, start: int, end: int) -> np.ndarray:
-        """The per-island samples (last axis) that steps start .. end-1 read."""
-        lo, hi = start // self.hold, (end - 1) // self.hold + 1
-        self._hold(lo, hi)
-        if self.hold == 1:
-            return self.held[:, lo - self.first:hi - self.first]
-        return self.held[:, np.arange(start, end) // self.hold - self.first]
-
     def held_at(self, k: int) -> tuple[np.ndarray, int]:
-        """The held samples from step k's on, a row per island, and the
-        sample in their column 0, ``first``: step j reads ``j // hold - first``."""
-        self._hold(k // self.hold, k // self.hold + 1)
+        """The held block that holds step k's samples, a row per island, and
+        the sample in its column 0, ``first``: step j reads column
+        ``j // hold - first``."""
+        if k // self.hold >= self.first + self.held.shape[1]:
+            self.first += self.held.shape[1]
+            self.held = None  # not held next to its successor
+            self.held = np.empty((self.n_islands, NOISE_CHUNK))
+            for row, stream in zip(self.held, self.streams):
+                row[:] = stream.read(NOISE_CHUNK)
         return self.held, self.first
 
 
@@ -607,7 +584,8 @@ class _QuietStretch:
 
     def _batch(self, k: int, end: int) -> None:
         end = min(k + QUIET_CHUNK, end)
-        i_total = self.drive.steps(k, end).T[:, self.island_of] + self.floor_input
+        held, first = self.drive.held_at(k)
+        i_total = held[:, np.arange(k, end) // self.drive.hold - first].T[:, self.island_of] + self.floor_input
         self.inc = ((i_total + 0.0) - 0.0) * self.k_dt
         self.start, self.end = k, end
 
@@ -683,7 +661,8 @@ class _NeuronLayer:
         """The general step k under the synaptic input ``i_syn``; returns the
         spiking neurons and their onsets (``_NeuronBlock.step``).  Raises
         SimulationError when it leaves a state that is not finite."""
-        i_noise = self.drive.at(k)[self.island_of]
+        held, first = self.drive.held_at(k)
+        i_noise = held[self.island_of, k // self.drive.hold - first]
         self.v_m, self.v_n, spiking, onsets = self.block.step(self.v_m, self.v_n, i_noise + i_syn)
         # A finite sum has finite terms; the exact test runs only otherwise.
         if not (math.isfinite(np.add.reduce(self.v_m)) and math.isfinite(np.add.reduce(self.v_n))):
@@ -772,11 +751,10 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
     """The run of neurons with parameters ``params``, neuron i in island
     ``island_of[i]`` under noise source ``noise[island_of[i]]``, coupled
     by ``synapses``, through ``_step_network`` with the layers that
-    ``_kernel.load()`` gives, decided here, once per run: the compiled
-    layers, made from ``synapses``, or, without them or when they do not
-    run this network (``Kernel.runs``), ``_NeuronLayer`` over ``synapses``
-    itself, or the Python single-neuron loop (``_ScalarNeuron``) for one
-    neuron without synapses."""
+    ``_kernel.load()`` gives: the compiled layers, made from ``synapses``,
+    or, without them, ``_NeuronLayer`` over ``synapses`` itself, or the
+    Python single-neuron loop (``_ScalarNeuron``) for one neuron without
+    synapses."""
     check_sim(params, noise, sim)
     n, n_steps, dt = len(params), sim.n_steps, sim.dt
     drive = _Drive(noise, sim)
@@ -787,8 +765,6 @@ def _simulate(params: list, island_of, noise, synapses: _SynapseStates, sim: Sim
     from . import _kernel  # imported by the first run, not with the package
 
     kernel = _kernel.load()
-    if kernel is not None and not kernel.runs(synapses.pre.size > 0):
-        kernel = None
     if kernel is None and n == 1 and not synapses.post.size:
         neuron = _ScalarNeuron(params[0], dt, traces)
         neuron.run(drive, n_steps)
@@ -878,11 +854,17 @@ class _ScalarNeuron:
         return v_m, v_n
 
     def run(self, drive: _Drive, n_steps: int) -> None:
-        """Steps 0 .. n_steps-1 from rest, the drive read DRIVE_CHUNK steps
-        at a time."""
-        state = self.params.v_rest, 0.0
-        for k in range(0, n_steps, DRIVE_CHUNK):
-            state = self.take(drive.steps(k, min(k + DRIVE_CHUNK, n_steps))[0].tolist(), k, *state)
+        """Steps 0 .. n_steps-1 from rest, each ``take`` up to the end of the
+        run or of the noise block the drive holds (``_Drive.held_at``), as
+        ``_NeuronLayer.run`` bounds a run, and over at most NOISE_CHUNK
+        steps, so that a drive held over several steps still gives
+        NOISE_CHUNK floats at a time."""
+        k, state = 0, (self.params.v_rest, 0.0)
+        while k < n_steps:
+            held, first = drive.held_at(k)
+            end = min(n_steps, k + NOISE_CHUNK, (first + held.shape[1]) * drive.hold)
+            state = self.take(held[0, np.arange(k, end) // drive.hold - first].tolist(), k, *state)
+            k = end
 
 
 def run_single_neuron(noise: NoiseSpec, params, sim: SimConfig) -> SpikeRecord:

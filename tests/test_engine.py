@@ -10,8 +10,9 @@ from spikeislands.analysis import EventSeries, bin_events
 from spikeislands.configio import load_builtin, parse_document
 from spikeislands.engine import (
     DETECT_THRESHOLD_V,
-    DRIVE_CHUNK,
     SimConfig,
+    _Drive,
+    _effective_noise,
     _NeuronBlock,
     _ScalarNeuron,
     _SynapseStates,
@@ -203,11 +204,11 @@ class TestZeroDriveAndBlowup:
         assert (err.value.neuron, err.value.island, err.value.step, err.value.phase) == (2, 1, 7, "noise")
         assert "neuron 2 (island 1) after step 7" in str(err.value)
 
-    @pytest.mark.parametrize("at", [500, DRIVE_CHUNK + 500])
+    @pytest.mark.parametrize("at", [500, NOISE_CHUNK + 500])
     def test_blowup_in_the_single_neuron_loop_reports_its_step(self, at, engine_path, monkeypatch):
         # the single neuron, compiled as a one-neuron network or in the
-        # Python loop, reports the first non-finite step, in the first drive
-        # chunk and noise block or a later one, as the network path does
+        # Python loop, reports the first non-finite step, in the first noise
+        # block or a later one, as the network path does
         poison_stream(monkeypatch, at)
         net, _ = parse_document(load_builtin("fig3_single_neuron"))
         sim = SimConfig(duration=(at + 1500) * DT, dt=DT, master_seed=0)
@@ -854,6 +855,30 @@ class TestRunLength:
         assert {i: v.tobytes() for i, v in split.traces[1].items()} == {
             i: v.tobytes() for i, v in whole.traces[1].items()}
         assert len(starts) == 16 and not all(starts[1:]) and whole.stats["pulse_steps"] > 0
+
+
+class TestDrive:
+    @pytest.mark.parametrize("kind,hold", [("white", 1), ("pink", 1), ("white", 3), ("pink", 3)])
+    def test_held_at_reads_each_stream_a_block_at_a_time(self, kind, hold):
+        # walked step by step over more than two blocks, each island's
+        # samples are its stream's series, each read by hold steps, and a
+        # new block holds the next NOISE_CHUNK samples
+        specs = [NoiseSpec.from_rms(kind, 1.5e-6, band=(1e4, 5e6), seed=seed, stream_id=i)
+                 for i, seed in enumerate((3, 8))]
+        n = 2 * NOISE_CHUNK + 5
+        sim = SimConfig(duration=n * hold * DT, dt=DT, master_seed=11, noise_dt=hold * DT)
+        drive = _Drive(specs, sim)
+        read, firsts = np.empty((2, n * hold)), []
+        for k in range(n * hold):
+            held, first = drive.held_at(k)
+            if first not in firsts:
+                assert held.shape == (2, NOISE_CHUNK)
+                firsts.append(first)
+            read[:, k] = held[:, k // hold - first]
+        assert firsts == [0, NOISE_CHUNK, 2 * NOISE_CHUNK]
+        for i, spec in enumerate(specs):
+            series = generate(_effective_noise(spec, sim.master_seed, i), n, hold * DT)
+            assert read[i].tobytes() == series.repeat(hold).tobytes()
 
 
 class TestRefinement:

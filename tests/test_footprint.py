@@ -3,13 +3,12 @@
 The package needs numpy alone at run time: importing it, parsing and
 validating configs, generating white or pink noise, running under either
 and sweeping in worker processes never load scipy, which only the tests
-use, as a reference.  A run reads its noise forward and holds about one
-chunk of each island's stream (``noise.NOISE_CHUNK`` samples), and the
-single-neuron loop one chunk of drive (as Python floats in the Python
-loop), so a run's peak
-memory does not grow with its duration: a run 10 times longer peaks within
-GROWTH_ALLOWANCE (256 KiB) of the shorter one, which covers its longer
-spike lists.  Holding the whole noise instead would add 8 bytes per island
+use, as a reference.  A run reads its noise forward and holds one block
+of each island's stream (``noise.NOISE_CHUNK`` samples, ``_Drive``), and
+the Python single-neuron loop at most NOISE_CHUNK steps of it as Python
+floats, so a run's peak memory does not grow with its duration: a run 10
+times longer peaks within GROWTH_ALLOWANCE (256 KiB) of the shorter one,
+which covers its longer spike lists.  Holding the whole noise instead would add 8 bytes per island
 per step: 1.4 MB for the 180 000 extra steps of the single neuron, 0.6 MB
 for the 18 000 extra steps of the four-island network.  ``generate`` still
 returns the whole series, scaling a pink one into it a filtered chunk at a

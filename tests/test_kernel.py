@@ -23,12 +23,13 @@ every level, NaN and infinities included.  The compiled ``advance`` must
 give ``neuron.advance``'s bits on the cases ``TestAdvanceAsFirstWritten``
 checks.  ``test_engine`` checks ``_NeuronBlock.step`` against
 ``neuron.advance`` without a compiler.  Those tests skip, saying why, when
-the compiled code is not available.  The loader builds the library once
-per cache, safely from two processes at once, and without a compiler or a
-writable cache the run takes the Python code and gives the same spikes; a
-library whose busy steps fail their check runs networks with synapses on
-the Python code.  The ``kernel`` fixture (conftest.py) is the loaded
-library.
+the compiled code is not available.  The loader's one check runs a network
+that reaches every synapse regime and a quiet stretch that a later neuron
+ends.  The loader builds the library once per cache, safely from two
+processes at once, from a source that compiles without a warning; without
+a compiler, without a writable cache or when its check fails, no library
+is loaded, and every run takes the Python code and gives the same spikes
+and stats.  The ``kernel`` fixture (conftest.py) is the loaded library.
 """
 
 import ctypes
@@ -55,11 +56,12 @@ import spikeislands.neuron as neuron_mod
 from spikeislands import _kernel
 from spikeislands._kernel import _CheckDrive, floor_block
 from spikeislands.configio import builtin_names, load_builtin, parse_document
-from spikeislands.engine import (SimConfig, SimulationError, _Drive, _NeuronBlock, _NeuronLayer, _ScalarNeuron,
-                                 _step_network, _SynapseStates, _Traces, run, run_single_neuron)
+from spikeislands.engine import (SimConfig, SimulationError, _effective_noise, _NeuronBlock, _NeuronLayer,
+                                 _QuietStretch, _ScalarNeuron, _step_network, _SynapseStates, _Traces, run,
+                                 run_single_neuron)
 from spikeislands.io import spikes_to_csv
 from spikeislands.neuron import DETECT_THRESHOLD_V, advance
-from spikeislands.noise import NoiseSpec
+from spikeislands.noise import NoiseSpec, generate
 from spikeislands.presets import neuron_preset, synapse_preset
 
 SRC = Path(spikeislands.__file__).resolve().parent.parent
@@ -113,8 +115,9 @@ def shipped_drive(variant: str, seed: int, n_steps: int) -> np.ndarray:
     """The drive of a golden single-neuron variant: white as shipped, pink,
     or white held on a grid of three steps."""
     network, _ = parse_document(single_neuron_text(variant))
-    sim = SimConfig(duration=n_steps * DT, dt=DT, master_seed=seed, noise_dt=3e-8 if variant == "held" else None)
-    return _Drive(network.noise, sim).steps(0, n_steps)[0].copy()
+    hold = 3 if variant == "held" else 1
+    spec = _effective_noise(network.noise[0], seed, 0)
+    return generate(spec, -(-n_steps // hold), hold * DT).repeat(hold)[:n_steps]
 
 
 class TestCompiledSingleNeuron:
@@ -474,19 +477,20 @@ class TestCompiledSynapseLayer:
         python, compiled = both_synapse_layers(kernel, outputs, synapses, pulses, 40)
         assert compiled == python
 
-    def test_the_library_passes_the_busy_loop_check(self, kernel):
-        assert kernel.busy_loop_matches and kernel.runs(True)
-
-    def test_the_busy_loop_check_covers_each_regime(self, monkeypatch):
-        # the network of Kernel.busy_loop_matches reaches the rising flow,
-        # the falling flow above a fixed point a > 0 and toward a <= 0, the
+    def test_the_check_covers_each_regime(self, monkeypatch):
+        # the four-neuron network of the check reaches the rising flow, the
+        # falling flow above a fixed point a > 0 and toward a <= 0, the
         # floor in a decay and in a falling flow, a pulse over an earlier
         # one (a rising solve to its onset), a pulse that ends inside its
-        # onset step, and pulses started in busy and in idle steps
-        import spikeislands.engine as engine_mod
+        # onset step, and pulses started in busy and in idle steps; after
+        # the busy steps, a quiet stretch ends where a later neuron alone
+        # reaches the network's stop, the lower v_th of the other preset,
+        # below its own (v_th above the detection level), so that the
+        # compiled stretch takes the neurons before it back; its traces
+        # are of neurons out of index order
         import spikeislands.synapse as synapse_mod
 
-        seen = set()
+        seen, stretches = set(), []
         for name in ("_rising", "_falling", "dpi_decay"):
             real = getattr(synapse_mod, name)
 
@@ -502,23 +506,42 @@ class TestCompiledSynapseLayer:
 
             monkeypatch.setattr(synapse_mod, name, spy)
         monkeypatch.setattr(engine_mod, "dpi_decay", synapse_mod.dpi_decay)
-        real_start = _SynapseStates.start_pulses
+        real_start, real_take = _SynapseStates.start_pulses, _QuietStretch.take
+        starts = []
 
         def start(self, k, spiking, onsets):
             hit, solves = np.concatenate([self.of_pre[j] for j in spiking]), self.rising_solves
             seen.add("after an idle step" if self.idle_at_floor(k) else "after a busy step")
+            starts.append(k)
             real_start(self, k, spiking, onsets)
             if hit.size and self.rising_solves - solves == 2:
                 seen.add("over an earlier pulse")
             if (self.until[hit] == k).any():
                 seen.add("ending in its onset step")
 
+        def take(self, k, end, v_m, v_n, traces):
+            taken = real_take(self, k, end, v_m, v_n, traces)
+            if taken[0] < end:  # the neurons that stop the stretch
+                v = taken[1] + self.inc[taken[0] - self.start]
+                stretches.append((k, taken[0], np.nonzero(~(v < self.stop))[0].tolist(), self.stop))
+            return taken
+
         monkeypatch.setattr(_SynapseStates, "start_pulses", start)
-        outcome = _kernel.network_outcome(_NeuronLayer, _kernel.check_busy_network(), 2)
+        monkeypatch.setattr(_QuietStretch, "take", take)
+        network = _kernel.check_busy_network()
+        outcome = _kernel.network_outcome(_NeuronLayer, network, 2)
         assert seen == {"_rising", "_falling", "dpi_decay", "dpi_decay to the floor", "_falling to the floor",
                         "_falling to a > 0", "_falling to a <= 0", "after an idle step", "after a busy step",
                         "over an earlier pulse", "ending in its onset step"}
-        assert outcome[0] == [[1], [1], [3], [23]] and outcome[-2:] == (6, 3)  # spikes, pulse steps, rising solves
+        params, trace_ids = network[0], network[-1]
+        assert [p.v_th > DETECT_THRESHOLD_V for p in params] == [False, False, False, True]
+        # after the pulses, one quiet stretch stopped by neuron 3 alone, at
+        # neuron 0's v_th
+        quiet = [(k, stop, who, level) for k, stop, who, level in stretches if stop > k]
+        assert quiet == [(21, 24, [3], params[0].v_th)] and starts[0] < 21
+        assert trace_ids != sorted(trace_ids) and len(trace_ids) < len(params)
+        assert outcome[0] == [[1], [1], [3], [30]]
+        assert (outcome[1], outcome[-2], outcome[-1]) == (3, 4, 3)  # quiet steps, pulse steps, rising solves
 
 
 # A process that loads the compiled neuron updates and runs the single neuron
@@ -590,6 +613,16 @@ class TestLoader:
         assert [p.name for p in (tmp_path / "spikeislands").iterdir()] == [loaded[0][2]]
         assert probe(tmp_path)[0][:2] == ["True", "False"]
 
+    @needs_compiler
+    def test_the_source_compiles_without_warnings(self, tmp_path):
+        # the library's flags with every warning of -Wall -Wextra under C99
+        # made an error
+        cmd = [*_kernel.compiler(), *_kernel.FLAGS, "-Wall", "-Wextra", "-Werror", "-std=c99", "-o",
+               str(tmp_path / "scalar.so"), str(_kernel.SOURCE), *_kernel.LIBS]
+        proc = subprocess.run(cmd, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+                              timeout=_kernel.COMPILE_TIMEOUT_S)
+        assert proc.returncode == 0 and not proc.stderr, proc.stderr
+
     def test_no_compiler_on_the_path_runs_the_python_loop(self, tmp_path):
         empty = tmp_path / "bin"
         empty.mkdir()
@@ -611,36 +644,28 @@ class TestLoader:
         monkeypatch.setattr(_kernel, name, (*getattr(_kernel, name), extra))
         assert _kernel._library_path(tmp_path, ["cc"]) != path
 
-    def test_failing_busy_loop_check_runs_the_python_path(self, kernel, monkeypatch):
-        # a library whose busy steps fail their check runs a network with
-        # synapse outputs on the Python layers, to the same spikes and
-        # stats, and one without outputs compiled; the check runs once, and
-        # not for a network without outputs
-        fresh = _kernel.Kernel(ctypes.CDLL(str(kernel.path)), kernel.path, kernel.command, False)
-        calls, layers = [], []
-        monkeypatch.setattr(_kernel, "network_outcome", lambda layer, network, decim: calls.append(layer) or layer)
-        assert fresh.runs(False) and not calls
-        assert not fresh.runs(True) and len(calls) == 2
-        assert not fresh.runs(True) and len(calls) == 2
-        real_step_network = engine_mod._step_network
-        monkeypatch.setattr(engine_mod, "_step_network",
-                            lambda neurons, n_steps: layers.append(type(neurons)) or real_step_network(neurons, n_steps))
+    def test_failing_check_runs_the_python_loop(self, kernel, monkeypatch):
+        # a library that fails the check is not loaded, and a network with
+        # synapse outputs and a single neuron then run on the Python layers
+        # to the spikes and stats of the compiled layers
         network, _ = parse_document(load_builtin("fig6G"))
         sim = SimConfig(duration=10e-6, dt=DT, master_seed=1)
-        monkeypatch.setattr(_kernel, "load", lambda: fresh)
-        failed = run(network, sim)
-        single = run_single_neuron(NoiseSpec("white", 2e-10, (10.0, 5e6)), P, sim)
-        monkeypatch.setattr(_kernel, "load", lambda: None)
-        python = run(network, sim)
-        assert spikes_to_csv(failed) == spikes_to_csv(python) and failed.stats == python.stats
-        assert failed.stats["rising_solves"] > 0 and single.total_spikes() > 0
-        assert layers == [_NeuronLayer, _kernel.NeuronLayer, _NeuronLayer]
-
-    @needs_compiler
-    def test_failing_check_runs_the_python_loop(self, monkeypatch):
+        noise = NoiseSpec("white", 2e-10, (10.0, 5e6))
+        compiled = run(network, sim), run_single_neuron(noise, P, sim)
+        layers = []
+        real_step_network, real_scalar_run = engine_mod._step_network, _ScalarNeuron.run
+        monkeypatch.setattr(engine_mod, "_step_network",
+                            lambda neurons, n: layers.append(type(neurons)) or real_step_network(neurons, n))
+        monkeypatch.setattr(_ScalarNeuron, "run",
+                            lambda self, *args: layers.append(_ScalarNeuron) or real_scalar_run(self, *args))
         monkeypatch.setattr(_kernel, "_matches_python", lambda kernel: False)
         _kernel.load.cache_clear()
         try:
             assert _kernel.load() is None
+            python = run(network, sim), run_single_neuron(noise, P, sim)
         finally:
             _kernel.load.cache_clear()
+        assert layers == [_NeuronLayer, _ScalarNeuron]
+        for ours, reference in zip(compiled, python):
+            assert spikes_to_csv(ours) == spikes_to_csv(reference) and ours.stats == reference.stats
+        assert python[0].stats["rising_solves"] > 0 and python[1].total_spikes() > 0
